@@ -10,10 +10,12 @@ Subcommands:
   bench     compare evaluator timings across decades of b
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
-2 usage or validation error.
+2 usage or validation error. Validation covers the --out directory and
+the scan bounds, and is done before any scan starts.
 """
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -137,11 +139,38 @@ def _cmd_jacobi(args) -> int:
     return 0
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an --out path whose report could not be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out directory does not exist: {directory}")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"--out directory is not writable: {directory}")
+    if os.path.isdir(path):
+        raise ValueError(f"--out names a directory: {path}")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it
+    into place, so the report file is either complete or absent."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _emit(reports: list[Report], args) -> None:
     text = render(reports, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -233,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "out", None):
+            _check_out_path(args.out)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

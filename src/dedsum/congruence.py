@@ -12,13 +12,20 @@ mod 4 when b is even. Its value is always 0 or 4, and it controls
 family_example produces an explicit two-parameter family whose
 difference of sums is divisible by 8 but, for suitable parameters,
 not by 24.
+
+The public predicates check their arguments (b large enough, a coprime
+to b) and then evaluate the same unchecked pieces the lift scans call
+once per residue class: `_mu`, `_bt_case` and `_mod8_offset`, on top of
+the raw kernels `_jacobi` and `_t_walk`. Each piece depends on a only
+through a mod b, apart from a linear -a term left to the caller, so a
+scan computes it once per class and reuses it on every lift.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dedsum.arith import jacobi, mod_inverse, require_coprime, sign_mod3
-from dedsum.contfrac import t_value
+from dedsum.arith import _jacobi, require_coprime, sign_mod3
+from dedsum.contfrac import _t_walk
 from dedsum.dedekind import b_times_s, dedekind_fast
 
 
@@ -31,11 +38,14 @@ def mu(a: int, b: int) -> int:
     if b < 1:
         raise ValueError(f"lower argument must be positive, got {b}")
     require_coprime(a, b)
-    if b % 2 == 1:
-        return 2 - 2 * jacobi(a, b)
-    if b % 4 == 0 and a % 4 == 3:
-        return 4
-    return 0
+    return _mu(a, b)
+
+
+def _mu(a: int, b: int) -> int:
+    """mu(a, b) without checks; b >= 1 and gcd(a, b) = 1 are the caller's."""
+    if b & 1:
+        return 2 - 2 * _jacobi(a, b)
+    return 4 if b & 3 == 0 and a & 3 == 3 else 0
 
 
 def mu_original(a: int, b: int) -> int:
@@ -108,10 +118,16 @@ def bt_congruence_mod8(a: int, b: int) -> bool:
     """
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
-    a_inv = mod_inverse(a, b)
-    lhs = b * t_value(a, b)
-    rhs = -mu(a, b) + b * b + 2 - a - a_inv
-    return (lhs - rhs) % 8 == 0
+    require_coprime(a, b)
+    offset = _mod8_offset(a, b, pow(a, -1, b))
+    return (b * _t_walk(a, b) - offset + a) % 8 == 0
+
+
+def _mod8_offset(a: int, b: int, a_inv: int) -> int:
+    """-mu(a, b) + b^2 + 2 - a_inv, so that the mod-8 form predicts
+    b T(a, b) == offset - a. Unchecked: b >= 2, a coprime to b, a_inv
+    its inverse in 1..b-1."""
+    return b * b + 2 - _mu(a, b) - a_inv
 
 
 @dataclass(frozen=True)
@@ -140,29 +156,36 @@ def bt_residue(a: int, b: int) -> BTResidue:
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
     require_coprime(a, b)
-    a_inv = mod_inverse(a, b)
-    div3 = b % 3 == 0
-    modulus = 72 if div3 else 24
-    eps_term = 16 * sign_mod3(a) if div3 else 0
-    if b % 2 == 1:
-        tag = "odd"
-        predicted = 9 + 18 * jacobi(a, b) - a - a_inv - eps_term
-    elif b % 4 == 2 or a % 4 == 3:
-        tag = "even_half"
-        predicted = (54 if div3 else 6) - a - a_inv - eps_term
-    else:
-        tag = "even_quarter"
-        predicted = 18 - a - a_inv - eps_term
-    tag += "_div3" if div3 else "_ndiv3"
-    actual = (b * t_value(a, b)) % modulus
+    case_tag, modulus, offset = _bt_case(a, b, pow(a, -1, b))
     return BTResidue(
         b=b,
         a=a,
-        case_tag=tag,
+        case_tag=case_tag,
         modulus=modulus,
-        predicted=predicted % modulus,
-        actual=actual,
+        predicted=(offset - a) % modulus,
+        actual=(b * _t_walk(a, b)) % modulus,
     )
+
+
+def _bt_case(a: int, b: int, a_inv: int) -> tuple[str, int, int]:
+    """(case_tag, modulus, offset) of the bt_residue prediction, unchecked.
+
+    The predicted residue is (offset - a) % modulus. Requires b >= 2, a
+    coprime to b and a_inv its inverse in 1..b-1.
+    """
+    div3 = b % 3 == 0
+    if b & 1:
+        tag = "odd"
+        offset = 9 + 18 * _jacobi(a, b)
+    elif b & 3 == 2 or a & 3 == 3:
+        tag = "even_half"
+        offset = 54 if div3 else 6
+    else:
+        tag = "even_quarter"
+        offset = 18
+    if div3:
+        return tag + "_div3", 72, offset - a_inv - 16 * sign_mod3(a)
+    return tag + "_ndiv3", 24, offset - a_inv
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ shape, which pins down the alternating sum
     T(a, b) = -q0 + q1 - q2 + ... + qn
 
 so that the final quotient always enters with a plus sign.
+
+`_t_walk` is the raw kernel: one floor-division Euclid walk over plain
+ints that sums the quotients as it goes, builds no list and checks
+nothing. `t_value` is the public form; it checks b >= 1 and
+gcd(a, b) = 1, then runs the walk. `cf_expand` builds the expansion
+itself by a separate path and serves as the reference for the walk.
 """
 
 from dataclasses import dataclass
@@ -77,10 +83,27 @@ def cf_expand(a: int, b: int) -> CFExpansion:
 
 def t_value(a: int, b: int) -> int:
     """Alternating quotient sum T(a, b) = -q0 + q1 - q2 + ... + qn."""
-    qs = cf_expand(a, b).quotients()
-    total = -qs[0]
-    sign = 1
-    for q in qs[1:]:
-        total += sign * q
-        sign = -sign
-    return total
+    if b < 1:
+        raise ValueError(f"denominator must be positive, got {b}")
+    require_coprime(a, b)
+    return _t_walk(a, b)
+
+
+def _t_walk(a: int, b: int) -> int:
+    """T(a, b) without checks; b >= 1 and gcd(a, b) = 1 are the caller's.
+
+    Quotients enter with alternating signs, -q0 first. A raw expansion
+    with an odd number of quotients ends on an even index, and its last
+    quotient is >= 2 (or it is [q0] alone); normalizing it to an odd last
+    index, [..., qn] -> [..., qn - 1, 1], adds 2 to the sum.
+    """
+    t = 0
+    while True:
+        t -= a // b
+        a %= b
+        if not a:
+            return t + 2
+        t += b // a
+        b %= a
+        if not b:
+            return t

@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import gcd
 
 from dedsum.arith import mod_inverse, sign_mod3
-from dedsum.congruence import bt_congruence_mod8, bt_residue, mu, mu_original
-from dedsum.contfrac import t_value
-from dedsum.dedekind import _fast_parts, b_times_s, naive_bs_row
+from dedsum.congruence import _bt_case, _mod8_offset, mu, mu_original
+from dedsum.contfrac import _t_walk
+from dedsum.dedekind import NAIVE_ROW_LIMIT, _fast_parts, b_times_s, naive_bs_row
 from dedsum.report import ScanReport
 
 SUITES = ("theorem1", "theorem2", "identities", "all")
@@ -116,7 +116,8 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
     """Exact residues of b T(a, b) mod 24/72 plus the mod-8 congruence.
 
     Every residue class is checked through three integer lifts a, a - b,
-    a + b, since T is sensitive to the lift even though S is not.
+    a + b, since T is sensitive to the lift even though S is not. Each
+    lift gets its own Euclid walk, and one walk serves both checks.
     """
     acc = _new_acc()
     acc["summary"] = {"residue_mismatches": 0, "mod8_failures": 0}
@@ -124,10 +125,17 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
         if b < 2:
             continue
         for base in _coprime_residues(b):
+            # a_inv, mu, sign_mod3 and the case tag depend on a only
+            # through a mod b, so they are the same on all three lifts.
+            a_inv = mod_inverse(base, b)
+            case, modulus, offset = _bt_case(base, b, a_inv)
+            offset8 = _mod8_offset(base, b, a_inv)
             for lift in (base, base - b, base + b):
                 acc["tuples_checked"] += 1
-                res = bt_residue(lift, b)
-                if not res.matches:
+                bt = b * _t_walk(lift, b)
+                actual = bt % modulus
+                predicted = (offset - lift) % modulus
+                if actual != predicted:
                     _bump(acc, "residue_mismatches")
                     _record(
                         acc,
@@ -136,15 +144,14 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
                             "b": b,
                             "a": lift,
                             "check": "residue",
-                            "case": res.case_tag,
-                            "modulus": res.modulus,
-                            "predicted": res.predicted,
-                            "actual": res.actual,
+                            "case": case,
+                            "modulus": modulus,
+                            "predicted": predicted,
+                            "actual": actual,
                         },
                     )
-                if not bt_congruence_mod8(lift, b):
+                if (bt - offset8 + lift) % 8:
                     _bump(acc, "mod8_failures")
-                    a_inv = mod_inverse(lift, b)
                     _record(
                         acc,
                         cap,
@@ -152,10 +159,10 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
                             "b": b,
                             "a": lift,
                             "check": "mod8",
-                            "case": res.case_tag,
+                            "case": case,
                             "modulus": 8,
-                            "predicted": (-mu(lift, b) + b * b + 2 - lift - a_inv) % 8,
-                            "actual": (b * t_value(lift, b)) % 8,
+                            "predicted": (offset8 - lift) % 8,
+                            "actual": bt % 8,
                         },
                     )
     return acc
@@ -222,7 +229,11 @@ def _reciprocity_rows(bs: list[int], cap: int) -> dict:
 
 
 def _bhk_rows(bs: list[int], cap: int) -> dict:
-    """b T(a,b) + a + a_inv - 3b == b S(a,b) over three lifts per class."""
+    """b T(a,b) + a + a_inv - 3b == b S(a,b) over three lifts per class.
+
+    b S comes from the reciprocity recursion and b T from the Euclid
+    walk of each lift, so the two sides never share a computation.
+    """
     acc = _new_acc()
     acc["summary"] = {"identity_failures": 0}
     for b in bs:
@@ -230,10 +241,10 @@ def _bhk_rows(bs: list[int], cap: int) -> dict:
             continue
         for base in _coprime_residues(b):
             bs_val = b_times_s(base, b)
-            a_inv = mod_inverse(base, b)
+            shift = mod_inverse(base, b) - 3 * b
             for lift in (base, base - b, base + b):
                 acc["tuples_checked"] += 1
-                lhs = b * t_value(lift, b) + lift + a_inv - 3 * b
+                lhs = b * _t_walk(lift, b) + lift + shift
                 if lhs != bs_val:
                     _bump(acc, "identity_failures")
                     _record(
@@ -252,11 +263,11 @@ def _bt_mod8_rows(bs: list[int], cap: int) -> dict:
         if b < 2:
             continue
         for base in _coprime_residues(b):
-            a_inv = mod_inverse(base, b)
+            offset8 = _mod8_offset(base, b, mod_inverse(base, b))
             for lift in (base, base - b, base + b):
                 acc["tuples_checked"] += 1
-                actual = (b * t_value(lift, b)) % 8
-                expected = (-mu(lift, b) + b * b + 2 - lift - a_inv) % 8
+                actual = (b * _t_walk(lift, b)) % 8
+                expected = (offset8 - lift) % 8
                 if actual != expected:
                     _bump(acc, "mod8_failures")
                     _record(
@@ -338,13 +349,18 @@ _RANGE_FN = {
 }
 
 
-def _validate_scan_args(b_max: int, cap: int, jobs: int) -> None:
+def _validate_scan_args(kind: str, b_max: int, cap: int, jobs: int) -> None:
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
     if cap < 0:
         raise ValueError(f"cap must not be negative, got {cap}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if kind == "oracle-equivalence" and b_max > NAIVE_ROW_LIMIT:
+        raise ValueError(
+            f"b_max={b_max} exceeds {NAIVE_ROW_LIMIT}, the int64-exact limit "
+            "of the naive rows that oracle-equivalence compares against"
+        )
 
 
 def _run_scan(kind: str, b_max: int, cap: int, jobs: int, parameters: dict, **kwargs) -> ScanReport:
@@ -354,7 +370,7 @@ def _run_scan(kind: str, b_max: int, cap: int, jobs: int, parameters: dict, **kw
     disjoint; a stable sort by b restores the sequential row order
     before the cap is applied to the merged list.
     """
-    _validate_scan_args(b_max, cap, jobs)
+    _validate_scan_args(kind, b_max, cap, jobs)
     start = time.perf_counter()
     fn = functools.partial(_RANGE_FN[kind], cap=cap, **kwargs)
     all_bs = list(range(1, b_max + 1))
@@ -408,48 +424,50 @@ def scan_theorem1(
 
 def scan_theorem2(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check predicted residues of b T(a,b) mod 24/72 and the mod-8 form."""
-    return _run_scan(
-        "theorem2", b_max, cap, jobs, {"bmax": b_max, "cap": cap}
-    )
+    return _bounded_scan("theorem2", b_max, cap, jobs)
 
 
-def _identity_scan(kind: str, b_max: int, cap: int, jobs: int) -> ScanReport:
+def _bounded_scan(kind: str, b_max: int, cap: int, jobs: int) -> ScanReport:
+    """A scan whose only parameters are its bound and its row cap."""
     return _run_scan(kind, b_max, cap, jobs, {"bmax": b_max, "cap": cap})
 
 
 def scan_oracle_equivalence(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
-    """Compare the fast evaluator to direct summation for every (a, b)."""
-    return _identity_scan("oracle-equivalence", b_max, cap, jobs)
+    """Compare the fast evaluator to direct summation for every (a, b).
+
+    Raises ValueError before any work when b_max exceeds NAIVE_ROW_LIMIT.
+    """
+    return _bounded_scan("oracle-equivalence", b_max, cap, jobs)
 
 
 def scan_reciprocity(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check the reciprocity law in integer form for coprime a <= b."""
-    return _identity_scan("reciprocity", b_max, cap, jobs)
+    return _bounded_scan("reciprocity", b_max, cap, jobs)
 
 
 def scan_bhk(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check S = T + (a + a_inv)/b - 3 in integer form over three lifts."""
-    return _identity_scan("bhk", b_max, cap, jobs)
+    return _bounded_scan("bhk", b_max, cap, jobs)
 
 
 def scan_bt_mod8(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check the mod-8 congruence for b T(a,b) over three lifts."""
-    return _identity_scan("bt-mod8", b_max, cap, jobs)
+    return _bounded_scan("bt-mod8", b_max, cap, jobs)
 
 
 def scan_bs_congruences(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check b S(a,b) mod 3 (or mod 9 when 3 | b) against its closed form."""
-    return _identity_scan("bs-mod3-9", b_max, cap, jobs)
+    return _bounded_scan("bs-mod3-9", b_max, cap, jobs)
 
 
 def scan_mu_mod8(b_max: int, *, cap: int = 100, jobs: int = 1) -> ScanReport:
     """Check mu against its quadratic form mod 8 for even b."""
-    return _identity_scan("mu-mod8", b_max, cap, jobs)
+    return _bounded_scan("mu-mod8", b_max, cap, jobs)
 
 
 def run_identities(b_max: int, *, cap: int = 100, jobs: int = 1) -> list[ScanReport]:
     """All structural identity scans at one bound, in a fixed order."""
-    return [_identity_scan(kind, b_max, cap, jobs) for kind in IDENTITY_KINDS]
+    return run_suite("identities", b_max, cap=cap, jobs=jobs)
 
 
 def run_suite(
@@ -460,16 +478,21 @@ def run_suite(
     cap: int = 100,
     jobs: int = 1,
 ) -> list[ScanReport]:
-    """Reports for one named suite: theorem1, theorem2, identities, or all."""
+    """Reports for one named suite: theorem1, theorem2, identities, or all.
+
+    Every scan's arguments are checked before the first scan starts, so
+    a bound one scan cannot take fails at once, not after the others ran.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    reports: list[ScanReport] = []
-    if suite in ("theorem1", "all"):
-        reports.append(
-            scan_theorem1(b_max, include_9div=include_9div, cap=cap, jobs=jobs)
-        )
-    if suite in ("theorem2", "all"):
-        reports.append(scan_theorem2(b_max, cap=cap, jobs=jobs))
+    kinds = [kind for kind in ("theorem1", "theorem2") if suite in (kind, "all")]
     if suite in ("identities", "all"):
-        reports.extend(run_identities(b_max, cap=cap, jobs=jobs))
-    return reports
+        kinds.extend(IDENTITY_KINDS)
+    for kind in kinds:
+        _validate_scan_args(kind, b_max, cap, jobs)
+    return [
+        scan_theorem1(b_max, include_9div=include_9div, cap=cap, jobs=jobs)
+        if kind == "theorem1"
+        else _bounded_scan(kind, b_max, cap, jobs)
+        for kind in kinds
+    ]

@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -91,6 +93,40 @@ def test_check_writes_report_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert parse_json(out.read_text())[0].kind == "theorem2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--out", "{tmp}/missing/report.json"],
+        ["--suite", "identities", "--bmax", "2000000", "--out", "{tmp}/report.json"],
+        ["--suite", "all", "--bmax", "2000000", "--jobs", "2"],
+    ],
+)
+def test_check_refuses_bad_input_before_scanning(argv, tmp_path, capsys, no_scan_may_start):
+    start = time.perf_counter()
+    code = main(["check", *(arg.format(tmp=tmp_path) for arg in argv)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_report_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        main(["check", "--suite", "theorem2", "--bmax", "5", "--out", str(out)])
+    assert out.read_text() == "old"
+    assert os.listdir(tmp_path) == ["report.json"]
+    capsys.readouterr()
 
 
 def test_check_csv_and_json_agree(capsys):

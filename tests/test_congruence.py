@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from dedsum.arith import gcd
+from dedsum.arith import gcd, jacobi, mod_inverse, sign_mod3
 from dedsum.congruence import (
     bt_congruence_mod8,
     bt_residue,
@@ -174,6 +174,21 @@ def test_bt_residue_rejects_bad_input():
         bt_residue(1, 1)
     with pytest.raises(ValueError):
         bt_residue(2, 4)
+
+
+def test_per_class_terms_are_the_same_on_every_lift():
+    # The lift scans compute these once per residue class and reuse them
+    # on a, a - b and a + b.
+    for b in range(2, 121):
+        for base in coprime_residues(b):
+            lifts = (base, base - b, base + b)
+            assert len({mod_inverse(a, b) for a in lifts}) == 1, (base, b)
+            assert len({mu(a, b) for a in lifts}) == 1, (base, b)
+            assert len({bt_residue(a, b).case_tag for a in lifts}) == 1, (base, b)
+            if b % 2:
+                assert len({jacobi(a, b) for a in lifts}) == 1, (base, b)
+            if b % 3 == 0:
+                assert len({sign_mod3(a) for a in lifts}) == 1, (base, b)
 
 
 def test_family_frozen_values():

@@ -3,7 +3,8 @@
 The expansion is validated by reconstructing the rational it encodes;
 T is validated through the closed-form link to the Dedekind sum,
 b T(a,b) = b S(a,b) - a - a_inv + 3b, with S supplied by the separately
-tested evaluators.
+tested evaluators. The raw Euclid walk behind t_value is pinned to the
+alternating sum of the quotients that cf_expand builds.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsum.arith import gcd, mod_inverse
-from dedsum.contfrac import CFExpansion, _normalize_odd, cf_expand, t_value
+from dedsum.contfrac import CFExpansion, _normalize_odd, _t_walk, cf_expand, t_value
 from dedsum.dedekind import b_times_s
 
 
@@ -83,6 +84,25 @@ def test_t_links_to_dedekind_sum_exhaustive():
         bs = b_times_s(base, b)
         for a in (base, base - b, base + b):
             assert b * t_value(a, b) == bs - a - a_inv + 3 * b, (a, b)
+
+
+def alternating_sum(a: int, b: int) -> int:
+    """-q0 + q1 - q2 + ... + qn over the normalized expansion."""
+    return sum(q if i % 2 else -q for i, q in enumerate(cf_expand(a, b).quotients()))
+
+
+def test_walk_equals_quotient_sum_exhaustive():
+    for b in range(1, 200):
+        for a in range(-3 * b + 1, 3 * b):
+            if gcd(a, b) == 1:
+                assert _t_walk(a, b) == alternating_sum(a, b), (a, b)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), b=st.integers(1, 10**12))
+def test_walk_equals_quotient_sum_random(data, b):
+    a = data.draw(st.integers(-(10**13), 10**13).filter(lambda x: gcd(x, b) == 1))
+    assert _t_walk(a, b) == alternating_sum(a, b)
 
 
 def test_rejects_bad_input():

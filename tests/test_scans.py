@@ -2,13 +2,19 @@
 
 Tuple counts are checked against totient sums computed independently,
 the b = 9 counterexample matrix is pinned exactly, and report content
-must be identical for any worker count.
+must be identical for any worker count. Planted defects in the raw
+kernels show that each lift scan can fail, and under which counter.
 """
+
+import time
 
 import pytest
 
+import dedsum.congruence
+import dedsum.scans
 from dedsum.arith import gcd
 from dedsum.congruence import mu, mu_condition
+from dedsum.dedekind import NAIVE_ROW_LIMIT
 from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
@@ -149,7 +155,11 @@ def test_cap_zero_keeps_counts_only():
         (scan_theorem1, 40),
         (scan_theorem2, 25),
         (scan_oracle_equivalence, 30),
+        (scan_reciprocity, 30),
+        (scan_bhk, 25),
+        (scan_bt_mod8, 25),
         (scan_bs_congruences, 30),
+        (scan_mu_mod8, 30),
     ],
 )
 def test_jobs_do_not_change_report_content(fn, bmax):
@@ -173,6 +183,56 @@ def test_scan_argument_validation():
         scan_theorem1(10, cap=-1)
     with pytest.raises(ValueError):
         scan_theorem1(10, jobs=0)
+
+
+def test_oracle_bound_beyond_naive_rows_fails_up_front(no_scan_may_start):
+    # The suites that contain this scan are covered through the CLI.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="int64-exact"):
+        scan_oracle_equivalence(NAIVE_ROW_LIMIT + 1, jobs=2)
+    assert time.perf_counter() - start < 1.0
+
+
+BMAX_PLANTED = 30
+
+
+def lift_scans():
+    return {
+        "theorem2": scan_theorem2(BMAX_PLANTED).summary,
+        "bhk": scan_bhk(BMAX_PLANTED).summary,
+        "bt-mod8": scan_bt_mod8(BMAX_PLANTED).summary,
+    }
+
+
+def test_walk_off_by_one_above_b_fails_every_lift_scan(monkeypatch):
+    # Only the lift a + b is walked wrong; a scan that reused the walk of
+    # a for its other lifts would not see it.
+    real = dedsum.scans._t_walk
+    monkeypatch.setattr(dedsum.scans, "_t_walk", lambda a, b: real(a, b) + (a > b))
+    summary = lift_scans()
+    assert summary["theorem2"]["residue_mismatches"] > 0
+    assert summary["bhk"]["identity_failures"] > 0
+    assert summary["bt-mod8"]["mod8_failures"] > 0
+
+
+def test_flipped_mu_fails_the_mod8_checks_only(monkeypatch):
+    real = dedsum.congruence._mu
+
+    def flipped(a, b):
+        return 4 - real(a, b) if b % 4 == 3 else real(a, b)
+
+    monkeypatch.setattr(dedsum.congruence, "_mu", flipped)
+    summary = lift_scans()
+    assert summary["theorem2"]["mod8_failures"] > 0
+    assert summary["bt-mod8"]["mod8_failures"] > 0
+    assert summary["theorem2"]["residue_mismatches"] == 0
+    assert summary["bhk"]["identity_failures"] == 0
+
+
+def test_perturbed_inverse_fails_bhk(monkeypatch):
+    real = dedsum.scans.mod_inverse
+    monkeypatch.setattr(dedsum.scans, "mod_inverse", lambda a, b: real(a, b) + 1)
+    assert lift_scans()["bhk"]["identity_failures"] > 0
 
 
 def test_run_suite_layout():
