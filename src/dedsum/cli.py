@@ -10,14 +10,17 @@ Subcommands:
   bench     compare evaluator timings across decades of b
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
-2 usage or validation error. Validation covers the --out directory and
-the scan bounds, and is done before any scan starts.
+2 usage or validation error, 3 runtime failure (an I/O error, an
+arithmetic check that failed, or a broken worker pool), 130 interrupted.
+Validation covers the --out directory and the scan bounds, and is done
+before any scan starts.
 """
 
 import argparse
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
 from dedsum.arith import jacobi
@@ -268,6 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ArithmeticError, BrokenExecutor) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

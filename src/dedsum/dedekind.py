@@ -20,6 +20,17 @@ from dedsum.arith import require_coprime
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact.
 NAIVE_ROW_LIMIT = 1_400_000
 
+# The theorem1 scan evaluates the pairing condition
+#     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
+# in int64 for residues 0 < a1, a2 < b and m1, m2 in {0, 4}. The first
+# term is below 4b^2 in absolute value; in the second, |a1 - a2| < b,
+# b - 1 < b and a1 a2 + b - 1 <= b(b - 1) < b^2, so every partial
+# product stays below b^4. The whole is exact while b^4 + 4b^2 < 2^63,
+# which holds up to b = 55,108. Reducing the factors mod 8b first would
+# raise the bound; the scan does not, so it refuses larger b. The
+# differences of b S(a, b) in the same blocks stay below 2b^2.
+THEOREM1_ROW_LIMIT = 55_108
+
 
 def _validate(a: int, b: int) -> None:
     if b < 1:

@@ -17,10 +17,18 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from dedsum.arith import mod_inverse, sign_mod3
-from dedsum.congruence import _bt_case, _mod8_offset, mu, mu_original
+from dedsum.congruence import _bt_case, _mod8_offset, _mu, mu, mu_original
 from dedsum.contfrac import _t_walk
-from dedsum.dedekind import NAIVE_ROW_LIMIT, _fast_parts, b_times_s, naive_bs_row
+from dedsum.dedekind import (
+    NAIVE_ROW_LIMIT,
+    THEOREM1_ROW_LIMIT,
+    _fast_parts,
+    b_times_s,
+    naive_bs_row,
+)
 from dedsum.report import ScanReport
 
 SUITES = ("theorem1", "theorem2", "identities", "all")
@@ -33,6 +41,11 @@ IDENTITY_KINDS = (
     "bs-mod3-9",
     "mu-mod8",
 )
+
+# Elements per int64 block of theorem1's pair triangle. Small blocks keep
+# the temporaries in cache and the peak memory flat; much larger ones
+# are slower and raise the peak RSS.
+_PAIR_BLOCK = 4096
 
 
 def _coprime_residues(b: int) -> list[int]:
@@ -59,8 +72,27 @@ def _bump(acc: dict, key: str, amount: int = 1) -> None:
     acc["summary"][key] = acc["summary"].get(key, 0) + amount
 
 
+def _pair_condition(b, a1, m1, a2, m2):
+    """The mod-8b pairing condition of `mu_condition`, elementwise.
+
+    a1 and a2 are residues coprime to b, m1 and m2 are mu(b, a1) and
+    mu(b, a2). They may be int64 arrays that broadcast together; the
+    result is then exact for b <= THEOREM1_ROW_LIMIT.
+    """
+    return (
+        b * (a2 * m1 - a1 * m2) - (a1 - a2) * (b - 1) * (a1 * a2 + b - 1)
+    ) % (8 * b) == 0
+
+
 def _theorem1_rows(bs: list[int], cap: int, include_9div: bool) -> dict:
-    """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z."""
+    """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
+
+    The per-residue terms bS and mu are computed one by one. The pair
+    triangle is checked in int64 blocks of about _PAIR_BLOCK elements:
+    rows lo..hi-1 against columns lo+1..n-1, of which the pairs with
+    j > i are kept. np.nonzero walks a block in row-major order, so the
+    violation rows come out in the order of the pairs (a1, a2).
+    """
     acc = _new_acc()
     for key in ("mod8_mismatches", "mod24_mismatches_9ndiv", "mod24_mismatches_9div"):
         acc["summary"][key] = 0
@@ -68,47 +100,48 @@ def _theorem1_rows(bs: list[int], cap: int, include_9div: bool) -> dict:
         div9 = b % 9 == 0
         if b < 3 or (div9 and not include_9div):
             continue
+        key24 = "mod24_mismatches_9div" if div9 else "mod24_mismatches_9ndiv"
         residues = _coprime_residues(b)
-        bss = [b_times_s(a, b) for a in residues]
-        mus = [mu(b, a) for a in residues]
-        bm1 = b - 1
-        b8 = 8 * b
-        b24 = 24 * b
-        for i, a1 in enumerate(residues):
-            m1 = mus[i]
-            s1 = bss[i]
-            for j in range(i + 1, len(residues)):
-                a2 = residues[j]
-                acc["tuples_checked"] += 1
-                cond = (
-                    b * (a2 * m1 - a1 * mus[j])
-                    - (a1 - a2) * bm1 * (a1 * a2 + bm1)
-                ) % b8 == 0
-                d = s1 - bss[j]
-                in8 = d % b8 == 0
-                in24 = d % b24 == 0
-                if cond == in8 and cond == in24:
-                    continue
-                if cond != in8:
+        n = len(residues)
+        acc["tuples_checked"] += n * (n - 1) // 2
+        a = np.array(residues, dtype=np.int64)
+        bss = np.array([b_times_s(x, b) for x in residues], dtype=np.int64)
+        mus = np.array([_mu(b, x) for x in residues], dtype=np.int64)
+        lo = 0
+        while lo < n - 1:
+            hi = min(n - 1, lo + max(1, _PAIR_BLOCK // (n - 1 - lo)))
+            rows, cols = slice(lo, hi), slice(lo + 1, n)
+            cond = _pair_condition(
+                b, a[rows, None], mus[rows, None], a[None, cols], mus[None, cols]
+            )
+            d = bss[rows, None] - bss[None, cols]
+            d24 = d % (24 * b)
+            in24 = d24 == 0
+            in8 = d24 % (8 * b) == 0
+            # Block entry (r, c) is the pair (lo + r, lo + 1 + c): keep c >= r.
+            bad = np.triu((cond != in8) | (cond != in24))
+            for r, c in zip(*(idx.tolist() for idx in np.nonzero(bad))):
+                cond_rc, in8_rc, in24_rc = bool(cond[r, c]), bool(in8[r, c]), bool(in24[r, c])
+                if cond_rc != in8_rc:
                     _bump(acc, "mod8_mismatches")
-                if cond != in24:
-                    key = "mod24_mismatches_9div" if div9 else "mod24_mismatches_9ndiv"
-                    _bump(acc, key)
-                diff = Fraction(d, b)
+                if cond_rc != in24_rc:
+                    _bump(acc, key24)
+                diff = Fraction(int(d[r, c]), b)
                 _record(
                     acc,
                     cap,
                     {
                         "b": b,
-                        "a1": a1,
-                        "a2": a2,
-                        "condition": cond,
+                        "a1": residues[lo + r],
+                        "a2": residues[lo + 1 + c],
+                        "condition": cond_rc,
                         "diff_num": diff.numerator,
                         "diff_den": diff.denominator,
-                        "in8Z": in8,
-                        "in24Z": in24,
+                        "in8Z": in8_rc,
+                        "in24Z": in24_rc,
                     },
                 )
+            lo = hi
     return acc
 
 
@@ -349,6 +382,16 @@ _RANGE_FN = {
 }
 
 
+# Largest b_max of the scans with an int64 fast path, and what it bounds.
+_INT64_LIMITS = {
+    "theorem1": (THEOREM1_ROW_LIMIT, "the pair blocks of theorem1"),
+    "oracle-equivalence": (
+        NAIVE_ROW_LIMIT,
+        "the naive rows that oracle-equivalence compares against",
+    ),
+}
+
+
 def _validate_scan_args(kind: str, b_max: int, cap: int, jobs: int) -> None:
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
@@ -356,11 +399,9 @@ def _validate_scan_args(kind: str, b_max: int, cap: int, jobs: int) -> None:
         raise ValueError(f"cap must not be negative, got {cap}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if kind == "oracle-equivalence" and b_max > NAIVE_ROW_LIMIT:
-        raise ValueError(
-            f"b_max={b_max} exceeds {NAIVE_ROW_LIMIT}, the int64-exact limit "
-            "of the naive rows that oracle-equivalence compares against"
-        )
+    if kind in _INT64_LIMITS and b_max > _INT64_LIMITS[kind][0]:
+        limit, what = _INT64_LIMITS[kind]
+        raise ValueError(f"b_max={b_max} exceeds {limit}, the int64-exact limit of {what}")
 
 
 def _run_scan(kind: str, b_max: int, cap: int, jobs: int, parameters: dict, **kwargs) -> ScanReport:
@@ -411,6 +452,9 @@ def scan_theorem1(
     24Z equivalence is claimed. With include_9div=True those b are
     scanned too; their expected 24Z mismatches are reported as
     violations and tallied under summary['mod24_mismatches_9div'].
+
+    Raises ValueError before any work when b_max exceeds
+    THEOREM1_ROW_LIMIT, the bound of its int64 pair blocks.
     """
     return _run_scan(
         "theorem1",

@@ -83,6 +83,24 @@ def test_c2_pair_condition_matches_24z_to_300(theorem1_300):
     )
 
 
+def test_c2b_pair_condition_matches_24z_to_1000():
+    report = scan_theorem1(1000)
+    phi = totients(1000)
+    expected = sum(phi[b] * (phi[b] - 1) // 2 for b in range(3, 1001) if b % 9 != 0)
+    ok = (
+        report.violations_total == 0
+        and report.tuples_checked == expected
+        and report.elapsed < 30.0
+    )
+    verdict(
+        "criterion 2b, pairing condition matches 8Z and 24Z membership "
+        "for b <= 1000 with 9 not dividing b",
+        ok,
+        f"{report.tuples_checked} pairs, {report.violations_total} violations, "
+        f"{report.elapsed:.1f}s (budget 30s)",
+    )
+
+
 def test_c3_condition_matches_8z_even_at_9div(theorem1_300_incl):
     report = theorem1_300_incl
     ok = report.summary["mod8_mismatches"] == 0

@@ -5,10 +5,13 @@ import os
 import shutil
 import subprocess
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import dedsum.cli
 from dedsum.cli import main
+from dedsum.dedekind import THEOREM1_ROW_LIMIT
 from dedsum.report import parse_csv, parse_json
 
 
@@ -101,6 +104,8 @@ def test_check_writes_report_file(tmp_path, capsys):
         ["--out", "{tmp}/missing/report.json"],
         ["--suite", "identities", "--bmax", "2000000", "--out", "{tmp}/report.json"],
         ["--suite", "all", "--bmax", "2000000", "--jobs", "2"],
+        ["--suite", "theorem1", "--bmax", str(THEOREM1_ROW_LIMIT + 1), "--out", "{tmp}/r.json"],
+        ["--suite", "all", "--bmax", str(THEOREM1_ROW_LIMIT + 1)],
     ],
 )
 def test_check_refuses_bad_input_before_scanning(argv, tmp_path, capsys, no_scan_may_start):
@@ -122,11 +127,36 @@ def test_failed_report_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, 
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError):
-        main(["check", "--suite", "theorem2", "--bmax", "5", "--out", str(out)])
+    assert main(["check", "--suite", "theorem2", "--bmax", "5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: OSError: disk full\n"
     assert out.read_text() == "old"
     assert os.listdir(tmp_path) == ["report.json"]
-    capsys.readouterr()
+
+
+def test_theorem2_is_not_held_to_the_theorem1_bound(no_scan_may_start):
+    # Validation passes, so the scan starts and the fixture stops it.
+    with pytest.raises(AssertionError, match="a scan started"):
+        main(["check", "--suite", "theorem2", "--bmax", str(THEOREM1_ROW_LIMIT + 1)])
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (OSError("disk full"), 3),
+        (ArithmeticError("non-integral"), 3),
+        (BrokenProcessPool("a worker died"), 3),
+        (KeyboardInterrupt(), 130),
+    ],
+)
+def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(dedsum.cli, "run_suite", fail)
+    assert main(["check", "--bmax", "5"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_check_csv_and_json_agree(capsys):

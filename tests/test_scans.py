@@ -3,21 +3,23 @@
 Tuple counts are checked against totient sums computed independently,
 the b = 9 counterexample matrix is pinned exactly, and report content
 must be identical for any worker count. Planted defects in the raw
-kernels show that each lift scan can fail, and under which counter.
+kernels show that each scan can fail, and under which counter.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 import dedsum.congruence
 import dedsum.scans
 from dedsum.arith import gcd
 from dedsum.congruence import mu, mu_condition
-from dedsum.dedekind import NAIVE_ROW_LIMIT
+from dedsum.dedekind import NAIVE_ROW_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
+    _pair_condition,
     run_identities,
     run_suite,
     scan_bhk,
@@ -88,7 +90,8 @@ def test_theorem1_condition_column_matches_public_predicate():
 
 
 def test_inline_condition_formula_equals_public_predicate():
-    # The scan inlines the condition for speed; pin the two together.
+    # The condition as the scan states it, pair by pair in Python ints,
+    # pinned to the public predicate.
     for b in range(3, 26):
         residues = [a for a in range(1, b) if gcd(a, b) == 1]
         for i, a1 in enumerate(residues):
@@ -98,6 +101,27 @@ def test_inline_condition_formula_equals_public_predicate():
                     - (a1 - a2) * (b - 1) * (a1 * a2 + b - 1)
                 ) % (8 * b) == 0
                 assert inline == mu_condition(a1, a2, b)
+
+
+def test_array_condition_equals_public_predicate():
+    # The scan evaluates the condition over int64 blocks of pairs.
+    for b in range(3, 60):
+        residues = [a for a in range(1, b) if gcd(a, b) == 1]
+        a = np.array(residues, dtype=np.int64)
+        m = np.array([mu(b, x) for x in residues], dtype=np.int64)
+        table = _pair_condition(b, a[:, None], m[:, None], a[None, :], m[None, :])
+        for i, a1 in enumerate(residues):
+            for j in range(i + 1, len(residues)):
+                assert table[i, j] == mu_condition(a1, residues[j], b), (b, a1)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_theorem1_block_edges_drop_or_repeat_no_pair(block, monkeypatch):
+    default = scan_theorem1(60, include_9div=True, cap=10**6)
+    monkeypatch.setattr(dedsum.scans, "_PAIR_BLOCK", block)
+    blocked = scan_theorem1(60, include_9div=True, cap=10**6)
+    default.elapsed = blocked.elapsed = 0.0
+    assert blocked == default
 
 
 def test_theorem2_small_range_clean():
@@ -193,6 +217,15 @@ def test_oracle_bound_beyond_naive_rows_fails_up_front(no_scan_may_start):
     assert time.perf_counter() - start < 1.0
 
 
+def test_theorem1_bound_beyond_int64_blocks_fails_up_front(no_scan_may_start):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="int64-exact"):
+        scan_theorem1(THEOREM1_ROW_LIMIT + 1, jobs=2)
+    with pytest.raises(ValueError, match="int64-exact"):
+        run_suite("theorem1", THEOREM1_ROW_LIMIT + 1)
+    assert time.perf_counter() - start < 1.0
+
+
 BMAX_PLANTED = 30
 
 
@@ -253,3 +286,57 @@ def test_parameters_do_not_include_jobs():
     report = scan_theorem1(12, jobs=2)
     assert "jobs" not in report.parameters
     assert report.parameters == {"bmax": 12, "cap": 100, "include_9div": False}
+
+
+def test_flipped_mu_fails_theorem1_mod8(monkeypatch):
+    real = dedsum.scans._mu
+
+    def flipped(top, bottom):
+        # theorem1 calls _mu(b, a): flip the class a == 1 (mod 4).
+        return 4 - real(top, bottom) if bottom % 4 == 1 else real(top, bottom)
+
+    monkeypatch.setattr(dedsum.scans, "_mu", flipped)
+    assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
+
+
+def test_perturbed_bs_fails_theorem1_mod8_and_mod24(monkeypatch):
+    real = dedsum.scans.b_times_s
+
+    def perturbed(a, b):
+        return real(a, b) + b if a == 1 and b % 3 != 0 else real(a, b)
+
+    monkeypatch.setattr(dedsum.scans, "b_times_s", perturbed)
+    summary = scan_theorem1(BMAX_PLANTED).summary
+    assert summary["mod8_mismatches"] > 0
+    assert summary["mod24_mismatches_9ndiv"] > 0
+
+
+def test_wrong_fast_parts_fails_oracle_and_reciprocity(monkeypatch):
+    real = dedsum.scans._fast_parts
+
+    def wrong(a, b):
+        num, den = real(a, b)
+        return (num + den, den) if a == 2 else (num, den)
+
+    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    assert scan_oracle_equivalence(BMAX_PLANTED).summary["value_mismatches"] > 0
+    assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] > 0
+
+
+def test_perturbed_bs_fails_bs_congruences(monkeypatch):
+    real = dedsum.scans.b_times_s
+    monkeypatch.setattr(
+        dedsum.scans, "b_times_s", lambda a, b: real(a, b) + (a == 1)
+    )
+    summary = scan_bs_congruences(BMAX_PLANTED).summary
+    assert summary["congruence_failures"] > 0
+
+
+def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
+    real = dedsum.scans.mu_original
+
+    def shifted(a, b):
+        return real(a, b) + 4 if a % 8 == 1 else real(a, b)
+
+    monkeypatch.setattr(dedsum.scans, "mu_original", shifted)
+    assert scan_mu_mod8(BMAX_PLANTED).summary["mod8_mismatches"] > 0
