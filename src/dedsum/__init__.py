@@ -1,6 +1,6 @@
 """Exact-arithmetic Dedekind sums and congruence verification tools."""
 
-from dedsum.arith import ExactRational, gcd, jacobi, mod_inverse, sign_mod3
+from dedsum.arith import ExactRational, jacobi, mod_inverse, sign_mod3
 from dedsum.contfrac import CFExpansion, cf_expand, t_value
 from dedsum.dedekind import b_times_s, dedekind_fast, dedekind_naive
 from dedsum.congruence import (
@@ -30,7 +30,6 @@ __all__ = [
     "dedekind_naive",
     "difference_verdict",
     "family_example",
-    "gcd",
     "jacobi",
     "mod_inverse",
     "mu",

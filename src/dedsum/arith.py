@@ -1,4 +1,4 @@
-"""Elementary exact number theory: gcd, modular inverse, Jacobi symbol.
+"""Elementary exact number theory: coprimality, modular inverse, Jacobi symbol.
 
 Every function here works on plain Python integers and returns exact
 results. Rational values elsewhere in the package are represented by
@@ -11,11 +11,6 @@ import math
 from fractions import Fraction
 
 ExactRational = Fraction
-
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor of two integers, always nonnegative."""
-    return math.gcd(x, y)
 
 
 def require_coprime(a: int, b: int) -> None:

@@ -18,7 +18,26 @@ import numpy as np
 from dedsum.arith import require_coprime
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact.
+#
+# The same bound covers the reciprocity row kernel `_bs_pairs`. With the
+# Euclid remainders r_0 = b > r_1 = a > r_2 > ... and V_k =
+# r_k S(r_{k+1}, r_k), each backward step solves
+#     r_{k+1} V_k + r_k V_{k+1} = r_k^2 + r_{k+1}^2 + 1 - 3 r_k r_{k+1}
+# for V_k. |S(a, c)| <= (c - 1)(c - 2)/c < c gives |V_{k+1}| < r_{k+1}^2,
+# so r_k |V_{k+1}| < b^3 and the right side stays below 5b^2 + 1. The
+# reciprocity scan adds a b S(a, b) + b a S(b mod a, a), below 2b^3. Every
+# step and every such sum stays below 2b^3 + 5b^2 < 2^63 for
+# b <= NAIVE_ROW_LIMIT.
 NAIVE_ROW_LIMIT = 1_400_000
+
+# Pairs per call of the row kernel. Rows are gathered until a batch holds
+# about this many pairs, because one numpy call per short row costs more
+# in call overhead than in arithmetic; a longer row is solved in slices
+# of this size. The remainder levels of one call keep 24 bytes per pair
+# and level: about 0.5 MB for b <= 500 (5.3 levels on average), at most
+# 2.9 MB below NAIVE_ROW_LIMIT (29 levels). Calls of 8192 pairs are no
+# faster and double that memory.
+_ROW_BATCH = 4096
 
 # The theorem1 scan evaluates the pairing condition
 #     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
@@ -114,6 +133,107 @@ def b_times_s(a: int, b: int) -> int:
     return num * (b // den)
 
 
+def coprime_residues(b: int) -> np.ndarray:
+    """The residues a in 1..b-1 with gcd(a, b) == 1, as an int64 array."""
+    k = np.arange(1, b, dtype=np.int64)
+    return k[np.gcd(k, b) == 1]
+
+
+def _reciprocity_rhs(x, y):
+    """x^2 + y^2 + 1 - 3xy, which is xy (S(x, y) + S(y, x))."""
+    return x * x + y * y + 1 - 3 * x * y
+
+
+def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b * S(a, b) for int64 arrays of coprime pairs 0 < a < b.
+
+    Steps the Euclid remainders forward, keeping at each level only the
+    pairs whose remainder has not reached 1, then solves the reciprocity
+    law for V_k = r_k S(r_{k+1}, r_k) backward from the deepest level.
+    Where r_{k+1} = 1 the next term r_{k+1} S(0, 1) is 0, so the step
+    gives V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with the same formula.
+    Exact for b <= NAIVE_ROW_LIMIT (see there); the callers check that
+    bound. Raises ArithmeticError if a step does not divide exactly.
+    """
+    levels = []
+    idx = np.arange(len(a))
+    x, y = b, a
+    while len(idx):
+        levels.append((idx, x, y))
+        more = y > 1
+        idx, x, y = idx[more], y[more], x[more] % y[more]
+        if not y.all():
+            raise ValueError("the row kernel needs coprime pairs 0 < a < b")
+    v = np.zeros(len(a), dtype=np.int64)
+    for idx, x, y in reversed(levels):
+        step, rem = np.divmod(_reciprocity_rhs(x, y) - x * v[idx], y)
+        if rem.any():
+            raise ArithmeticError("a reciprocity step of the row kernel came out non-integral")
+        v[idx] = step
+    return v
+
+
+def _solve_rows(rows: list, mirrored: bool):
+    """Run the kernel over gathered (b, residues) rows, in slices of at
+    most _ROW_BATCH pairs, and yield each row with its values."""
+    if not rows:
+        return
+    a = np.concatenate([residues for _, residues in rows])
+    b = np.repeat(
+        np.array([row_b for row_b, _ in rows], dtype=np.int64),
+        [len(residues) for _, residues in rows],
+    )
+    if mirrored:
+        # a S(b mod a, a) for a >= 2, solved in the same calls; 0 at a = 1.
+        upper = a > 1
+        lower = a[upper]
+        a = np.concatenate([a, b[upper] % lower])
+        b = np.concatenate([b, lower])
+    values = np.concatenate(
+        [
+            _bs_pairs(a[lo : lo + _ROW_BATCH], b[lo : lo + _ROW_BATCH])
+            for lo in range(0, len(a), _ROW_BATCH)
+        ]
+    )
+    if mirrored:
+        n = len(upper)
+        mirror = np.zeros(n, dtype=np.int64)
+        mirror[upper] = values[n:]
+    lo = 0
+    for row_b, residues in rows:
+        hi = lo + len(residues)
+        if mirrored:
+            yield row_b, residues, values[lo:hi], mirror[lo:hi]
+        else:
+            yield row_b, residues, values[lo:hi]
+        lo = hi
+
+
+def fast_bs_rows(bs, mirrored: bool = False):
+    """Yield (b, residues, b * S(a, b)) for every b >= 2 in bs, in order.
+
+    The residues are those of `naive_bs_row`; the values come from the
+    reciprocity row kernel, batched over rows to about _ROW_BATCH pairs
+    per call. With mirrored=True each item also carries the array of
+    a * S(b mod a, a), which is 0 at a = 1. Raises ValueError when a b
+    exceeds NAIVE_ROW_LIMIT, before that row's batch is solved.
+    """
+    pending: list = []
+    size = 0
+    for b in bs:
+        if b < 2:
+            continue
+        if b > NAIVE_ROW_LIMIT:
+            raise ValueError(f"b={b} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
+        residues = coprime_residues(b)
+        pending.append((b, residues))
+        size += len(residues)
+        if size >= _ROW_BATCH:
+            yield from _solve_rows(pending, mirrored)
+            pending, size = [], 0
+    yield from _solve_rows(pending, mirrored)
+
+
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     """b * S(a, b) by direct summation for every a in 1..b-1 coprime to b.
 
@@ -126,7 +246,7 @@ def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     if b > NAIVE_ROW_LIMIT:
         raise ValueError(f"b={b} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
     k = np.arange(1, b, dtype=np.int64)
-    residues = k[np.gcd(k, b) == 1]
+    residues = coprime_residues(b)
     wk = 2 * k - b
     sums = np.zeros(len(residues), dtype=np.int64)
     chunk = max(1, 4_000_000 // b)

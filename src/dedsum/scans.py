@@ -12,6 +12,7 @@ job count (elapsed time aside).
 """
 
 import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -19,14 +20,15 @@ from math import gcd
 
 import numpy as np
 
-from dedsum.arith import mod_inverse, sign_mod3
+from dedsum.arith import mod_inverse
 from dedsum.congruence import _bt_case, _mod8_offset, _mu, mu, mu_original
 from dedsum.contfrac import _t_walk
 from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
     _fast_parts,
-    b_times_s,
+    coprime_residues,
+    fast_bs_rows,
     naive_bs_row,
 )
 from dedsum.report import ScanReport
@@ -46,10 +48,6 @@ IDENTITY_KINDS = (
 # the temporaries in cache and the peak memory flat; much larger ones
 # are slower and raise the peak RSS.
 _PAIR_BLOCK = 4096
-
-
-def _coprime_residues(b: int) -> list[int]:
-    return [a for a in range(1, b) if gcd(a, b) == 1]
 
 
 def _new_acc() -> dict:
@@ -87,7 +85,7 @@ def _pair_condition(b, a1, m1, a2, m2):
 def _theorem1_rows(bs: list[int], cap: int, include_9div: bool) -> dict:
     """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
 
-    The per-residue terms bS and mu are computed one by one. The pair
+    bS comes from the row kernel and mu is computed per residue. The pair
     triangle is checked in int64 blocks of about _PAIR_BLOCK elements:
     rows lo..hi-1 against columns lo+1..n-1, of which the pairs with
     j > i are kept. np.nonzero walks a block in row-major order, so the
@@ -96,16 +94,12 @@ def _theorem1_rows(bs: list[int], cap: int, include_9div: bool) -> dict:
     acc = _new_acc()
     for key in ("mod8_mismatches", "mod24_mismatches_9ndiv", "mod24_mismatches_9div"):
         acc["summary"][key] = 0
-    for b in bs:
-        div9 = b % 9 == 0
-        if b < 3 or (div9 and not include_9div):
-            continue
-        key24 = "mod24_mismatches_9div" if div9 else "mod24_mismatches_9ndiv"
-        residues = _coprime_residues(b)
+    scanned = (b for b in bs if b >= 3 and (include_9div or b % 9))
+    for b, a, bss in fast_bs_rows(scanned):
+        key24 = "mod24_mismatches_9ndiv" if b % 9 else "mod24_mismatches_9div"
+        residues = a.tolist()
         n = len(residues)
         acc["tuples_checked"] += n * (n - 1) // 2
-        a = np.array(residues, dtype=np.int64)
-        bss = np.array([b_times_s(x, b) for x in residues], dtype=np.int64)
         mus = np.array([_mu(b, x) for x in residues], dtype=np.int64)
         lo = 0
         while lo < n - 1:
@@ -157,7 +151,7 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
     for b in bs:
         if b < 2:
             continue
-        for base in _coprime_residues(b):
+        for base in coprime_residues(b).tolist():
             # a_inv, mu, sign_mod3 and the case tag depend on a only
             # through a mod b, so they are the same on all three lifts.
             a_inv = mod_inverse(base, b)
@@ -202,62 +196,81 @@ def _theorem2_rows(bs: list[int], cap: int) -> dict:
 
 
 def _oracle_rows(bs: list[int], cap: int) -> dict:
-    """Reciprocity-based evaluator against the definitional summation."""
+    """Both reciprocity evaluators against the definitional summation.
+
+    The row kernel is compared with the naive row as a whole array, and
+    the scalar `_fast_parts` pair by pair. A pair counts once if either
+    disagrees; its row shows the kernel's value when the kernel is wrong,
+    else the scalar's.
+    """
     acc = _new_acc()
     acc["summary"] = {"value_mismatches": 0}
-    for b in bs:
-        if b < 2:
-            continue
-        residues, naive = naive_bs_row(b)
-        for a, bs_naive in zip(residues.tolist(), naive.tolist()):
-            acc["tuples_checked"] += 1
-            num, den = _fast_parts(a, b)
-            if num * b != bs_naive * den:
-                _bump(acc, "value_mismatches")
-                s_naive = Fraction(bs_naive, b)
-                _record(
-                    acc,
-                    cap,
-                    {
-                        "b": b,
-                        "a": a,
-                        "fast_num": num,
-                        "fast_den": den,
-                        "naive_num": s_naive.numerator,
-                        "naive_den": s_naive.denominator,
-                    },
-                )
+    for b, residues, fast in fast_bs_rows(bs):
+        _, naive = naive_bs_row(b)
+        acc["tuples_checked"] += len(residues)
+        kernel_bad = fast != naive
+        parts = [_fast_parts(a, b) for a in residues.tolist()]
+        bad = set(np.flatnonzero(kernel_bad).tolist())
+        bad.update(
+            i
+            for i, ((num, den), bs_naive) in enumerate(zip(parts, naive.tolist()))
+            if num * b != bs_naive * den
+        )
+        for i in sorted(bad):
+            _bump(acc, "value_mismatches")
+            if kernel_bad[i]:
+                s_fast = Fraction(int(fast[i]), b)
+                num, den = s_fast.numerator, s_fast.denominator
+            else:
+                num, den = parts[i]
+            s_naive = Fraction(int(naive[i]), b)
+            _record(
+                acc,
+                cap,
+                {
+                    "b": b,
+                    "a": int(residues[i]),
+                    "fast_num": num,
+                    "fast_den": den,
+                    "naive_num": s_naive.numerator,
+                    "naive_den": s_naive.denominator,
+                },
+            )
     return acc
 
 
 def _reciprocity_rows(bs: list[int], cap: int) -> dict:
-    """ab S(a,b) + ab S(b,a) == a^2 + b^2 + 1 - 3ab for coprime a <= b."""
+    """ab S(a,b) + ab S(b,a) == a^2 + b^2 + 1 - 3ab for coprime a <= b.
+
+    Checked as a (b S(a, b)) + b (a S(b mod a, a)) == rhs over whole rows;
+    both terms come from the row kernel, the second from the mirrored
+    pairs (b mod a, a), which it solves in the same batch.
+    """
     acc = _new_acc()
     acc["summary"] = {"residual_nonzero": 0}
-    for b in bs:
-        if b < 1:
-            continue
-        uppers = [1] if b == 1 else _coprime_residues(b)
-        for a in uppers:
-            acc["tuples_checked"] += 1
-            n1, d1 = _fast_parts(a, b) if b > 1 else (0, 1)
-            n2, d2 = _fast_parts(b, a) if a > 1 else (0, 1)
-            rhs = a * a + b * b + 1 - 3 * a * b
-            if a * b * (n1 * d2 + n2 * d1) != rhs * d1 * d2:
-                _bump(acc, "residual_nonzero")
-                residual = (
-                    Fraction(n1, d1) + Fraction(n2, d2) - Fraction(rhs, a * b)
-                )
-                _record(
-                    acc,
-                    cap,
-                    {
-                        "a": a,
-                        "b": b,
-                        "residual_num": residual.numerator,
-                        "residual_den": residual.denominator,
-                    },
-                )
+    kernel_rows = fast_bs_rows(bs, mirrored=True)
+    if 1 in bs:
+        # The tuple a = b = 1: S(1, 1) = 0 on both sides, and rhs = 0.
+        one = np.ones(1, dtype=np.int64)
+        kernel_rows = itertools.chain([(1, one, 0 * one, 0 * one)], kernel_rows)
+    for b, a, bs_ab, as_ba in kernel_rows:
+        acc["tuples_checked"] += len(a)
+        rhs = a * a + b * b + 1 - 3 * a * b
+        lhs = a * bs_ab + b * as_ba
+        for i in np.flatnonzero(lhs != rhs).tolist():
+            _bump(acc, "residual_nonzero")
+            upper = int(a[i])
+            residual = Fraction(int(lhs[i] - rhs[i]), upper * b)
+            _record(
+                acc,
+                cap,
+                {
+                    "a": upper,
+                    "b": b,
+                    "residual_num": residual.numerator,
+                    "residual_den": residual.denominator,
+                },
+            )
     return acc
 
 
@@ -269,11 +282,8 @@ def _bhk_rows(bs: list[int], cap: int) -> dict:
     """
     acc = _new_acc()
     acc["summary"] = {"identity_failures": 0}
-    for b in bs:
-        if b < 2:
-            continue
-        for base in _coprime_residues(b):
-            bs_val = b_times_s(base, b)
+    for b, residues, values in fast_bs_rows(bs):
+        for base, bs_val in zip(residues.tolist(), values.tolist()):
             shift = mod_inverse(base, b) - 3 * b
             for lift in (base, base - b, base + b):
                 acc["tuples_checked"] += 1
@@ -295,7 +305,7 @@ def _bt_mod8_rows(bs: list[int], cap: int) -> dict:
     for b in bs:
         if b < 2:
             continue
-        for base in _coprime_residues(b):
+        for base in coprime_residues(b).tolist():
             offset8 = _mod8_offset(base, b, mod_inverse(base, b))
             for lift in (base, base - b, base + b):
                 acc["tuples_checked"] += 1
@@ -317,33 +327,33 @@ def _bt_mod8_rows(bs: list[int], cap: int) -> dict:
 
 
 def _bs_congruence_rows(bs: list[int], cap: int) -> dict:
-    """b S(a,b) == 0 (mod 3) when 3 does not divide b, else 2e (mod 9)."""
+    """b S(a,b) == 0 (mod 3) when 3 does not divide b, else 2e (mod 9).
+
+    e = +-1 with a == e (mod 3), so 2e mod 9 is 2 or 7. Each row is
+    checked as a whole array.
+    """
     acc = _new_acc()
     acc["summary"] = {"congruence_failures": 0}
-    for b in bs:
-        if b < 2:
-            continue
+    for b, residues, values in fast_bs_rows(bs):
+        acc["tuples_checked"] += len(residues)
         div3 = b % 3 == 0
         modulus = 9 if div3 else 3
-        for a in _coprime_residues(b):
-            acc["tuples_checked"] += 1
-            value = b_times_s(a, b)
-            expected = (2 * sign_mod3(a)) % 9 if div3 else 0
-            actual = value % modulus
-            if actual != expected:
-                _bump(acc, "congruence_failures")
-                _record(
-                    acc,
-                    cap,
-                    {
-                        "b": b,
-                        "a": a,
-                        "b_times_s": value,
-                        "modulus": modulus,
-                        "expected": expected,
-                        "actual": actual,
-                    },
-                )
+        expected = np.where(residues % 3 == 1, 2, 7) if div3 else np.zeros_like(values)
+        actual = values % modulus
+        for i in np.flatnonzero(actual != expected).tolist():
+            _bump(acc, "congruence_failures")
+            _record(
+                acc,
+                cap,
+                {
+                    "b": b,
+                    "a": int(residues[i]),
+                    "b_times_s": int(values[i]),
+                    "modulus": modulus,
+                    "expected": int(expected[i]),
+                    "actual": int(actual[i]),
+                },
+            )
     return acc
 
 
@@ -387,8 +397,11 @@ _INT64_LIMITS = {
     "theorem1": (THEOREM1_ROW_LIMIT, "the pair blocks of theorem1"),
     "oracle-equivalence": (
         NAIVE_ROW_LIMIT,
-        "the naive rows that oracle-equivalence compares against",
+        "the naive rows and the row kernel that oracle-equivalence compares",
     ),
+    "reciprocity": (NAIVE_ROW_LIMIT, "the row kernel that reciprocity reads"),
+    "bhk": (NAIVE_ROW_LIMIT, "the row kernel that bhk reads"),
+    "bs-mod3-9": (NAIVE_ROW_LIMIT, "the row kernel that bs-mod3-9 reads"),
 }
 
 

@@ -6,6 +6,7 @@ and exhaustive search for the inverse.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from dedsum.arith import (
     ExactRational,
-    gcd,
     jacobi,
     mod_inverse,
     require_coprime,
@@ -45,13 +45,6 @@ def jacobi_oracle(a: int, b: int) -> int:
 
 def inverse_oracle(a: int, b: int) -> int:
     return next(x for x in range(1, b) if (a * x) % b == 1)
-
-
-def test_gcd_basics():
-    assert gcd(12, 18) == 6
-    assert gcd(-12, 18) == 6
-    assert gcd(0, 7) == 7
-    assert gcd(1, 1) == 1
 
 
 def test_require_coprime():

@@ -7,10 +7,11 @@ here rests on the formula under test.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from dedsum.arith import gcd, jacobi, mod_inverse, sign_mod3
+from dedsum.arith import jacobi, mod_inverse, sign_mod3
 from dedsum.congruence import (
     bt_congruence_mod8,
     bt_residue,

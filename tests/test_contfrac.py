@@ -8,12 +8,13 @@ alternating sum of the quotients that cf_expand builds.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsum.arith import gcd, mod_inverse
+from dedsum.arith import mod_inverse
 from dedsum.contfrac import CFExpansion, _normalize_odd, _t_walk, cf_expand, t_value
 from dedsum.dedekind import b_times_s
 

@@ -7,18 +7,23 @@ inputs, where the oracle would be too slow.
 """
 
 import math
+import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsum.arith import gcd
+import dedsum.dedekind
 from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
+    _bs_pairs,
     b_times_s,
     dedekind_fast,
     dedekind_naive,
+    fast_bs_rows,
     naive_bs_row,
 )
 
@@ -139,3 +144,56 @@ def test_naive_bs_row_rejects_bad_input():
         naive_bs_row(1)
     with pytest.raises(ValueError):
         naive_bs_row(NAIVE_ROW_LIMIT + 1)
+
+
+def test_fast_bs_rows_match_naive_rows_below_400():
+    rows = list(fast_bs_rows(range(1, 400)))
+    assert [b for b, _, _ in rows] == list(range(2, 400))
+    for b, residues, values in rows:
+        naive_residues, naive_values = naive_bs_row(b)
+        assert residues.tolist() == naive_residues.tolist(), b
+        assert values.tolist() == naive_values.tolist(), b
+
+
+def test_fast_bs_rows_mirrored_term():
+    for b, residues, values, mirrored in fast_bs_rows(range(1, 120), mirrored=True):
+        for a, value, mirror in zip(residues.tolist(), values.tolist(), mirrored.tolist()):
+            assert value == b_times_s(a, b), (a, b)
+            assert mirror == (b_times_s(b % a, a) if a > 1 else 0), (a, b)
+
+
+@pytest.mark.parametrize("b", [10**6, NAIVE_ROW_LIMIT])
+def test_fast_bs_rows_match_b_times_s_at_large_b(b):
+    ((row_b, residues, values),) = fast_bs_rows([b])
+    assert row_b == b
+    n = len(residues)
+    # The ends of the row hold the largest |b S| and the shortest walks.
+    picks = random.Random(b).sample(range(n), 300) + [0, 1, n - 2, n - 1]
+    for i in picks:
+        assert int(values[i]) == b_times_s(int(residues[i]), b), int(residues[i])
+
+
+def test_row_kernel_on_long_euclid_walks():
+    # Consecutive Fibonacci numbers give the longest walks below the limit.
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= NAIVE_ROW_LIMIT:
+        fib.append(fib[-1] + fib[-2])
+    a = np.array(fib[:-1], dtype=np.int64)
+    b = np.array(fib[1:], dtype=np.int64)
+    assert _bs_pairs(a, b).tolist() == [b_times_s(x, y) for x, y in zip(fib, fib[1:])]
+
+
+def test_non_integral_step_raises(monkeypatch):
+    # Off by one wherever the step divides by y > 1; the steps that end a
+    # walk (y = 1) stay right, so the first step above them cannot divide.
+    real = dedsum.dedekind._reciprocity_rhs
+    monkeypatch.setattr(dedsum.dedekind, "_reciprocity_rhs", lambda x, y: real(x, y) + (y > 1))
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        list(fast_bs_rows([7]))
+
+
+def test_row_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        list(fast_bs_rows([NAIVE_ROW_LIMIT + 1]))
+    with pytest.raises(ValueError, match="coprime"):
+        _bs_pairs(np.array([2], dtype=np.int64), np.array([4], dtype=np.int64))

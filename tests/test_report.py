@@ -1,8 +1,12 @@
 """Tests for report serialization: schemas, determinism, round-trips."""
 
+import dataclasses
 import json
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dedsum.report import (
     COLUMNS,
@@ -139,3 +143,57 @@ def test_boolean_cells_use_lowercase_words():
     text = render_csv([sample_table()])
     assert "true" in text and "false" in text
     assert "True" not in text and "False" not in text
+
+
+# CSV cells are not quoted, so text cells hold no comma or line break;
+# the scans only ever write short tags such as "residue" or "odd_ndiv3".
+CELL_TEXT = st.text(string.ascii_letters + string.digits + "_-", max_size=12)
+CELLS = {int: st.integers(-(10**40), 10**40), bool: st.booleans(), str: CELL_TEXT}
+METADATA = st.dictionaries(
+    st.text(max_size=8), st.integers(-(10**12), 10**12) | st.booleans(), max_size=4
+)
+
+
+def rows_of(kind: str):
+    return st.lists(
+        st.fixed_dictionaries({name: CELLS[typ] for name, typ in COLUMNS[kind]}),
+        max_size=5,
+    )
+
+
+def any_report(kind: str):
+    elapsed = st.floats(0, 10**6, allow_nan=False)
+    if kind == "examples":
+        return st.builds(
+            TableReport, kind=st.just(kind), parameters=METADATA, rows=rows_of(kind), elapsed=elapsed
+        )
+    return st.builds(
+        ScanReport,
+        kind=st.just(kind),
+        b_lo=st.integers(1, 10**9),
+        b_hi=st.integers(1, 10**9),
+        tuples_checked=st.integers(0, 10**15),
+        violations_total=st.integers(0, 10**15),
+        violations=rows_of(kind),
+        parameters=METADATA,
+        summary=st.dictionaries(st.text(max_size=8), st.integers(0, 10**15), max_size=4),
+        elapsed=elapsed,
+    )
+
+
+REPORTS = st.lists(st.sampled_from(sorted(COLUMNS)).flatmap(any_report), min_size=1, max_size=3)
+
+
+def deterministic(reports):
+    """The reports without their timings, which CSV rounds to 6 places."""
+    return [dataclasses.replace(report, elapsed=0.0) for report in reports]
+
+
+@given(REPORTS)
+def test_json_roundtrip_any_rows(reports):
+    assert deterministic(parse_json(render(reports, "json"))) == deterministic(reports)
+
+
+@given(REPORTS)
+def test_csv_roundtrip_any_rows(reports):
+    assert deterministic(parse_csv(render(reports, "csv"))) == deterministic(reports)

@@ -6,14 +6,16 @@ must be identical for any worker count. Planted defects in the raw
 kernels show that each scan can fail, and under which counter.
 """
 
+import functools
 import time
+from math import gcd
 
 import numpy as np
 import pytest
 
 import dedsum.congruence
+import dedsum.dedekind
 import dedsum.scans
-from dedsum.arith import gcd
 from dedsum.congruence import mu, mu_condition
 from dedsum.dedekind import NAIVE_ROW_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import COLUMNS
@@ -124,6 +126,25 @@ def test_theorem1_block_edges_drop_or_repeat_no_pair(block, monkeypatch):
     assert blocked == default
 
 
+ROW_KERNEL_SCANS = [
+    functools.partial(scan_theorem1, include_9div=True),
+    scan_oracle_equivalence,
+    scan_reciprocity,
+    scan_bhk,
+    scan_bs_congruences,
+]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_row_batch_edges_drop_or_repeat_no_pair(batch, monkeypatch):
+    defaults = [fn(60, cap=10**6) for fn in ROW_KERNEL_SCANS]
+    monkeypatch.setattr(dedsum.dedekind, "_ROW_BATCH", batch)
+    for fn, default in zip(ROW_KERNEL_SCANS, defaults):
+        batched = fn(60, cap=10**6)
+        default.elapsed = batched.elapsed = 0.0
+        assert batched == default, default.kind
+
+
 def test_theorem2_small_range_clean():
     report = scan_theorem2(40)
     assert report.violations_total == 0
@@ -217,6 +238,14 @@ def test_oracle_bound_beyond_naive_rows_fails_up_front(no_scan_may_start):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("fn", [scan_reciprocity, scan_bs_congruences, scan_bhk])
+def test_row_kernel_bound_fails_up_front(fn, no_scan_may_start):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="int64-exact limit .* row kernel"):
+        fn(NAIVE_ROW_LIMIT + 1, jobs=2)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_theorem1_bound_beyond_int64_blocks_fails_up_front(no_scan_may_start):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="int64-exact"):
@@ -299,37 +328,75 @@ def test_flipped_mu_fails_theorem1_mod8(monkeypatch):
     assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
 
 
+def plant_in_row_kernel(monkeypatch, delta):
+    """Add delta(a, b), an int64 array, to every value the row kernel
+    returns. Every scan that reads b S gets it from this kernel."""
+    real = dedsum.dedekind._bs_pairs
+    monkeypatch.setattr(dedsum.dedekind, "_bs_pairs", lambda a, b: real(a, b) + delta(a, b))
+
+
 def test_perturbed_bs_fails_theorem1_mod8_and_mod24(monkeypatch):
-    real = dedsum.scans.b_times_s
-
-    def perturbed(a, b):
-        return real(a, b) + b if a == 1 and b % 3 != 0 else real(a, b)
-
-    monkeypatch.setattr(dedsum.scans, "b_times_s", perturbed)
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b % 3 != 0), b, 0))
     summary = scan_theorem1(BMAX_PLANTED).summary
     assert summary["mod8_mismatches"] > 0
     assert summary["mod24_mismatches_9ndiv"] > 0
 
 
-def test_wrong_fast_parts_fails_oracle_and_reciprocity(monkeypatch):
-    real = dedsum.scans._fast_parts
-
-    def wrong(a, b):
-        num, den = real(a, b)
-        return (num + den, den) if a == 2 else (num, den)
-
-    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+def test_wrong_row_kernel_fails_oracle_and_reciprocity(monkeypatch):
+    # b S(2, b) is off by b, which is S(2, b) off by 1.
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where(a == 2, b, 0))
     assert scan_oracle_equivalence(BMAX_PLANTED).summary["value_mismatches"] > 0
     assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] > 0
 
 
 def test_perturbed_bs_fails_bs_congruences(monkeypatch):
-    real = dedsum.scans.b_times_s
-    monkeypatch.setattr(
-        dedsum.scans, "b_times_s", lambda a, b: real(a, b) + (a == 1)
-    )
+    plant_in_row_kernel(monkeypatch, lambda a, b: (a == 1).astype(np.int64))
     summary = scan_bs_congruences(BMAX_PLANTED).summary
     assert summary["congruence_failures"] > 0
+
+
+def test_wrong_kernel_entry_fails_every_scan_that_reads_it(monkeypatch):
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b % 3 != 0), b, 0))
+    oracle = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
+    # One bad entry for each of the 19 b in 2..30 that 3 does not divide.
+    assert oracle.summary["value_mismatches"] == 19
+    row = oracle.violations[0]
+    assert (row["b"], row["a"]) == (2, 1)
+    # The row shows the kernel's value, S(1, 2) + 1 = 1, not the scalar's 0.
+    assert (row["fast_num"], row["fast_den"], row["naive_num"]) == (1, 1, 0)
+    assert scan_bs_congruences(BMAX_PLANTED).summary["congruence_failures"] == 19
+    assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
+    assert scan_bhk(BMAX_PLANTED).summary["identity_failures"] == 3 * 19
+
+
+def test_asymmetric_kernel_defect_fails_reciprocity(monkeypatch):
+    # Only the rows b < 15 are wrong. Rows of larger b read them through
+    # the mirrored term a S(b mod a, a), so they fail too.
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where(b < 15, b, 0))
+    report = scan_reciprocity(BMAX_PLANTED, cap=10**6)
+    assert report.summary["residual_nonzero"] > 0
+    assert any(row["b"] >= 15 for row in report.violations)
+
+
+def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
+    # The kernel is right; the scalar evaluator is still checked on every
+    # pair, and its wrong value is the one the row shows.
+    real = dedsum.scans._fast_parts
+    calls = []
+
+    def wrong(a, b):
+        calls.append((a, b))
+        num, den = real(a, b)
+        return (num + den, den) if a == 2 else (num, den)
+
+    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    report = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
+    assert len(calls) == len(set(calls)) == report.tuples_checked
+    # a = 2 is a residue of every odd b in 3..30.
+    assert report.summary["value_mismatches"] == 14
+    row = report.violations[0]
+    assert (row["b"], row["a"], row["fast_num"], row["fast_den"]) == (3, 2, 1, 3)
+    assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == 0
 
 
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
