@@ -4,11 +4,17 @@ Every function here works on plain Python integers and returns exact
 results. Rational values elsewhere in the package are represented by
 ``ExactRational``, an alias for :class:`fractions.Fraction`. `jacobi`
 checks its modulus and then runs `_jacobi`, the unchecked kernel that
-`congruence` uses on the scans' hot paths.
+`congruence` builds on.
+
+`_inverse_pairs` and `_jacobi_pairs` are the array forms that the lift
+scans run on int64 arrays of pairs: the extended Euclid walk for the
+inverse (Knuth, TAOCP vol. 2, 4.5.2) and the binary walk of `_jacobi`.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 ExactRational = Fraction
 
@@ -62,6 +68,64 @@ def _jacobi(a: int, b: int) -> int:
             result = -result
         a, b = b % a, a
     return result if b == 1 else 0
+
+
+def _inverse_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 mod b in 1..b-1 for int64 arrays of pairs with b >= 2.
+
+    The extended Euclid walk on r_0 = b, r_1 = a mod b, keeping s_k with
+    s_k a == r_k (mod b); |s_k| <= b, so nothing leaves int64. A pair
+    leaves the walk when its next remainder is 0, and its last nonzero
+    remainder is the gcd. Raises ValueError if that is not 1 somewhere.
+    """
+    out = np.empty(len(a), dtype=np.int64)
+    idx = np.arange(len(a))
+    m, r0, r1 = b, b, a % b
+    s0, s1 = np.zeros_like(out), np.ones_like(out)
+    while len(idx):
+        done = r1 == 0
+        if done.any():
+            if (r0[done] != 1).any():
+                raise ValueError("the inverse kernel needs coprime pairs")
+            out[idx[done]] = s0[done] % m[done]
+            live = ~done
+            idx, m, r0, r1, s0, s1 = idx[live], m[live], r0[live], r1[live], s0[live], s1[live]
+        q, r = np.divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return out
+
+
+# Bits 1, 3, 5, ... of an int64. A power of two 2^k has one of them set
+# exactly when k is odd.
+_ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA
+
+
+def _jacobi_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a|b) of `_jacobi` for int64 arrays of pairs; every b odd, positive.
+
+    The same binary walk on all pairs at once, with masks for the sign
+    flips. A run of k factors 2 is the lowest set bit 2^k = a & -a, shifted
+    out by one exact division; it flips the sign when k is odd and
+    b == 3, 5 (mod 8). A pair leaves the walk when its a reaches 0.
+    """
+    out = np.empty(len(a), dtype=np.int64)
+    idx = np.arange(len(a))
+    a = a % b
+    sign = np.ones_like(out)
+    while len(idx):
+        done = a == 0
+        if done.any():
+            out[idx[done]] = np.where(b[done] == 1, sign[done], 0)
+            live = ~done
+            idx, a, b, sign = idx[live], a[live], b[live], sign[live]
+        low = a & -a
+        a = a // low
+        b8 = b & 7
+        flip = ((low & _ODD_BITS) != 0) & ((b8 == 3) | (b8 == 5))
+        flip ^= (a & b & 2) != 0
+        sign[flip] *= -1
+        a, b = b % a, a
+    return out
 
 
 def sign_mod3(a: int) -> int:

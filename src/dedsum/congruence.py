@@ -14,17 +14,21 @@ difference of sums is divisible by 8 but, for suitable parameters,
 not by 24.
 
 The public predicates check their arguments (b large enough, a coprime
-to b) and then evaluate the same unchecked pieces the lift scans call
-once per residue class: `_mu`, `_bt_case` and `_mod8_offset`, on top of
-the raw kernels `_jacobi` and `_t_walk`. Each piece depends on a only
-through a mod b, apart from a linear -a term left to the caller, so a
-scan computes it once per class and reuses it on every lift.
+to b) and then evaluate unchecked pieces: `_mu`, `_bt_case` and
+`_mod8_offset`, on top of the raw kernels `_jacobi` and `_t_walk`. Each
+piece depends on a only through a mod b, apart from a linear -a term
+left to the caller, so it is the same on every lift of a residue class.
+`_mu_pairs`, `_bt_case_pairs` and `_mod8_offset_pairs` are their array
+forms over int64 arrays of pairs, on top of `_jacobi_pairs`; the lift
+scans compute them once per residue for whole batches of residues.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dedsum.arith import _jacobi, require_coprime, sign_mod3
+import numpy as np
+
+from dedsum.arith import _jacobi, _jacobi_pairs, require_coprime, sign_mod3
 from dedsum.contfrac import _t_walk
 from dedsum.dedekind import b_times_s, dedekind_fast
 
@@ -46,6 +50,14 @@ def _mu(a: int, b: int) -> int:
     if b & 1:
         return 2 - 2 * _jacobi(a, b)
     return 4 if b & 3 == 0 and a & 3 == 3 else 0
+
+
+def _mu_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_mu` elementwise over int64 arrays of coprime pairs, b >= 1."""
+    m = np.where((b & 3 == 0) & (a & 3 == 3), 4, 0)
+    odd = (b & 1) == 1
+    m[odd] = 2 - 2 * _jacobi_pairs(a[odd], b[odd])
+    return m
 
 
 def mu_original(a: int, b: int) -> int:
@@ -130,6 +142,11 @@ def _mod8_offset(a: int, b: int, a_inv: int) -> int:
     return b * b + 2 - _mu(a, b) - a_inv
 
 
+def _mod8_offset_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """`_mod8_offset` elementwise over int64 arrays; b^2 must fit."""
+    return b * b + 2 - _mu_pairs(a, b) - a_inv
+
+
 @dataclass(frozen=True)
 class BTResidue:
     """Predicted vs. actual residue of b T(a, b) mod 24 (or 72 when 3 | b)."""
@@ -186,6 +203,21 @@ def _bt_case(a: int, b: int, a_inv: int) -> tuple[str, int, int]:
     if div3:
         return tag + "_div3", 72, offset - a_inv - 16 * sign_mod3(a)
     return tag + "_ndiv3", 24, offset - a_inv
+
+
+def _bt_case_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray):
+    """(modulus, offset) of `_bt_case` elementwise over int64 arrays.
+
+    The case tag is left out; a scan takes it from `_bt_case` for the
+    few residues it reports.
+    """
+    div3 = b % 3 == 0
+    offset = np.where((b & 3 == 2) | (a & 3 == 3), np.where(div3, 54, 6), 18)
+    odd = (b & 1) == 1
+    offset[odd] = 9 + 18 * _jacobi_pairs(a[odd], b[odd])
+    offset -= a_inv
+    offset[div3] -= 16 * np.where(a[div3] % 3 == 1, 1, -1)
+    return np.where(div3, 72, 24), offset
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,16 @@ so that the final quotient always enters with a plus sign.
 `_t_walk` is the raw kernel: one floor-division Euclid walk over plain
 ints that sums the quotients as it goes, builds no list and checks
 nothing. `t_value` is the public form; it checks b >= 1 and
-gcd(a, b) = 1, then runs the walk. `cf_expand` builds the expansion
-itself by a separate path and serves as the reference for the walk.
+gcd(a, b) = 1, then runs the walk. `_t_pairs` is the same walk on int64
+arrays of pairs, which the lift scans run on whole batches of lifts.
+`cf_expand` builds the expansion itself by a separate path and serves as
+the reference for the walks.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from dedsum.arith import require_coprime
 
@@ -107,3 +111,29 @@ def _t_walk(a: int, b: int) -> int:
         b %= a
         if not b:
             return t
+
+
+def _t_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T(a, b) of `_t_walk` for int64 arrays of coprime pairs, b >= 1.
+
+    Every pair steps in lockstep: at step k the quotient enters with the
+    sign (-1)^(k+1), the same for all pairs still walking. A pair leaves
+    the walk when its remainder hits 0, with +2 when that happens on a
+    minus step (an odd quotient count). a may be negative; the first
+    division floors, as in `_t_walk`. The callers keep |T| and the
+    partial sums inside int64 (see dedekind.LIFT_WALK_LIMIT).
+    """
+    out = np.empty(len(a), dtype=np.int64)
+    idx = np.arange(len(a))
+    t = np.zeros_like(out)
+    x, y, sign = a, b, -1
+    while len(idx):
+        q, r = np.divmod(x, y)
+        t += sign * q
+        done = r == 0
+        if done.any():
+            out[idx[done]] = t[done] + (1 - sign)
+            live = ~done
+            idx, t, y, r = idx[live], t[live], y[live], r[live]
+        x, y, sign = y, r, -sign
+    return out

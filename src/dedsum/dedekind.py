@@ -17,7 +17,10 @@ import numpy as np
 
 from dedsum.arith import require_coprime
 
-# 3 * b**3 must stay below 2**63 for the vectorized row to be exact.
+# 3 * b**3 must stay below 2**63 for the vectorized row to be exact: each
+# of its b - 1 terms (2k - b)(ak mod b) is below b^2 in size, so every
+# partial sum of a row stays below b^3, and the row's value
+# 3 sum (2k - b)(2 (ak mod b) - b) = 6 sum (2k - b)(ak mod b) below 3b^3.
 #
 # The same bound covers the reciprocity row kernel `_bs_pairs`. With the
 # Euclid remainders r_0 = b > r_1 = a > r_2 > ... and V_k =
@@ -49,6 +52,17 @@ _ROW_BATCH = 4096
 # raise the bound; the scan does not, so it refuses larger b. The
 # differences of b S(a, b) in the same blocks stay below 2b^2.
 THEOREM1_ROW_LIMIT = 55_108
+
+# The lift scans theorem2 and bt-mod8 walk T(a, b) in int64 for the lifts
+# a, a - b, a + b of each residue 0 < a < b, so -b < a < 2b. The first
+# quotient floor(a/b) is -1, 0 or 1 and the rest are those of a mod b
+# over b, whose sum is at most b; with the +2 of an odd quotient count,
+# every partial sum of the walk and T itself stay within b + 3 in size.
+# So |b T| <= b^2 + 3b, the mod-8 offset b^2 + 2 - mu - a_inv lies in
+# [b^2 - b - 3, b^2 + 2], and the mod-8 check b T - offset + a stays
+# within 2b^2 + 5b + 2. That is below 2^63 up to b = 2^31 - 2. The
+# inverse and the Jacobi walks only see values below b.
+LIFT_WALK_LIMIT = 2_147_483_646
 
 
 def _validate(a: int, b: int) -> None:
@@ -173,11 +187,41 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v
 
 
+def residue_rows(bs, limit: int):
+    """Yield (b, coprime_residues(b)) for every b >= 2 in bs, in order.
+
+    Raises ValueError at a b above limit, before its residues are built.
+    """
+    for b in bs:
+        if b < 2:
+            continue
+        if b > limit:
+            raise ValueError(f"b={b} exceeds the int64-exact limit {limit}")
+        yield b, coprime_residues(b)
+
+
+def gather_rows(rows, size: int):
+    """Group rows, tuples whose second item is an array of residues, into
+    lists of at least size residues each; the last list may hold fewer.
+
+    One numpy call per short row costs more in call overhead than in
+    arithmetic, so the array kernels run on such groups.
+    """
+    pending: list = []
+    total = 0
+    for row in rows:
+        pending.append(row)
+        total += len(row[1])
+        if total >= size:
+            yield pending
+            pending, total = [], 0
+    if pending:
+        yield pending
+
+
 def _solve_rows(rows: list, mirrored: bool):
     """Run the kernel over gathered (b, residues) rows, in slices of at
     most _ROW_BATCH pairs, and yield each row with its values."""
-    if not rows:
-        return
     a = np.concatenate([residues for _, residues in rows])
     b = np.repeat(
         np.array([row_b for row_b, _ in rows], dtype=np.int64),
@@ -218,20 +262,8 @@ def fast_bs_rows(bs, mirrored: bool = False):
     a * S(b mod a, a), which is 0 at a = 1. Raises ValueError when a b
     exceeds NAIVE_ROW_LIMIT, before that row's batch is solved.
     """
-    pending: list = []
-    size = 0
-    for b in bs:
-        if b < 2:
-            continue
-        if b > NAIVE_ROW_LIMIT:
-            raise ValueError(f"b={b} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
-        residues = coprime_residues(b)
-        pending.append((b, residues))
-        size += len(residues)
-        if size >= _ROW_BATCH:
-            yield from _solve_rows(pending, mirrored)
-            pending, size = [], 0
-    yield from _solve_rows(pending, mirrored)
+    for rows in gather_rows(residue_rows(bs, NAIVE_ROW_LIMIT), _ROW_BATCH):
+        yield from _solve_rows(rows, mirrored)
 
 
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +280,8 @@ def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, b, dtype=np.int64)
     residues = coprime_residues(b)
     wk = 2 * k - b
+    # sum_k (2k - b) = 0, so sum_k (2k - b)(2 r_k - b) = 2 sum_k (2k - b) r_k:
+    # the rows sum (2k - b) r_k and are doubled once at the end.
     sums = np.zeros(len(residues), dtype=np.int64)
     chunk = max(1, 4_000_000 // b)
     block = np.empty((min(chunk, len(residues)), b - 1), dtype=np.int64)
@@ -256,11 +290,9 @@ def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
         buf = block[: len(part)]
         np.multiply(part[:, None], k[None, :], out=buf)
         buf %= b
-        buf *= 2
-        buf -= b
         buf *= wk[None, :]
         sums[lo : lo + chunk] = buf.sum(axis=1)
-    bs, rem = np.divmod(3 * sums, b)
+    bs, rem = np.divmod(6 * sums, b)
     if rem.any():
         raise ArithmeticError(f"non-integral b*S value in row b={b}")
     return residues, bs

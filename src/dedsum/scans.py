@@ -20,16 +20,25 @@ from math import gcd
 
 import numpy as np
 
-from dedsum.arith import mod_inverse
-from dedsum.congruence import _bt_case, _mod8_offset, _mu, mu, mu_original
-from dedsum.contfrac import _t_walk
+from dedsum.arith import _inverse_pairs
+from dedsum.congruence import (
+    _bt_case,
+    _bt_case_pairs,
+    _mod8_offset_pairs,
+    _mu,
+    mu,
+    mu_original,
+)
+from dedsum.contfrac import _t_pairs
 from dedsum.dedekind import (
+    LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
     _fast_parts,
-    coprime_residues,
     fast_bs_rows,
+    gather_rows,
     naive_bs_row,
+    residue_rows,
 )
 from dedsum.report import ScanReport
 
@@ -48,6 +57,14 @@ IDENTITY_KINDS = (
 # the temporaries in cache and the peak memory flat; much larger ones
 # are slower and raise the peak RSS.
 _PAIR_BLOCK = 4096
+
+# Residues per batch of the lift scans; each residue has three lifts.
+# Smaller batches pay more numpy call overhead, larger ones raise the
+# peak memory.
+_LIFT_BATCH = 2048
+
+# The lifts a, a - b, a + b of a residue a, as multiples of b.
+_LIFT_SHIFTS = np.array([0, -1, 1], dtype=np.int64)
 
 
 def _new_acc() -> dict:
@@ -139,59 +156,77 @@ def _theorem1_rows(bs: list[int], cap: int, include_9div: bool) -> dict:
     return acc
 
 
+def _lift_batches(rows):
+    """Walk T once for every lift of a batch of residues.
+
+    rows are (b, residues, ...) tuples, gathered into batches of about
+    _LIFT_BATCH residues. Each batch yields (rows, b, a, a_inv, lifts,
+    bt): b, a and a_inv are per residue, lifts is the (n, 3) array of
+    a, a - b, a + b and bt holds b T of each lift. T is sensitive to the
+    lift even though S is not, so every lift gets its own walk.
+    """
+    for batch in gather_rows(rows, _LIFT_BATCH):
+        b = np.repeat(
+            np.array([row[0] for row in batch], dtype=np.int64),
+            [len(row[1]) for row in batch],
+        )
+        a = np.concatenate([row[1] for row in batch])
+        lifts = a[:, None] + b[:, None] * _LIFT_SHIFTS
+        t = _t_pairs(lifts.ravel(), np.repeat(b, 3)).reshape(lifts.shape)
+        yield batch, b, a, _inverse_pairs(a, b), lifts, b[:, None] * t
+
+
 def _theorem2_rows(bs: list[int], cap: int) -> dict:
     """Exact residues of b T(a, b) mod 24/72 plus the mod-8 congruence.
 
     Every residue class is checked through three integer lifts a, a - b,
-    a + b, since T is sensitive to the lift even though S is not. Each
-    lift gets its own Euclid walk, and one walk serves both checks.
+    a + b. The per-class terms are computed once per residue and one
+    walk of each lift serves both checks. A lift that fails both gets
+    its residue row first.
     """
     acc = _new_acc()
     acc["summary"] = {"residue_mismatches": 0, "mod8_failures": 0}
-    for b in bs:
-        if b < 2:
-            continue
-        for base in coprime_residues(b).tolist():
-            # a_inv, mu, sign_mod3 and the case tag depend on a only
-            # through a mod b, so they are the same on all three lifts.
-            a_inv = mod_inverse(base, b)
-            case, modulus, offset = _bt_case(base, b, a_inv)
-            offset8 = _mod8_offset(base, b, a_inv)
-            for lift in (base, base - b, base + b):
-                acc["tuples_checked"] += 1
-                bt = b * _t_walk(lift, b)
-                actual = bt % modulus
-                predicted = (offset - lift) % modulus
-                if actual != predicted:
-                    _bump(acc, "residue_mismatches")
-                    _record(
-                        acc,
-                        cap,
-                        {
-                            "b": b,
-                            "a": lift,
-                            "check": "residue",
-                            "case": case,
-                            "modulus": modulus,
-                            "predicted": predicted,
-                            "actual": actual,
-                        },
-                    )
-                if (bt - offset8 + lift) % 8:
-                    _bump(acc, "mod8_failures")
-                    _record(
-                        acc,
-                        cap,
-                        {
-                            "b": b,
-                            "a": lift,
-                            "check": "mod8",
-                            "case": case,
-                            "modulus": 8,
-                            "predicted": (offset8 - lift) % 8,
-                            "actual": bt % 8,
-                        },
-                    )
+    for _, b, a, a_inv, lifts, bt in _lift_batches(residue_rows(bs, LIFT_WALK_LIMIT)):
+        acc["tuples_checked"] += lifts.size
+        modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
+        offset8 = _mod8_offset_pairs(a, b, a_inv)[:, None]
+        actual = bt % modulus
+        predicted = (offset - lifts) % modulus
+        residue_bad = actual != predicted
+        mod8_bad = (bt - offset8 + lifts) % 8 != 0
+        for i, j in np.argwhere(residue_bad | mod8_bad).tolist():
+            row_b, lift = int(b[i]), int(lifts[i, j])
+            case = _bt_case(int(a[i]), row_b, int(a_inv[i]))[0]
+            if residue_bad[i, j]:
+                _bump(acc, "residue_mismatches")
+                _record(
+                    acc,
+                    cap,
+                    {
+                        "b": row_b,
+                        "a": lift,
+                        "check": "residue",
+                        "case": case,
+                        "modulus": int(modulus[i, 0]),
+                        "predicted": int(predicted[i, j]),
+                        "actual": int(actual[i, j]),
+                    },
+                )
+            if mod8_bad[i, j]:
+                _bump(acc, "mod8_failures")
+                _record(
+                    acc,
+                    cap,
+                    {
+                        "b": row_b,
+                        "a": lift,
+                        "check": "mod8",
+                        "case": case,
+                        "modulus": 8,
+                        "predicted": int((offset8[i, 0] - lift) % 8),
+                        "actual": int(bt[i, j] % 8),
+                    },
+                )
     return acc
 
 
@@ -277,24 +312,22 @@ def _reciprocity_rows(bs: list[int], cap: int) -> dict:
 def _bhk_rows(bs: list[int], cap: int) -> dict:
     """b T(a,b) + a + a_inv - 3b == b S(a,b) over three lifts per class.
 
-    b S comes from the reciprocity recursion and b T from the Euclid
+    b S comes from the reciprocity row kernel and b T from the Euclid
     walk of each lift, so the two sides never share a computation.
     """
     acc = _new_acc()
     acc["summary"] = {"identity_failures": 0}
-    for b, residues, values in fast_bs_rows(bs):
-        for base, bs_val in zip(residues.tolist(), values.tolist()):
-            shift = mod_inverse(base, b) - 3 * b
-            for lift in (base, base - b, base + b):
-                acc["tuples_checked"] += 1
-                lhs = b * _t_walk(lift, b) + lift + shift
-                if lhs != bs_val:
-                    _bump(acc, "identity_failures")
-                    _record(
-                        acc,
-                        cap,
-                        {"b": b, "a": lift, "lhs": lhs, "rhs": bs_val},
-                    )
+    for batch, b, _, a_inv, lifts, bt in _lift_batches(fast_bs_rows(bs)):
+        acc["tuples_checked"] += lifts.size
+        rhs = np.concatenate([values for _, _, values in batch])
+        lhs = bt + lifts + (a_inv - 3 * b)[:, None]
+        for i, j in np.argwhere(lhs != rhs[:, None]).tolist():
+            _bump(acc, "identity_failures")
+            _record(
+                acc,
+                cap,
+                {"b": int(b[i]), "a": int(lifts[i, j]), "lhs": int(lhs[i, j]), "rhs": int(rhs[i])},
+            )
     return acc
 
 
@@ -302,27 +335,22 @@ def _bt_mod8_rows(bs: list[int], cap: int) -> dict:
     """b T(a,b) == -mu(a,b) + b^2 + 2 - a - a_inv (mod 8), three lifts."""
     acc = _new_acc()
     acc["summary"] = {"mod8_failures": 0}
-    for b in bs:
-        if b < 2:
-            continue
-        for base in coprime_residues(b).tolist():
-            offset8 = _mod8_offset(base, b, mod_inverse(base, b))
-            for lift in (base, base - b, base + b):
-                acc["tuples_checked"] += 1
-                actual = (b * _t_walk(lift, b)) % 8
-                expected = (offset8 - lift) % 8
-                if actual != expected:
-                    _bump(acc, "mod8_failures")
-                    _record(
-                        acc,
-                        cap,
-                        {
-                            "b": b,
-                            "a": lift,
-                            "actual_mod8": actual,
-                            "expected_mod8": expected,
-                        },
-                    )
+    for _, b, a, a_inv, lifts, bt in _lift_batches(residue_rows(bs, LIFT_WALK_LIMIT)):
+        acc["tuples_checked"] += lifts.size
+        actual = bt % 8
+        expected = (_mod8_offset_pairs(a, b, a_inv)[:, None] - lifts) % 8
+        for i, j in np.argwhere(actual != expected).tolist():
+            _bump(acc, "mod8_failures")
+            _record(
+                acc,
+                cap,
+                {
+                    "b": int(b[i]),
+                    "a": int(lifts[i, j]),
+                    "actual_mod8": int(actual[i, j]),
+                    "expected_mod8": int(expected[i, j]),
+                },
+            )
     return acc
 
 
@@ -395,6 +423,8 @@ _RANGE_FN = {
 # Largest b_max of the scans with an int64 fast path, and what it bounds.
 _INT64_LIMITS = {
     "theorem1": (THEOREM1_ROW_LIMIT, "the pair blocks of theorem1"),
+    "theorem2": (LIFT_WALK_LIMIT, "the lift walks of theorem2"),
+    "bt-mod8": (LIFT_WALK_LIMIT, "the lift walks of bt-mod8"),
     "oracle-equivalence": (
         NAIVE_ROW_LIMIT,
         "the naive rows and the row kernel that oracle-equivalence compares",

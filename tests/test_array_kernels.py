@@ -1,0 +1,114 @@
+"""The int64 array kernels of the lift scans against the scalar kernels.
+
+Each array form must equal its scalar counterpart pair by pair:
+exhaustively for every b < 200 and every lift a in (-3b, 3b), and by
+Hypothesis for lifts in (-b, 2b) up to dedekind.LIFT_WALK_LIMIT, the
+bound that the lift scans refuse to pass.
+"""
+
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dedsum.arith import _inverse_pairs, _jacobi, _jacobi_pairs
+from dedsum.congruence import (
+    _bt_case,
+    _bt_case_pairs,
+    _mod8_offset,
+    _mod8_offset_pairs,
+    _mu,
+    _mu_pairs,
+)
+from dedsum.contfrac import _t_pairs, _t_walk
+from dedsum.dedekind import LIFT_WALK_LIMIT
+
+
+def as_arrays(a: list[int], b: list[int]):
+    return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+def check_against_scalar(a: list[int], b: list[int]) -> None:
+    """Every array kernel on coprime pairs with b >= 2."""
+    xa, xb = as_arrays(a, b)
+    assert _t_pairs(xa, xb).tolist() == [_t_walk(x, y) for x, y in zip(a, b)]
+    inverses = [pow(x, -1, y) for x, y in zip(a, b)]
+    xinv = _inverse_pairs(xa, xb)
+    assert xinv.tolist() == inverses
+    assert _mu_pairs(xa, xb).tolist() == [_mu(x, y) for x, y in zip(a, b)]
+    modulus, offset = _bt_case_pairs(xa, xb, xinv)
+    assert list(zip(modulus.tolist(), offset.tolist())) == [
+        _bt_case(x, y, z)[1:] for x, y, z in zip(a, b, inverses)
+    ]
+    assert _mod8_offset_pairs(xa, xb, xinv).tolist() == [
+        _mod8_offset(x, y, z) for x, y, z in zip(a, b, inverses)
+    ]
+
+
+def lifts_below(b_max: int):
+    a, b = [], []
+    for y in range(2, b_max):
+        for x in range(-3 * y + 1, 3 * y):
+            if gcd(x, y) == 1:
+                a.append(x)
+                b.append(y)
+    return a, b
+
+
+def test_array_kernels_equal_scalar_kernels_exhaustive():
+    a, b = lifts_below(200)
+    check_against_scalar(a, b)
+
+
+def test_walk_at_b_one():
+    # T(a, 1) = -a + 2: one quotient, then the +2 of the normalization.
+    a = list(range(-5, 6))
+    assert _t_pairs(*as_arrays(a, [1] * len(a))).tolist() == [_t_walk(x, 1) for x in a]
+
+
+def test_jacobi_pairs_equal_scalar_on_every_numerator():
+    # Including the numerators that share a factor with b, where (a|b) = 0.
+    a, b = [], []
+    for y in range(1, 200, 2):
+        for x in range(-3 * y + 1, 3 * y):
+            a.append(x)
+            b.append(y)
+    assert _jacobi_pairs(*as_arrays(a, b)).tolist() == [_jacobi(x, y) for x, y in zip(a, b)]
+
+
+def test_inverse_pairs_reject_a_common_factor():
+    with pytest.raises(ValueError, match="coprime"):
+        _inverse_pairs(*as_arrays([1, 2], [5, 4]))
+
+
+def test_empty_batches():
+    empty = np.zeros(0, dtype=np.int64)
+    for kernel in (_t_pairs, _inverse_pairs, _jacobi_pairs, _mu_pairs):
+        assert kernel(empty, empty).tolist() == []
+
+
+@st.composite
+def lift_batches(draw):
+    """One b up to LIFT_WALK_LIMIT and a few lifts -b < a < 2b coprime to it."""
+    b = draw(st.integers(2, LIFT_WALK_LIMIT))
+    a = draw(
+        st.lists(st.integers(-b + 1, 2 * b - 1).filter(lambda x: gcd(x, b) == 1), min_size=1, max_size=8)
+    )
+    return a, b
+
+
+@settings(max_examples=300)
+@example(([1, LIFT_WALK_LIMIT - 1, 1 - LIFT_WALK_LIMIT, LIFT_WALK_LIMIT + 1, 2 * LIFT_WALK_LIMIT - 1], LIFT_WALK_LIMIT))
+@example(([1, 2, -1, LIFT_WALK_LIMIT - 2, 2 * LIFT_WALK_LIMIT - 3], LIFT_WALK_LIMIT - 1))
+@given(batch=lift_batches())
+def test_array_kernels_equal_scalar_kernels_up_to_the_limit(batch):
+    a, b = batch
+    check_against_scalar(a, [b] * len(a))
+    # The bound behind LIFT_WALK_LIMIT: |T| <= b + 3 on these lifts, and
+    # the mod-8 check of theorem2 stays within 2b^2 + 5b + 2.
+    for x in a:
+        t = _t_walk(x, b)
+        assert abs(t) <= b + 3
+        assert abs(b * t - _mod8_offset(x, b, pow(x, -1, b)) + x) <= 2 * b * b + 5 * b + 2

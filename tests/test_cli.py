@@ -11,7 +11,7 @@ import pytest
 
 import dedsum.cli
 from dedsum.cli import main
-from dedsum.dedekind import THEOREM1_ROW_LIMIT
+from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import parse_csv, parse_json
 
 
@@ -106,6 +106,7 @@ def test_check_writes_report_file(tmp_path, capsys):
         ["--suite", "all", "--bmax", "2000000", "--jobs", "2"],
         ["--suite", "theorem1", "--bmax", str(THEOREM1_ROW_LIMIT + 1), "--out", "{tmp}/r.json"],
         ["--suite", "all", "--bmax", str(THEOREM1_ROW_LIMIT + 1)],
+        ["--suite", "theorem2", "--bmax", str(LIFT_WALK_LIMIT + 1), "--out", "{tmp}/r.json"],
     ],
 )
 def test_check_refuses_bad_input_before_scanning(argv, tmp_path, capsys, no_scan_may_start):

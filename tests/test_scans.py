@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 import dedsum.congruence
+import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
-from dedsum.congruence import mu, mu_condition
-from dedsum.dedekind import NAIVE_ROW_LIMIT, THEOREM1_ROW_LIMIT
+from dedsum.arith import mod_inverse
+from dedsum.congruence import bt_congruence_mod8, bt_residue, mu, mu_condition
+from dedsum.contfrac import t_value
+from dedsum.dedekind import LIFT_WALK_LIMIT, NAIVE_ROW_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
@@ -266,35 +269,146 @@ def lift_scans():
     }
 
 
+def plant_in_lift_walk(monkeypatch, delta):
+    """Add delta(a, b), elementwise, to every T that the lift walk
+    returns; theorem2, bhk and bt-mod8 read b T only from this walk."""
+    real = dedsum.scans._t_pairs
+    monkeypatch.setattr(dedsum.scans, "_t_pairs", lambda a, b: real(a, b) + delta(a, b))
+
+
 def test_walk_off_by_one_above_b_fails_every_lift_scan(monkeypatch):
     # Only the lift a + b is walked wrong; a scan that reused the walk of
     # a for its other lifts would not see it.
-    real = dedsum.scans._t_walk
-    monkeypatch.setattr(dedsum.scans, "_t_walk", lambda a, b: real(a, b) + (a > b))
-    summary = lift_scans()
-    assert summary["theorem2"]["residue_mismatches"] > 0
-    assert summary["bhk"]["identity_failures"] > 0
-    assert summary["bt-mod8"]["mod8_failures"] > 0
+    plant_in_lift_walk(monkeypatch, lambda a, b: a > b)
+    assert lift_scans() == {
+        "theorem2": {"mod8_failures": 257, "residue_mismatches": 277},
+        "bhk": {"identity_failures": 277},
+        "bt-mod8": {"mod8_failures": 257},
+    }
 
 
 def test_flipped_mu_fails_the_mod8_checks_only(monkeypatch):
-    real = dedsum.congruence._mu
+    real = dedsum.congruence._mu_pairs
 
     def flipped(a, b):
-        return 4 - real(a, b) if b % 4 == 3 else real(a, b)
+        m = real(a, b)
+        return np.where(b % 4 == 3, 4 - m, m)
 
-    monkeypatch.setattr(dedsum.congruence, "_mu", flipped)
-    summary = lift_scans()
-    assert summary["theorem2"]["mod8_failures"] > 0
-    assert summary["bt-mod8"]["mod8_failures"] > 0
-    assert summary["theorem2"]["residue_mismatches"] == 0
-    assert summary["bhk"]["identity_failures"] == 0
+    monkeypatch.setattr(dedsum.congruence, "_mu_pairs", flipped)
+    assert lift_scans() == {
+        "theorem2": {"mod8_failures": 252, "residue_mismatches": 0},
+        "bhk": {"identity_failures": 0},
+        "bt-mod8": {"mod8_failures": 252},
+    }
 
 
 def test_perturbed_inverse_fails_bhk(monkeypatch):
-    real = dedsum.scans.mod_inverse
-    monkeypatch.setattr(dedsum.scans, "mod_inverse", lambda a, b: real(a, b) + 1)
-    assert lift_scans()["bhk"]["identity_failures"] > 0
+    # The inverse enters every lift check: bhk's identity and both
+    # predicted residues.
+    real = dedsum.scans._inverse_pairs
+    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b: real(a, b) + 1)
+    assert lift_scans() == {
+        "theorem2": {"mod8_failures": 831, "residue_mismatches": 831},
+        "bhk": {"identity_failures": 831},
+        "bt-mod8": {"mod8_failures": 831},
+    }
+
+
+def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
+    # Clean scans build no violation row, so no scalar kernel may run.
+    def scalar(*args):
+        raise AssertionError("a scalar kernel ran")
+
+    for module, name in [
+        (dedsum.scans, "_bt_case"),
+        (dedsum.scans, "_mu"),
+        (dedsum.congruence, "_mu"),
+        (dedsum.congruence, "_jacobi"),
+        (dedsum.congruence, "_t_walk"),
+        (dedsum.contfrac, "_t_walk"),
+    ]:
+        monkeypatch.setattr(module, name, scalar)
+    summary = lift_scans()
+    assert all(not any(counts.values()) for counts in summary.values()), summary
+
+
+LIFT_SCANS = [scan_theorem2, scan_bhk, scan_bt_mod8]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_lift_batch_edges_drop_or_repeat_no_lift(batch, monkeypatch):
+    # Clean, and with a walk defect that leaves violation rows whose
+    # order must not depend on the batches either.
+    for planted in (False, True):
+        with monkeypatch.context() as patch:
+            if planted:
+                plant_in_lift_walk(patch, lambda a, b: (a > b) + 2 * (a < 0))
+            defaults = [fn(60, cap=10**6) for fn in LIFT_SCANS]
+            patch.setattr(dedsum.scans, "_LIFT_BATCH", batch)
+            for fn, default in zip(LIFT_SCANS, defaults):
+                batched = fn(60, cap=10**6)
+                default.elapsed = batched.elapsed = 0.0
+                assert batched == default, (default.kind, planted)
+                assert bool(default.violations) == planted
+
+
+def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
+    # The same defect in the array walk and in the scalar walk behind the
+    # public predicates: the scan must report exactly the rows of a loop
+    # over residues and lifts, residue row before mod-8 row.
+    def delta(a, b):
+        return (a > b) + 2 * (a < 0)
+
+    plant_in_lift_walk(monkeypatch, delta)
+    real = dedsum.contfrac._t_walk
+    monkeypatch.setattr(dedsum.congruence, "_t_walk", lambda a, b: real(a, b) + delta(a, b))
+    monkeypatch.setattr(dedsum.contfrac, "_t_walk", lambda a, b: real(a, b) + delta(a, b))
+    expected = []
+    for b in range(2, 41):
+        for base in range(1, b):
+            if gcd(base, b) != 1:
+                continue
+            for a in (base, base - b, base + b):
+                residue = bt_residue(a, b)
+                row = {"b": b, "a": a, "case": residue.case_tag}
+                if not residue.matches:
+                    expected.append(
+                        {
+                            **row,
+                            "check": "residue",
+                            "modulus": residue.modulus,
+                            "predicted": residue.predicted,
+                            "actual": residue.actual,
+                        }
+                    )
+                if not bt_congruence_mod8(a, b):
+                    predicted = (b * b + 2 - mu(a, b) - mod_inverse(a, b) - a) % 8
+                    actual = b * t_value(a, b) % 8
+                    expected.append(
+                        {**row, "check": "mod8", "modulus": 8, "predicted": predicted, "actual": actual}
+                    )
+    report = scan_theorem2(40, cap=10**6)
+    checks = {row["check"] for row in expected}
+    assert checks == {"residue", "mod8"} and len(expected) > 500
+    order = [name for name, _ in COLUMNS["theorem2"]]
+    assert report.violations == [{name: row[name] for name in order} for row in expected]
+    assert report.violations_total == len(expected)
+
+
+def test_lift_walk_bound_fails_up_front(no_scan_may_start):
+    start = time.perf_counter()
+    for fn in (scan_theorem2, scan_bt_mod8):
+        with pytest.raises(ValueError, match="int64-exact limit .* lift walks"):
+            fn(LIFT_WALK_LIMIT + 1, jobs=2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lift_walk_limit_is_the_largest_exact_bound():
+    # The mod-8 check of theorem2 reaches 2b^2 + 5b + 2 in size.
+    def largest(b):
+        return 2 * b * b + 5 * b + 2
+
+    assert largest(LIFT_WALK_LIMIT) < 2**63 <= largest(LIFT_WALK_LIMIT + 1)
 
 
 def test_run_suite_layout():
