@@ -176,11 +176,70 @@ def test_identity_scans_clean_small():
         assert report.violations_total == 0, report.kind
 
 
-def test_violation_rows_match_column_schema():
-    report = scan_theorem1(9, include_9div=True)
-    names = [name for name, _ in COLUMNS[report.kind]]
-    for row in report.violations:
-        assert list(row) == names
+def plant_wrong_inverse(monkeypatch):
+    real = dedsum.scans._inverse_pairs
+    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b: real(a, b) + 1)
+
+
+def plant_shifted_mu_original(monkeypatch):
+    real = dedsum.scans.mu_original
+
+    def shifted(a, b):
+        return real(a, b) + 4 if a % 8 == 1 else real(a, b)
+
+    monkeypatch.setattr(dedsum.scans, "mu_original", shifted)
+
+
+def test_violation_rows_match_column_schema(monkeypatch):
+    # One planted defect per kind (theorem1 has its 9 | b rows), so that
+    # every kind has rows: their keys are the kind's columns, in order,
+    # and the first row is pinned value by value.
+    cases = [
+        (
+            lambda: scan_theorem1(9, include_9div=True),
+            lambda patch: None,
+            (9, 1, 4, True, 8, 1, True, False),
+        ),
+        (
+            lambda: scan_theorem2(12),
+            lambda patch: plant_in_lift_walk(patch, lambda a, b: a > b),
+            (2, 3, "residue", "even_half_ndiv3", 24, 2, 4),
+        ),
+        (
+            lambda: scan_oracle_equivalence(12),
+            lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
+            (3, 2, 1, 3, -2, 3),
+        ),
+        (
+            lambda: scan_reciprocity(12),
+            lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
+            (2, 3, 1, 1),
+        ),
+        (lambda: scan_bhk(12), plant_wrong_inverse, (2, 1, 1, 0)),
+        (
+            lambda: scan_bt_mod8(12),
+            lambda patch: plant_in_lift_walk(patch, lambda a, b: a > b),
+            (2, 3, 4, 2),
+        ),
+        (
+            lambda: scan_bs_congruences(12),
+            lambda patch: plant_in_row_kernel(patch, lambda a, b: (a == 1).astype(np.int64)),
+            (2, 1, 1, 3, 0, 1),
+        ),
+        (lambda: scan_mu_mod8(12), plant_shifted_mu_original, (2, 1, 0, 4)),
+    ]
+    kinds = []
+    for scan, plant, first in cases:
+        with monkeypatch.context() as patch:
+            plant(patch)
+            report = scan()
+        names = [name for name, _ in COLUMNS[report.kind]]
+        assert report.violations, report.kind
+        for row in report.violations:
+            assert list(row) == names, report.kind
+        assert report.violations[0] == dict(zip(names, first, strict=True)), report.kind
+        kinds.append(report.kind)
+    assert kinds == ["theorem1", "theorem2", *IDENTITY_KINDS]
 
 
 def test_cap_limits_rows_not_counters():
@@ -305,8 +364,7 @@ def test_flipped_mu_fails_the_mod8_checks_only(monkeypatch):
 def test_perturbed_inverse_fails_bhk(monkeypatch):
     # The inverse enters every lift check: bhk's identity and both
     # predicted residues.
-    real = dedsum.scans._inverse_pairs
-    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b: real(a, b) + 1)
+    plant_wrong_inverse(monkeypatch)
     assert lift_scans() == {
         "theorem2": {"mod8_failures": 831, "residue_mismatches": 831},
         "bhk": {"identity_failures": 831},
@@ -514,10 +572,5 @@ def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
 
 
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
-    real = dedsum.scans.mu_original
-
-    def shifted(a, b):
-        return real(a, b) + 4 if a % 8 == 1 else real(a, b)
-
-    monkeypatch.setattr(dedsum.scans, "mu_original", shifted)
+    plant_shifted_mu_original(monkeypatch)
     assert scan_mu_mod8(BMAX_PLANTED).summary["mod8_mismatches"] > 0
