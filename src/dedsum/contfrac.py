@@ -37,18 +37,13 @@ def _raw_quotients(a: int, b: int) -> list[int]:
 
 
 def _normalize_odd(qs: list[int]) -> list[int]:
-    """Force an odd last index n (even quotient count)."""
-    n = len(qs) - 1
-    if n % 2 == 1:
-        return qs
-    if n == 0:
-        # [q0] -> [q0 - 1; 1]
-        return [qs[0] - 1, 1]
-    if qs[-1] >= 2:
-        # [..., qn] -> [..., qn - 1, 1]
-        return qs[:-1] + [qs[-1] - 1, 1]
-    # [..., q, 1] -> [..., q + 1]
-    return qs[:-2] + [qs[-2] + 1]
+    """Force an odd last index n (even quotient count).
+
+    [..., qn] -> [..., qn - 1, 1], which for [q0] alone is [q0 - 1; 1]. A
+    raw expansion of a coprime pair with two or more quotients ends on
+    qn >= 2, so no quotient of the result is 0 past the head.
+    """
+    return qs if len(qs) % 2 == 0 else qs[:-1] + [qs[-1] - 1, 1]
 
 
 @dataclass(frozen=True)

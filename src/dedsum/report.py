@@ -187,9 +187,19 @@ def render(reports: list[Report], fmt: str) -> str:
     raise ValueError(f"unknown report format: {fmt}")
 
 
-def _typed_row(kind: str, raw: dict) -> dict:
+def _typed_row(kind: str, names: list[str], values: list) -> dict:
+    """The row of a kind from its column names and values, typed.
+
+    Raises ValueError unless names and values are exactly the kind's
+    columns, in any order, one value each.
+    """
+    columns = COLUMNS[kind]
+    if len(values) != len(names) or sorted(names) != sorted(name for name, _ in columns):
+        expected = [name for name, _ in columns]
+        raise ValueError(f"a {kind} row needs one value for each of {expected}, got {values}")
+    raw = dict(zip(names, values))
     row = {}
-    for name, typ in COLUMNS[kind]:
+    for name, typ in columns:
         value = raw[name]
         if typ is bool and isinstance(value, str):
             row[name] = value == "true"
@@ -206,7 +216,7 @@ def _report_from_payload(doc: dict) -> Report:
         return TableReport(
             kind=kind,
             parameters=doc["parameters"],
-            rows=[_typed_row(kind, r) for r in doc["rows"]],
+            rows=[_typed_row(kind, list(r), list(r.values())) for r in doc["rows"]],
             elapsed=doc["elapsed_seconds"],
         )
     lo, hi = doc["b_range"]
@@ -216,7 +226,7 @@ def _report_from_payload(doc: dict) -> Report:
         b_hi=hi,
         tuples_checked=doc["tuples_checked"],
         violations_total=doc["violations_total"],
-        violations=[_typed_row(kind, r) for r in doc["violations"]],
+        violations=[_typed_row(kind, list(r), list(r.values())) for r in doc["violations"]],
         parameters=doc["parameters"],
         summary=doc["summary"],
         elapsed=doc["elapsed_seconds"],
@@ -234,7 +244,7 @@ def parse_csv(text: str) -> list[Report]:
     for section in text.strip().split("\n\n"):
         meta: dict = {}
         names: list[str] = []
-        rows: list[dict] = []
+        rows: list[list[str]] = []
         for line in section.splitlines():
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
@@ -242,9 +252,9 @@ def parse_csv(text: str) -> list[Report]:
             elif not names:
                 names = line.split(",")
             else:
-                rows.append(dict(zip(names, line.split(","))))
+                rows.append(line.split(","))
         kind = meta["kind"]
-        typed = [_typed_row(kind, r) for r in rows]
+        typed = [_typed_row(kind, names, cells) for cells in rows]
         common = {
             "kind": kind,
             "parameters": json.loads(meta["parameters"]),

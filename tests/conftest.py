@@ -7,10 +7,10 @@ import dedsum.scans
 
 @pytest.fixture
 def no_scan_may_start(monkeypatch):
-    """Make every scan's row loop fail at once, so a test of up-front
+    """Make every scan's work fail at once, so a test of up-front
     validation fails fast instead of running a scan to a huge bound."""
 
     def started(*args, **kwargs):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(dedsum.scans, "_RANGE_FN", dict.fromkeys(dedsum.scans._RANGE_FN, started))
+    monkeypatch.setattr(dedsum.scans, "_run_slice", started)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsum.arith import mod_inverse
-from dedsum.contfrac import CFExpansion, _normalize_odd, _t_walk, cf_expand, t_value
+from dedsum.contfrac import _normalize_odd, _raw_quotients, _t_walk, cf_expand, t_value
 from dedsum.dedekind import b_times_s
 
 
@@ -61,13 +61,18 @@ def test_expansion_reconstructs_value_random(data, b):
     assert all(q >= 1 for q in cf.tail)
 
 
-def test_normalize_merges_trailing_unit():
-    # An even-index expansion ending in 1 merges into its neighbor.
-    assert _normalize_odd([0, 1, 1]) == [0, 2]
-    assert _normalize_odd([2, 3, 1]) == [2, 4]
-    # Value is preserved by the merge.
-    assert CFExpansion(0, (2,)).as_fraction() == Fraction(1, 2)
-    assert CFExpansion(2, (4,)).as_fraction() == Fraction(9, 4)
+def test_normalize_needs_no_merge_exhaustive():
+    # A raw expansion of two or more quotients never ends on 1, so
+    # normalizing only ever splits the last quotient.
+    for b in range(1, 200):
+        for a in range(-3 * b + 1, 3 * b):
+            if gcd(a, b) != 1:
+                continue
+            raw = _raw_quotients(a, b)
+            assert len(raw) == 1 or raw[-1] >= 2, (a, b)
+            qs = _normalize_odd(raw)
+            assert len(qs) % 2 == 0 and min(qs[1:]) >= 1, (a, b)
+            assert qs == cf_expand(a, b).quotients(), (a, b)
 
 
 def test_normalize_splits_and_adjusts():

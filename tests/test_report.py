@@ -111,6 +111,32 @@ def test_csv_layout_is_pinned():
     assert lines[8] == "# elapsed_seconds=0.125000"
 
 
+def test_json_rejects_a_row_with_an_extra_key():
+    doc = json.loads(render_json([sample_scan()]))
+    doc["violations"][0]["a3"] = 5
+    with pytest.raises(ValueError, match="theorem1 row"):
+        parse_json(json.dumps(doc))
+
+
+def test_json_rejects_a_row_with_a_missing_key():
+    doc = json.loads(render_json([sample_scan()]))
+    del doc["violations"][0]["in24Z"]
+    with pytest.raises(ValueError, match="theorem1 row"):
+        parse_json(json.dumps(doc))
+
+
+def test_csv_rejects_a_row_with_an_extra_cell():
+    text = render_csv([sample_scan()]).replace("true,false\n", "true,false,5\n")
+    with pytest.raises(ValueError, match="theorem1 row"):
+        parse_csv(text)
+
+
+def test_csv_rejects_a_row_with_a_missing_cell():
+    text = render_csv([sample_scan()]).replace("true,false\n", "true\n")
+    with pytest.raises(ValueError, match="theorem1 row"):
+        parse_csv(text)
+
+
 def test_rendering_is_deterministic():
     for fmt in ("csv", "json"):
         assert render([sample_scan()], fmt) == render([sample_scan()], fmt)

@@ -25,7 +25,6 @@ from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
     _pair_condition,
-    run_identities,
     run_suite,
     scan_bhk,
     scan_bs_congruences,
@@ -276,6 +275,30 @@ def test_jobs_do_not_change_report_content(fn, bmax):
     assert sequential == parallel
 
 
+def test_jobs_do_not_change_suite_content():
+    sequential = run_suite("all", 27, include_9div=True, cap=5)
+    parallel = run_suite("all", 27, include_9div=True, cap=5, jobs=3)
+    for report in sequential + parallel:
+        report.elapsed = 0.0
+    assert sequential == parallel
+    assert sequential[0].violations_total > 5
+
+
+@pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
+def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
+    started = []
+
+    class CountingPool(dedsum.scans.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dedsum.scans, "ProcessPoolExecutor", CountingPool)
+    reports = run_suite("all", 30, include_9div=True, jobs=jobs)
+    assert len(reports) == 8
+    assert len(started) == pools
+
+
 def test_jobs_preserve_capped_row_order():
     sequential = scan_theorem1(27, include_9div=True, cap=5)
     parallel = scan_theorem1(27, include_9div=True, cap=5, jobs=4)
@@ -479,7 +502,7 @@ def test_run_suite_layout():
 
 
 def test_run_identities_clean():
-    for report in run_identities(25):
+    for report in run_suite("identities", 25):
         assert report.violations_total == 0, report.kind
 
 
