@@ -28,7 +28,7 @@ from dedsum.bench import decade_values, growth_ratios, run_benchmark
 from dedsum.congruence import family_example, mu
 from dedsum.contfrac import cf_expand, t_value
 from dedsum.dedekind import dedekind_fast, dedekind_naive
-from dedsum.report import Report, TableReport, render
+from dedsum.report import COLUMNS, Report, TableReport, render
 from dedsum.scans import SUITES, run_suite
 
 
@@ -206,21 +206,13 @@ def _cmd_examples(args) -> int:
     if args.dmax < 3 or args.dmax % 2 == 0:
         raise ValueError(f"--dmax must be odd and at least 3, got {args.dmax}")
     start = time.perf_counter()
+    names = [name for name, _ in COLUMNS["examples"]]
     rows = []
     for c in range(1, args.cmax + 1, 2):
         for d in range(3, args.dmax + 1, 2):
             ex = family_example(c, d)
-            rows.append(
-                {
-                    "c": ex.c,
-                    "d": ex.d,
-                    "b": ex.b,
-                    "a": ex.a,
-                    "diff": ex.s_diff,
-                    "div8": ex.diff_in_8z,
-                    "div24": ex.diff_in_24z,
-                }
-            )
+            values = (ex.c, ex.d, ex.b, ex.a, ex.s_diff, ex.diff_in_8z, ex.diff_in_24z)
+            rows.append(dict(zip(names, values, strict=True)))
     report = TableReport(
         kind="examples",
         parameters={"cmax": args.cmax, "dmax": args.dmax},

@@ -33,11 +33,9 @@ from dedsum.arith import require_coprime
 # b <= NAIVE_ROW_LIMIT.
 NAIVE_ROW_LIMIT = 1_400_000
 
-# Pairs per call of the row kernel. Rows are gathered until a batch holds
-# about this many pairs, because one numpy call per short row costs more
-# in call overhead than in arithmetic; a longer row is solved in slices
-# of this size. The remainder levels of one call keep 24 bytes per pair
-# and level: about 0.5 MB for b <= 500 (5.3 levels on average), at most
+# Pairs per call of the row kernel; `bs_values` solves longer arrays in
+# slices of this size. The remainder levels of one call keep 24 bytes per
+# pair and level: about 0.5 MB for b <= 500 (5.3 levels on average), at most
 # 2.9 MB below NAIVE_ROW_LIMIT (29 levels). Calls of 8192 pairs are no
 # faster and double that memory.
 _ROW_BATCH = 4096
@@ -166,7 +164,7 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     law for V_k = r_k S(r_{k+1}, r_k) backward from the deepest level.
     Where r_{k+1} = 1 the next term r_{k+1} S(0, 1) is 0, so the step
     gives V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with the same formula.
-    Exact for b <= NAIVE_ROW_LIMIT (see there); the callers check that
+    Exact for b <= NAIVE_ROW_LIMIT (see there); `bs_values` checks that
     bound. Raises ArithmeticError if a step does not divide exactly.
     """
     levels = []
@@ -187,83 +185,20 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v
 
 
-def residue_rows(bs, limit: int):
-    """Yield (b, coprime_residues(b)) for every b >= 2 in bs, in order.
+def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b * S(a, b) for int64 arrays of coprime pairs 0 < a < b.
 
-    Raises ValueError at a b above limit, before its residues are built.
+    Runs the reciprocity row kernel in slices of at most _ROW_BATCH
+    pairs. Raises ValueError when a b exceeds NAIVE_ROW_LIMIT, before
+    any pair is solved.
     """
-    for b in bs:
-        if b < 2:
-            continue
-        if b > limit:
-            raise ValueError(f"b={b} exceeds the int64-exact limit {limit}")
-        yield b, coprime_residues(b)
-
-
-def gather_rows(rows, size: int):
-    """Group rows, tuples whose second item is an array of residues, into
-    lists of at least size residues each; the last list may hold fewer.
-
-    One numpy call per short row costs more in call overhead than in
-    arithmetic, so the array kernels run on such groups.
-    """
-    pending: list = []
-    total = 0
-    for row in rows:
-        pending.append(row)
-        total += len(row[1])
-        if total >= size:
-            yield pending
-            pending, total = [], 0
-    if pending:
-        yield pending
-
-
-def _solve_rows(rows: list, mirrored: bool):
-    """Run the kernel over gathered (b, residues) rows, in slices of at
-    most _ROW_BATCH pairs, and yield each row with its values."""
-    a = np.concatenate([residues for _, residues in rows])
-    b = np.repeat(
-        np.array([row_b for row_b, _ in rows], dtype=np.int64),
-        [len(residues) for _, residues in rows],
-    )
-    if mirrored:
-        # a S(b mod a, a) for a >= 2, solved in the same calls; 0 at a = 1.
-        upper = a > 1
-        lower = a[upper]
-        a = np.concatenate([a, b[upper] % lower])
-        b = np.concatenate([b, lower])
-    values = np.concatenate(
-        [
-            _bs_pairs(a[lo : lo + _ROW_BATCH], b[lo : lo + _ROW_BATCH])
-            for lo in range(0, len(a), _ROW_BATCH)
-        ]
-    )
-    if mirrored:
-        n = len(upper)
-        mirror = np.zeros(n, dtype=np.int64)
-        mirror[upper] = values[n:]
-    lo = 0
-    for row_b, residues in rows:
-        hi = lo + len(residues)
-        if mirrored:
-            yield row_b, residues, values[lo:hi], mirror[lo:hi]
-        else:
-            yield row_b, residues, values[lo:hi]
-        lo = hi
-
-
-def fast_bs_rows(bs, mirrored: bool = False):
-    """Yield (b, residues, b * S(a, b)) for every b >= 2 in bs, in order.
-
-    The residues are those of `naive_bs_row`; the values come from the
-    reciprocity row kernel, batched over rows to about _ROW_BATCH pairs
-    per call. With mirrored=True each item also carries the array of
-    a * S(b mod a, a), which is 0 at a = 1. Raises ValueError when a b
-    exceeds NAIVE_ROW_LIMIT, before that row's batch is solved.
-    """
-    for rows in gather_rows(residue_rows(bs, NAIVE_ROW_LIMIT), _ROW_BATCH):
-        yield from _solve_rows(rows, mirrored)
+    if len(b) and b.max() > NAIVE_ROW_LIMIT:
+        raise ValueError(f"b={int(b.max())} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
+    parts = [
+        _bs_pairs(a[lo : lo + _ROW_BATCH], b[lo : lo + _ROW_BATCH])
+        for lo in range(0, len(a), _ROW_BATCH)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,22 @@ class TableReport:
 
 Report = ScanReport | TableReport
 
+# The kinds reported as a TableReport; every other kind is a scan's.
+_TABLE_KINDS = ("examples",)
+
+# The fields besides kind that a parsed report must carry, as keys of a
+# JSON document or as '# key=' lines of a CSV section. A JSON document
+# also carries its rows, under "violations" or "rows".
+_SCAN_FIELDS = (
+    "b_range",
+    "tuples_checked",
+    "violations_total",
+    "parameters",
+    "summary",
+    "elapsed_seconds",
+)
+_TABLE_FIELDS = ("parameters", "elapsed_seconds")
+
 
 def _json_payload(report: Report) -> dict:
     if isinstance(report, ScanReport):
@@ -210,9 +226,27 @@ def _typed_row(kind: str, names: list[str], values: list) -> dict:
     return row
 
 
-def _report_from_payload(doc: dict) -> Report:
+def _report_kind(doc: dict, json_rows: bool) -> str:
+    """The kind of a parsed report, once it is known and doc has every
+    field of its shape; else ValueError naming the kind and the field."""
+    if "kind" not in doc:
+        raise ValueError("a report needs the field 'kind'")
     kind = doc["kind"]
-    if "rows" in doc:
+    if kind not in COLUMNS:
+        raise ValueError(f"unknown report kind {kind!r}, expected one of {sorted(COLUMNS)}")
+    table = kind in _TABLE_KINDS
+    fields = _TABLE_FIELDS if table else _SCAN_FIELDS
+    if json_rows:
+        fields += ("rows",) if table else ("violations",)
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"a {kind} report needs the field {name!r}")
+    return kind
+
+
+def _report_from_payload(doc: dict) -> Report:
+    kind = _report_kind(doc, json_rows=True)
+    if kind in _TABLE_KINDS:
         return TableReport(
             kind=kind,
             parameters=doc["parameters"],
@@ -253,14 +287,14 @@ def parse_csv(text: str) -> list[Report]:
                 names = line.split(",")
             else:
                 rows.append(line.split(","))
-        kind = meta["kind"]
+        kind = _report_kind(meta, json_rows=False)
         typed = [_typed_row(kind, names, cells) for cells in rows]
         common = {
             "kind": kind,
             "parameters": json.loads(meta["parameters"]),
             "elapsed": float(meta["elapsed_seconds"]),
         }
-        if "b_range" in meta:
+        if kind not in _TABLE_KINDS:
             lo, _, hi = meta["b_range"].partition("..")
             reports.append(
                 ScanReport(

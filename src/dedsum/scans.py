@@ -6,19 +6,23 @@ describing violating tuples are collected up to a cap; the counters in
 the report are never capped. Every scan is one entry of the check table
 _CHECKS, and one driver, _run, runs any list of them.
 
+A worker makes one pass over its b values: it gathers their rows
+(b, coprime residues of b) into batches and runs every kind on a batch
+before it builds the next. The arrays that several kinds read are
+computed at most once per batch, by the first kind that reads them.
+
 With jobs > 1 a whole suite runs on one process pool. Each worker runs
 every scan on its strided slice of the b range, and the partial results
 are merged in ascending b order, so the report content is identical for
-any job count. A report's elapsed time is its scan's longest time in
-one worker; the pool start-up counts in no scan.
+any job count. A report's elapsed time is its kind's longest time in one
+worker, counting the shared arrays that kind was the first to read.
+Building the rows and starting the pool count in no kind.
 """
 
 import functools
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from dedsum.congruence import (
     _bt_case,
     _bt_case_pairs,
     _mod8_offset_pairs,
-    _mu,
+    _mu_pairs,
     mu,
     mu_original,
 )
@@ -37,10 +41,9 @@ from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
     _fast_parts,
-    fast_bs_rows,
-    gather_rows,
+    bs_values,
+    coprime_residues,
     naive_bs_row,
-    residue_rows,
 )
 from dedsum.report import COLUMNS, ScanReport
 
@@ -51,13 +54,10 @@ SUITES = ("theorem1", "theorem2", "identities", "all")
 # are slower and raise the peak RSS.
 _PAIR_BLOCK = 4096
 
-# Residues per batch of the lift scans; each residue has three lifts.
-# Smaller batches pay more numpy call overhead, larger ones raise the
-# peak memory.
-_LIFT_BATCH = 2048
-
-# The lifts a, a - b, a + b of a residue a, as multiples of b.
-_LIFT_SHIFTS = np.array([0, -1, 1], dtype=np.int64)
+# Residues per batch: rows are gathered until a batch holds at least this
+# many. One numpy call per short row costs more in call overhead than in
+# arithmetic; larger batches raise the peak memory.
+_BATCH = 2048
 
 
 class _Tally:
@@ -84,6 +84,80 @@ class _Tally:
             self.violations.append(dict(zip(self.names, values, strict=True)))
 
 
+class _Batch:
+    """Consecutive rows (b, coprime residues of b) of one worker's slice.
+
+    a and b hold one entry per residue, and spans the (b, start, end) of
+    each row, so that a[start:end] are the residues of that b; b = 1 has
+    an empty row. Each array that a check reads is computed on first use
+    and kept for the other checks of the batch.
+    """
+
+    def __init__(self, rows: list[tuple[int, np.ndarray]]):
+        sizes = [len(residues) for _, residues in rows]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = [(b, end - size, end) for (b, _), size, end in zip(rows, sizes, ends)]
+        self.a = np.concatenate([residues for _, residues in rows])
+        self.b = np.repeat(np.array([b for b, _ in rows], dtype=np.int64), sizes)
+
+    @functools.cached_property
+    def bs(self) -> np.ndarray:
+        """b S(a, b), from the row kernel."""
+        return bs_values(self.a, self.b)
+
+    @functools.cached_property
+    def mirror(self) -> np.ndarray:
+        """a S(b mod a, a), from the row kernel; 0 at a = 1."""
+        upper = self.a > 1
+        mirror = np.zeros_like(self.a)
+        mirror[upper] = bs_values(self.b[upper] % self.a[upper], self.a[upper])
+        return mirror
+
+    @functools.cached_property
+    def a_inv(self) -> np.ndarray:
+        return _inverse_pairs(self.a, self.b)
+
+    @functools.cached_property
+    def lifts(self) -> np.ndarray:
+        """The (n, 3) array of the lifts a, a - b, a + b of each residue."""
+        return self.a[:, None] + self.b[:, None] * np.array([0, -1, 1], dtype=np.int64)
+
+    @functools.cached_property
+    def bt(self) -> np.ndarray:
+        """b T of every lift. T is sensitive to the lift even though S is
+        not, so every lift gets its own walk.
+
+        Raises ValueError when a b exceeds LIFT_WALK_LIMIT, before any walk.
+        """
+        top = self.spans[-1][0]
+        if top > LIFT_WALK_LIMIT:
+            raise ValueError(f"b={top} exceeds the int64-exact limit {LIFT_WALK_LIMIT}")
+        t = _t_pairs(self.lifts.ravel(), np.repeat(self.b, 3))
+        return self.b[:, None] * t.reshape(self.lifts.shape)
+
+    @functools.cached_property
+    def mod8(self) -> tuple[np.ndarray, np.ndarray]:
+        """(actual, predicted) b T mod 8 of every lift; the prediction is
+        -mu(a, b) + b^2 + 2 - a - a_inv."""
+        offset = _mod8_offset_pairs(self.a, self.b, self.a_inv)
+        return self.bt % 8, (offset[:, None] - self.lifts) % 8
+
+
+def _batches(bs: list[int]):
+    """The rows of bs, in order, as batches of at least _BATCH residues;
+    the last batch may hold fewer."""
+    rows: list[tuple[int, np.ndarray]] = []
+    size = 0
+    for b in bs:
+        rows.append((b, coprime_residues(b)))
+        size += len(rows[-1][1])
+        if size >= _BATCH:
+            yield _Batch(rows)
+            rows, size = [], 0
+    if rows:
+        yield _Batch(rows)
+
+
 def _pair_condition(b, a1, m1, a2, m2):
     """The mod-8b pairing condition of `mu_condition`, elementwise.
 
@@ -96,22 +170,26 @@ def _pair_condition(b, a1, m1, a2, m2):
     ) % (8 * b) == 0
 
 
-def _theorem1_rows(tally: _Tally, bs: list[int], include_9div: bool = False) -> None:
+def _theorem1_rows(tally: _Tally, batch: _Batch, include_9div: bool = False) -> None:
     """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
 
-    bS comes from the row kernel and mu is computed per residue. The pair
-    triangle is checked in int64 blocks of about _PAIR_BLOCK elements:
-    rows lo..hi-1 against columns lo+1..n-1, of which the pairs with
-    j > i are kept. np.nonzero walks a block in row-major order, so the
-    violation rows come out in the order of the pairs (a1, a2).
+    bS comes from the row kernel and mu(b, a) from one array call per
+    batch. Each row's pair triangle is checked in int64 blocks of about
+    _PAIR_BLOCK elements: rows lo..hi-1 against columns lo+1..n-1, of
+    which the pairs with j > i are kept. np.nonzero walks a block in
+    row-major order, so the violation rows come out in the order of the
+    pairs (a1, a2).
     """
-    scanned = (b for b in bs if b >= 3 and (include_9div or b % 9))
-    for b, a, bss in fast_bs_rows(scanned):
+    # mu(b, a): the residue is the modulus.
+    mus_all = _mu_pairs(batch.b, batch.a)
+    for b, start, end in batch.spans:
+        if b < 3 or not (include_9div or b % 9):
+            continue
         key24 = "mod24_mismatches_9ndiv" if b % 9 else "mod24_mismatches_9div"
+        a, bss, mus = batch.a[start:end], batch.bs[start:end], mus_all[start:end]
         residues = a.tolist()
         n = len(residues)
         tally.tuples_checked += n * (n - 1) // 2
-        mus = np.array([_mu(b, x) for x in residues], dtype=np.int64)
         lo = 0
         while lo < n - 1:
             hi = min(n - 1, lo + max(1, _PAIR_BLOCK // (n - 1 - lo)))
@@ -145,27 +223,7 @@ def _theorem1_rows(tally: _Tally, bs: list[int], include_9div: bool = False) -> 
             lo = hi
 
 
-def _lift_batches(rows):
-    """Walk T once for every lift of a batch of residues.
-
-    rows are (b, residues, ...) tuples, gathered into batches of about
-    _LIFT_BATCH residues. Each batch yields (rows, b, a, a_inv, lifts,
-    bt): b, a and a_inv are per residue, lifts is the (n, 3) array of
-    a, a - b, a + b and bt holds b T of each lift. T is sensitive to the
-    lift even though S is not, so every lift gets its own walk.
-    """
-    for batch in gather_rows(rows, _LIFT_BATCH):
-        b = np.repeat(
-            np.array([row[0] for row in batch], dtype=np.int64),
-            [len(row[1]) for row in batch],
-        )
-        a = np.concatenate([row[1] for row in batch])
-        lifts = a[:, None] + b[:, None] * _LIFT_SHIFTS
-        t = _t_pairs(lifts.ravel(), np.repeat(b, 3)).reshape(lifts.shape)
-        yield batch, b, a, _inverse_pairs(a, b), lifts, b[:, None] * t
-
-
-def _theorem2_rows(tally: _Tally, bs: list[int]) -> None:
+def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
     """Exact residues of b T(a, b) mod 24/72 plus the mod-8 congruence.
 
     Every residue class is checked through three integer lifts a, a - b,
@@ -173,42 +231,42 @@ def _theorem2_rows(tally: _Tally, bs: list[int]) -> None:
     walk of each lift serves both checks. A lift that fails both gets
     its residue row first.
     """
-    for _, b, a, a_inv, lifts, bt in _lift_batches(residue_rows(bs, LIFT_WALK_LIMIT)):
-        tally.tuples_checked += lifts.size
-        modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
-        offset8 = _mod8_offset_pairs(a, b, a_inv)[:, None]
-        actual = bt % modulus
-        predicted = (offset - lifts) % modulus
-        residue_bad = actual != predicted
-        mod8_bad = (bt - offset8 + lifts) % 8 != 0
-        for i, j in np.argwhere(residue_bad | mod8_bad).tolist():
-            row_b, lift = int(b[i]), int(lifts[i, j])
-            case = _bt_case(int(a[i]), row_b, int(a_inv[i]))[0]
-            if residue_bad[i, j]:
-                tally.flag(
-                    ("residue_mismatches",),
-                    row_b,
-                    lift,
-                    "residue",
-                    case,
-                    int(modulus[i, 0]),
-                    int(predicted[i, j]),
-                    int(actual[i, j]),
-                )
-            if mod8_bad[i, j]:
-                tally.flag(
-                    ("mod8_failures",),
-                    row_b,
-                    lift,
-                    "mod8",
-                    case,
-                    8,
-                    int((offset8[i, 0] - lift) % 8),
-                    int(bt[i, j] % 8),
-                )
+    a, b, a_inv, lifts, bt = batch.a, batch.b, batch.a_inv, batch.lifts, batch.bt
+    tally.tuples_checked += lifts.size
+    modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
+    actual = bt % modulus
+    predicted = (offset - lifts) % modulus
+    residue_bad = actual != predicted
+    actual8, predicted8 = batch.mod8
+    mod8_bad = actual8 != predicted8
+    for i, j in np.argwhere(residue_bad | mod8_bad).tolist():
+        row_b, lift = int(b[i]), int(lifts[i, j])
+        case = _bt_case(int(a[i]), row_b, int(a_inv[i]))[0]
+        if residue_bad[i, j]:
+            tally.flag(
+                ("residue_mismatches",),
+                row_b,
+                lift,
+                "residue",
+                case,
+                int(modulus[i, 0]),
+                int(predicted[i, j]),
+                int(actual[i, j]),
+            )
+        if mod8_bad[i, j]:
+            tally.flag(
+                ("mod8_failures",),
+                row_b,
+                lift,
+                "mod8",
+                case,
+                8,
+                int(predicted8[i, j]),
+                int(actual8[i, j]),
+            )
 
 
-def _oracle_rows(tally: _Tally, bs: list[int]) -> None:
+def _oracle_rows(tally: _Tally, batch: _Batch) -> None:
     """Both reciprocity evaluators against the definitional summation.
 
     The row kernel is compared with the naive row as a whole array, and
@@ -216,7 +274,10 @@ def _oracle_rows(tally: _Tally, bs: list[int]) -> None:
     disagrees; its row shows the kernel's value when the kernel is wrong,
     else the scalar's.
     """
-    for b, residues, fast in fast_bs_rows(bs):
+    for b, start, end in batch.spans:
+        if b < 2:
+            continue
+        residues, fast = batch.a[start:end], batch.bs[start:end]
         _, naive = naive_bs_row(b)
         tally.tuples_checked += len(residues)
         kernel_bad = fast != naive
@@ -245,103 +306,102 @@ def _oracle_rows(tally: _Tally, bs: list[int]) -> None:
             )
 
 
-def _reciprocity_rows(tally: _Tally, bs: list[int]) -> None:
+def _reciprocity_rows(tally: _Tally, batch: _Batch) -> None:
     """ab S(a,b) + ab S(b,a) == a^2 + b^2 + 1 - 3ab for coprime a <= b.
 
-    Checked as a (b S(a, b)) + b (a S(b mod a, a)) == rhs over whole rows;
-    both terms come from the row kernel, the second from the mirrored
-    pairs (b mod a, a), which it solves in the same batch.
+    Checked as a (b S(a, b)) + b (a S(b mod a, a)) == rhs over the whole
+    batch; both terms come from the row kernel.
     """
-    kernel_rows = fast_bs_rows(bs, mirrored=True)
-    if 1 in bs:
+    if batch.spans[0][0] == 1:
         # The tuple a = b = 1: S(1, 1) = 0 on both sides, and rhs = 0.
-        one = np.ones(1, dtype=np.int64)
-        kernel_rows = itertools.chain([(1, one, 0 * one, 0 * one)], kernel_rows)
-    for b, a, bs_ab, as_ba in kernel_rows:
-        tally.tuples_checked += len(a)
-        rhs = a * a + b * b + 1 - 3 * a * b
-        lhs = a * bs_ab + b * as_ba
-        for i in np.flatnonzero(lhs != rhs).tolist():
-            upper = int(a[i])
-            residual = Fraction(int(lhs[i] - rhs[i]), upper * b)
-            tally.flag(
-                ("residual_nonzero",),
-                upper,
-                b,
-                residual.numerator,
-                residual.denominator,
-            )
+        tally.tuples_checked += 1
+    a, b = batch.a, batch.b
+    tally.tuples_checked += len(a)
+    rhs = a * a + b * b + 1 - 3 * a * b
+    lhs = a * batch.bs + b * batch.mirror
+    for i in np.flatnonzero(lhs != rhs).tolist():
+        upper, lower = int(a[i]), int(b[i])
+        residual = Fraction(int(lhs[i] - rhs[i]), upper * lower)
+        tally.flag(
+            ("residual_nonzero",),
+            upper,
+            lower,
+            residual.numerator,
+            residual.denominator,
+        )
 
 
-def _bhk_rows(tally: _Tally, bs: list[int]) -> None:
+def _bhk_rows(tally: _Tally, batch: _Batch) -> None:
     """b T(a,b) + a + a_inv - 3b == b S(a,b) over three lifts per class.
 
     b S comes from the reciprocity row kernel and b T from the Euclid
     walk of each lift, so the two sides never share a computation.
     """
-    for batch, b, _, a_inv, lifts, bt in _lift_batches(fast_bs_rows(bs)):
-        tally.tuples_checked += lifts.size
-        rhs = np.concatenate([values for _, _, values in batch])
-        lhs = bt + lifts + (a_inv - 3 * b)[:, None]
-        for i, j in np.argwhere(lhs != rhs[:, None]).tolist():
-            tally.flag(
-                ("identity_failures",),
-                int(b[i]),
-                int(lifts[i, j]),
-                int(lhs[i, j]),
-                int(rhs[i]),
-            )
+    b, lifts, rhs = batch.b, batch.lifts, batch.bs
+    tally.tuples_checked += lifts.size
+    lhs = batch.bt + lifts + (batch.a_inv - 3 * b)[:, None]
+    for i, j in np.argwhere(lhs != rhs[:, None]).tolist():
+        tally.flag(
+            ("identity_failures",),
+            int(b[i]),
+            int(lifts[i, j]),
+            int(lhs[i, j]),
+            int(rhs[i]),
+        )
 
 
-def _bt_mod8_rows(tally: _Tally, bs: list[int]) -> None:
-    """b T(a,b) == -mu(a,b) + b^2 + 2 - a - a_inv (mod 8), three lifts."""
-    for _, b, a, a_inv, lifts, bt in _lift_batches(residue_rows(bs, LIFT_WALK_LIMIT)):
-        tally.tuples_checked += lifts.size
-        actual = bt % 8
-        expected = (_mod8_offset_pairs(a, b, a_inv)[:, None] - lifts) % 8
-        for i, j in np.argwhere(actual != expected).tolist():
-            tally.flag(
-                ("mod8_failures",),
-                int(b[i]),
-                int(lifts[i, j]),
-                int(actual[i, j]),
-                int(expected[i, j]),
-            )
+def _bt_mod8_rows(tally: _Tally, batch: _Batch) -> None:
+    """b T(a,b) == -mu(a,b) + b^2 + 2 - a - a_inv (mod 8), three lifts.
+
+    The claim of theorem2's mod-8 check, read from the same arrays.
+    """
+    actual, expected = batch.mod8
+    tally.tuples_checked += actual.size
+    for i, j in np.argwhere(actual != expected).tolist():
+        tally.flag(
+            ("mod8_failures",),
+            int(batch.b[i]),
+            int(batch.lifts[i, j]),
+            int(actual[i, j]),
+            int(expected[i, j]),
+        )
 
 
-def _bs_congruence_rows(tally: _Tally, bs: list[int]) -> None:
+def _bs_congruence_rows(tally: _Tally, batch: _Batch) -> None:
     """b S(a,b) == 0 (mod 3) when 3 does not divide b, else 2e (mod 9).
 
-    e = +-1 with a == e (mod 3), so 2e mod 9 is 2 or 7. Each row is
-    checked as a whole array.
+    e = +-1 with a == e (mod 3), so 2e mod 9 is 2 or 7. The whole batch
+    is checked as one array.
     """
-    for b, residues, values in fast_bs_rows(bs):
-        tally.tuples_checked += len(residues)
-        div3 = b % 3 == 0
-        modulus = 9 if div3 else 3
-        expected = np.where(residues % 3 == 1, 2, 7) if div3 else np.zeros_like(values)
-        actual = values % modulus
-        for i in np.flatnonzero(actual != expected).tolist():
-            tally.flag(
-                ("congruence_failures",),
-                b,
-                int(residues[i]),
-                int(values[i]),
-                modulus,
-                int(expected[i]),
-                int(actual[i]),
-            )
+    a, b, values = batch.a, batch.b, batch.bs
+    tally.tuples_checked += len(a)
+    div3 = b % 3 == 0
+    modulus = np.where(div3, 9, 3)
+    expected = np.where(div3, np.where(a % 3 == 1, 2, 7), 0)
+    actual = values % modulus
+    for i in np.flatnonzero(actual != expected).tolist():
+        tally.flag(
+            ("congruence_failures",),
+            int(b[i]),
+            int(a[i]),
+            int(values[i]),
+            int(modulus[i]),
+            int(expected[i]),
+            int(actual[i]),
+        )
 
 
-def _mu_mod8_rows(tally: _Tally, bs: list[int]) -> None:
-    """mu(a,b) == (a-1)(a+b-1) (mod 8) for even b, a over a full period."""
-    for b in bs:
-        if b < 2 or b % 2 == 1:
+def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
+    """mu(a,b) == (a-1)(a+b-1) (mod 8) for even b, a over a full period.
+
+    The a in 1..4b coprime to b are the residues plus 0, b, 2b and 3b.
+    """
+    for b, start, end in batch.spans:
+        if b % 2 == 1:
             continue
-        for a in range(1, 4 * b + 1):
-            if gcd(a, b) != 1:
-                continue
-            tally.tuples_checked += 1
+        periods = batch.a[None, start:end] + b * np.arange(4, dtype=np.int64)[:, None]
+        tally.tuples_checked += periods.size
+        for a in periods.ravel().tolist():
             simple = mu(a, b)
             quadratic = mu_original(a, b)
             if (simple - quadratic) % 8 != 0:
@@ -353,8 +413,8 @@ def _mu_mod8_rows(tally: _Tally, bs: list[int]) -> None:
 _ROW_KERNEL = (NAIVE_ROW_LIMIT, "the row kernel that {kind} reads")
 _LIFT_WALKS = (LIFT_WALK_LIMIT, "the lift walks of {kind}")
 
-# kind -> (check, summary counters, (largest b_max of its int64 fast
-# path, what that limit bounds) or None).
+# kind -> (check(tally, batch, ...), summary counters, (largest b_max of
+# its int64 fast path, what that limit bounds) or None).
 _CHECKS = {
     "theorem1": (
         _theorem1_rows,
@@ -379,15 +439,15 @@ IDENTITY_KINDS = tuple(kind for kind in _CHECKS if kind not in ("theorem1", "the
 
 
 def _run_slice(kinds: list[str], bs: list[int], cap: int, options: dict) -> list[_Tally]:
-    """One worker's share: every kind over the same b slice, each timed."""
-    tallies = []
-    for kind in kinds:
-        check, counters, _ = _CHECKS[kind]
-        tally = _Tally(kind, counters, cap)
-        start = time.perf_counter()
-        check(tally, bs, **options.get(kind, {}))
-        tally.elapsed = time.perf_counter() - start
-        tallies.append(tally)
+    """One worker's share: one pass over its b slice, batch by batch,
+    every kind on a batch before the next one is built. Each kind's
+    time is the sum of its checks' times."""
+    tallies = [_Tally(kind, _CHECKS[kind][1], cap) for kind in kinds]
+    for batch in _batches(bs):
+        for kind, tally in zip(kinds, tallies):
+            start = time.perf_counter()
+            _CHECKS[kind][0](tally, batch, **options.get(kind, {}))
+            tally.elapsed += time.perf_counter() - start
     return tallies
 
 

@@ -17,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dedsum.dedekind
+import dedsum.scans
 from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
     _bs_pairs,
     b_times_s,
+    bs_values,
+    coprime_residues,
     dedekind_fast,
     dedekind_naive,
-    fast_bs_rows,
     naive_bs_row,
 )
 
@@ -146,26 +148,33 @@ def test_naive_bs_row_rejects_bad_input():
         naive_bs_row(NAIVE_ROW_LIMIT + 1)
 
 
-def test_fast_bs_rows_match_naive_rows_below_400():
-    rows = list(fast_bs_rows(range(1, 400)))
-    assert [b for b, _, _ in rows] == list(range(2, 400))
-    for b, residues, values in rows:
-        naive_residues, naive_values = naive_bs_row(b)
-        assert residues.tolist() == naive_residues.tolist(), b
-        assert values.tolist() == naive_values.tolist(), b
+def full(b: int, residues: np.ndarray) -> np.ndarray:
+    return np.full(len(residues), b, dtype=np.int64)
 
 
-def test_fast_bs_rows_mirrored_term():
-    for b, residues, values, mirrored in fast_bs_rows(range(1, 120), mirrored=True):
-        for a, value, mirror in zip(residues.tolist(), values.tolist(), mirrored.tolist()):
-            assert value == b_times_s(a, b), (a, b)
-            assert mirror == (b_times_s(b % a, a) if a > 1 else 0), (a, b)
+def test_bs_values_match_naive_rows_below_400():
+    # One call over all the rows, so it is solved in many slices.
+    rows = [naive_bs_row(b) for b in range(2, 400)]
+    a = np.concatenate([residues for residues, _ in rows])
+    b = np.concatenate([full(b, residues) for b, (residues, _) in enumerate(rows, 2)])
+    assert len(a) > 10 * dedsum.dedekind._ROW_BATCH
+    assert bs_values(a, b).tolist() == np.concatenate([values for _, values in rows]).tolist()
+
+
+def test_bs_values_mirrored_term():
+    # The scans read a S(b mod a, a) from the same kernel, 0 at a = 1.
+    batch = dedsum.scans._Batch([(b, coprime_residues(b)) for b in range(1, 120)])
+    for a, b, value, mirror in zip(
+        batch.a.tolist(), batch.b.tolist(), batch.bs.tolist(), batch.mirror.tolist()
+    ):
+        assert value == b_times_s(a, b), (a, b)
+        assert mirror == (b_times_s(b % a, a) if a > 1 else 0), (a, b)
 
 
 @pytest.mark.parametrize("b", [10**6, NAIVE_ROW_LIMIT])
-def test_fast_bs_rows_match_b_times_s_at_large_b(b):
-    ((row_b, residues, values),) = fast_bs_rows([b])
-    assert row_b == b
+def test_bs_values_match_b_times_s_at_large_b(b):
+    residues = coprime_residues(b)
+    values = bs_values(residues, full(b, residues))
     n = len(residues)
     # The ends of the row hold the largest |b S| and the shortest walks.
     picks = random.Random(b).sample(range(n), 300) + [0, 1, n - 2, n - 1]
@@ -188,12 +197,13 @@ def test_non_integral_step_raises(monkeypatch):
     # walk (y = 1) stay right, so the first step above them cannot divide.
     real = dedsum.dedekind._reciprocity_rhs
     monkeypatch.setattr(dedsum.dedekind, "_reciprocity_rhs", lambda x, y: real(x, y) + (y > 1))
+    residues = coprime_residues(7)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        list(fast_bs_rows([7]))
+        bs_values(residues, full(7, residues))
 
 
 def test_row_kernel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        list(fast_bs_rows([NAIVE_ROW_LIMIT + 1]))
+    with pytest.raises(ValueError, match="int64-exact"):
+        bs_values(np.array([1], dtype=np.int64), np.array([NAIVE_ROW_LIMIT + 1], dtype=np.int64))
     with pytest.raises(ValueError, match="coprime"):
         _bs_pairs(np.array([2], dtype=np.int64), np.array([4], dtype=np.int64))

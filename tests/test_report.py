@@ -137,6 +137,50 @@ def test_csv_rejects_a_row_with_a_missing_cell():
         parse_csv(text)
 
 
+PARSERS = {"json": parse_json, "csv": parse_csv}
+
+
+def without_field(text: str, fmt: str, name: str) -> str:
+    """A rendered report with one metadata field left out."""
+    if fmt == "json":
+        doc = json.loads(text)
+        del doc[name]
+        return json.dumps(doc)
+    return "\n".join(line for line in text.splitlines() if not line.startswith(f"# {name}="))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parse_rejects_an_unknown_kind(fmt):
+    text = render([sample_table()], fmt).replace("examples", "nope")
+    with pytest.raises(ValueError, match="unknown report kind 'nope'"):
+        PARSERS[fmt](text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parse_rejects_a_scan_report_without_b_range(fmt):
+    # A bhk section without its b_range line once parsed as a table.
+    report = ScanReport(
+        kind="bhk",
+        b_lo=1,
+        b_hi=12,
+        tuples_checked=93,
+        violations_total=1,
+        violations=[{"b": 2, "a": 1, "lhs": 1, "rhs": 0}],
+        parameters={"bmax": 12, "cap": 100},
+        summary={"identity_failures": 1},
+    )
+    text = without_field(render([report], fmt), fmt, "b_range")
+    with pytest.raises(ValueError, match="a bhk report needs the field 'b_range'"):
+        PARSERS[fmt](text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parse_rejects_a_report_without_kind(fmt):
+    text = without_field(render([sample_scan()], fmt), fmt, "kind")
+    with pytest.raises(ValueError, match="needs the field 'kind'"):
+        PARSERS[fmt](text)
+
+
 def test_rendering_is_deterministic():
     for fmt in ("csv", "json"):
         assert render([sample_scan()], fmt) == render([sample_scan()], fmt)

@@ -6,9 +6,9 @@ must be identical for any worker count. Planted defects in the raw
 kernels show that each scan can fail, and under which counter.
 """
 
-import functools
 import time
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,25 +126,6 @@ def test_theorem1_block_edges_drop_or_repeat_no_pair(block, monkeypatch):
     blocked = scan_theorem1(60, include_9div=True, cap=10**6)
     default.elapsed = blocked.elapsed = 0.0
     assert blocked == default
-
-
-ROW_KERNEL_SCANS = [
-    functools.partial(scan_theorem1, include_9div=True),
-    scan_oracle_equivalence,
-    scan_reciprocity,
-    scan_bhk,
-    scan_bs_congruences,
-]
-
-
-@pytest.mark.parametrize("batch", [1, 7, 64])
-def test_row_batch_edges_drop_or_repeat_no_pair(batch, monkeypatch):
-    defaults = [fn(60, cap=10**6) for fn in ROW_KERNEL_SCANS]
-    monkeypatch.setattr(dedsum.dedekind, "_ROW_BATCH", batch)
-    for fn, default in zip(ROW_KERNEL_SCANS, defaults):
-        batched = fn(60, cap=10**6)
-        default.elapsed = batched.elapsed = 0.0
-        assert batched == default, default.kind
 
 
 def test_theorem2_small_range_clean():
@@ -402,7 +383,6 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
 
     for module, name in [
         (dedsum.scans, "_bt_case"),
-        (dedsum.scans, "_mu"),
         (dedsum.congruence, "_mu"),
         (dedsum.congruence, "_jacobi"),
         (dedsum.congruence, "_t_walk"),
@@ -413,24 +393,78 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
     assert all(not any(counts.values()) for counts in summary.values()), summary
 
 
-LIFT_SCANS = [scan_theorem2, scan_bhk, scan_bt_mod8]
+def suite_at_60():
+    reports = run_suite("all", 60, include_9div=True, cap=10**6)
+    for report in reports:
+        report.elapsed = 0.0
+    return reports
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
-def test_lift_batch_edges_drop_or_repeat_no_lift(batch, monkeypatch):
-    # Clean, and with a walk defect that leaves violation rows whose
-    # order must not depend on the batches either.
-    for planted in (False, True):
+def test_row_batch_edges_drop_or_repeat_no_pair(batch, monkeypatch):
+    # The whole suite, clean and with a row kernel and a walk defect that
+    # leave violation rows, whose order must not depend on the batches
+    # either. Rows are gathered into batches of `batch` residues, and the
+    # row kernel solves them in slices of as many pairs.
+    plants = [
+        lambda patch: None,
+        lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
+        lambda patch: plant_in_lift_walk(patch, lambda a, b: (a > b) + 2 * (a < 0)),
+    ]
+    for planted, plant in enumerate(plants):
         with monkeypatch.context() as patch:
-            if planted:
-                plant_in_lift_walk(patch, lambda a, b: (a > b) + 2 * (a < 0))
-            defaults = [fn(60, cap=10**6) for fn in LIFT_SCANS]
-            patch.setattr(dedsum.scans, "_LIFT_BATCH", batch)
-            for fn, default in zip(LIFT_SCANS, defaults):
-                batched = fn(60, cap=10**6)
-                default.elapsed = batched.elapsed = 0.0
-                assert batched == default, (default.kind, planted)
-                assert bool(default.violations) == planted
+            plant(patch)
+            defaults = suite_at_60()
+            patch.setattr(dedsum.scans, "_BATCH", batch)
+            patch.setattr(dedsum.dedekind, "_ROW_BATCH", batch)
+            assert suite_at_60() == defaults, planted
+        # theorem1 always has its 9 | b rows; the other kinds only when planted.
+        assert bool(sum(r.violations_total for r in defaults[1:])) == bool(planted)
+
+
+@pytest.mark.parametrize("batch", [None, 64])
+def test_a_suite_builds_each_row_once_and_walks_each_lift_once(batch, monkeypatch):
+    # At the default batch size the suite at bmax 60 is one batch.
+    calls = {"_t_pairs": 0, "_inverse_pairs": 0, "bs_values": 0}
+    built: list[int] = []
+    batches = []
+
+    def counted(name):
+        real = getattr(dedsum.scans, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real_residues = dedsum.scans.coprime_residues
+
+    def residues(b):
+        built.append(b)
+        return real_residues(b)
+
+    class CountedBatch(dedsum.scans._Batch):
+        def __init__(self, rows):
+            batches.append(rows)
+            super().__init__(rows)
+
+    for name in calls:
+        monkeypatch.setattr(dedsum.scans, name, counted(name))
+    monkeypatch.setattr(dedsum.scans, "coprime_residues", residues)
+    monkeypatch.setattr(dedsum.scans, "_Batch", CountedBatch)
+    if batch:
+        monkeypatch.setattr(dedsum.scans, "_BATCH", batch)
+    run_suite("all", 60, include_9div=True)
+    assert built == list(range(1, 61))
+    assert (len(batches) == 1) == (batch is None)
+    # One walk and one inverse per batch; the row kernel once for b S and
+    # once for the mirrored term.
+    assert calls == {
+        "_t_pairs": len(batches),
+        "_inverse_pairs": len(batches),
+        "bs_values": 2 * len(batches),
+    }
 
 
 def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
@@ -484,6 +518,12 @@ def test_lift_walk_bound_fails_up_front(no_scan_may_start):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_batch_refuses_to_walk_above_the_limit():
+    batch = dedsum.scans._Batch([(LIFT_WALK_LIMIT + 1, np.array([1], dtype=np.int64))])
+    with pytest.raises(ValueError, match="int64-exact limit"):
+        batch.bt
+
+
 def test_lift_walk_limit_is_the_largest_exact_bound():
     # The mod-8 check of theorem2 reaches 2b^2 + 5b + 2 in size.
     def largest(b):
@@ -513,14 +553,15 @@ def test_parameters_do_not_include_jobs():
 
 
 def test_flipped_mu_fails_theorem1_mod8(monkeypatch):
-    real = dedsum.scans._mu
+    real = dedsum.scans._mu_pairs
 
-    def flipped(top, bottom):
-        # theorem1 calls _mu(b, a): flip the class a == 1 (mod 4).
-        return 4 - real(top, bottom) if bottom % 4 == 1 else real(top, bottom)
+    def flipped(top, modulus):
+        # theorem1 reads mu(b, a): flip the class a == 1 (mod 4).
+        m = real(top, modulus)
+        return np.where(modulus % 4 == 1, 4 - m, m)
 
-    monkeypatch.setattr(dedsum.scans, "_mu", flipped)
-    assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
+    monkeypatch.setattr(dedsum.scans, "_mu_pairs", flipped)
+    assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] == 18
 
 
 def plant_in_row_kernel(monkeypatch, delta):
@@ -595,5 +636,27 @@ def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
 
 
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
+    # The rows are those of a plain loop over a in 1..4b, in that order.
     plant_shifted_mu_original(monkeypatch)
-    assert scan_mu_mod8(BMAX_PLANTED).summary["mod8_mismatches"] > 0
+    report = scan_mu_mod8(BMAX_PLANTED, cap=10**6)
+    expected = [
+        (b, a)
+        for b in range(2, BMAX_PLANTED + 1, 2)
+        for a in range(1, 4 * b + 1)
+        if gcd(a, b) == 1 and a % 8 == 1
+    ]
+    assert [(row["b"], row["a"]) for row in report.violations] == expected
+    assert report.summary["mod8_mismatches"] == len(expected) > 0
+
+
+def test_readme_scan_table_states_the_int64_limits_of_the_checks():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    header = "| scan "
+    table = readme[readme.index(header) :].split("\n\n")[0].splitlines()[2:]
+    stated = {}
+    for line in table:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        limit = cells[-1].replace(",", "")
+        stated[cells[0].strip("`")] = None if limit == "none" else int(limit)
+    checks = dedsum.scans._CHECKS
+    assert stated == {kind: limit and limit[0] for kind, (_, _, limit) in checks.items()}
