@@ -402,14 +402,13 @@ def suite_at_60():
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
 def test_row_batch_edges_drop_or_repeat_no_pair(batch, monkeypatch):
-    # The whole suite, clean and with a row kernel and a walk defect that
-    # leave violation rows, whose order must not depend on the batches
-    # either. Rows are gathered into batches of `batch` residues, and the
-    # row kernel solves them in slices of as many pairs.
+    # The whole suite, clean and with a row kernel defect that leaves
+    # violation rows, whose order must not depend on the batches either.
+    # Rows are gathered into batches of `batch` residues, and the row
+    # kernel solves them in slices of as many pairs.
     plants = [
         lambda patch: None,
         lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
-        lambda patch: plant_in_lift_walk(patch, lambda a, b: (a > b) + 2 * (a < 0)),
     ]
     for planted, plant in enumerate(plants):
         with monkeypatch.context() as patch:
@@ -420,6 +419,27 @@ def test_row_batch_edges_drop_or_repeat_no_pair(batch, monkeypatch):
             assert suite_at_60() == defaults, planted
         # theorem1 always has its 9 | b rows; the other kinds only when planted.
         assert bool(sum(r.violations_total for r in defaults[1:])) == bool(planted)
+
+
+LIFT_SCANS = [scan_theorem2, scan_bhk, scan_bt_mod8]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_lift_batch_edges_drop_or_repeat_no_lift(batch, monkeypatch):
+    # Clean, and with a walk defect that leaves violation rows whose
+    # order must not depend on the batches either. The lifts of a batch
+    # of `batch` residues are walked together.
+    for planted in (False, True):
+        with monkeypatch.context() as patch:
+            if planted:
+                plant_in_lift_walk(patch, lambda a, b: (a > b) + 2 * (a < 0))
+            defaults = [fn(60, cap=10**6) for fn in LIFT_SCANS]
+            patch.setattr(dedsum.scans, "_BATCH", batch)
+            for fn, default in zip(LIFT_SCANS, defaults):
+                batched = fn(60, cap=10**6)
+                default.elapsed = batched.elapsed = 0.0
+                assert batched == default, (default.kind, planted)
+                assert bool(default.violations) == planted
 
 
 @pytest.mark.parametrize("batch", [None, 64])
