@@ -21,6 +21,8 @@ left to the caller, so it is the same on every lift of a residue class.
 `_mu_pairs`, `_bt_case_pairs` and `_mod8_offset_pairs` are their array
 forms over int64 arrays of pairs, on top of `_jacobi_pairs`; the lift
 scans compute them once per residue for whole batches of residues.
+`_mu_quadratic_pairs` is the array form of `mu_original`, for the
+mu-mod8 scan; it stays independent of `_mu_pairs`.
 """
 
 from dataclasses import dataclass
@@ -68,6 +70,19 @@ def mu_original(a: int, b: int) -> int:
     if b < 1 or b % 2 == 1:
         raise ValueError(f"lower argument must be even and positive, got {b}")
     require_coprime(a, b)
+    return (a - 1) * (a + b - 1)
+
+
+# The mu-mod8 scan evaluates the quadratic form (a - 1)(a + b - 1) in
+# int64 for the a in 1..4b coprime to an even b. Then 0 <= a - 1 < 4b and
+# 0 < a + b - 1 < 5b, so the product stays below 20b^2, which is below
+# 2^63 up to b = 679,093,956.
+MU_QUADRATIC_LIMIT = 679_093_956
+
+
+def _mu_quadratic_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`mu_original`'s (a - 1)(a + b - 1) elementwise over int64 arrays,
+    unchecked; exact for 0 < a < 4b and b <= MU_QUADRATIC_LIMIT."""
     return (a - 1) * (a + b - 1)
 
 

@@ -42,13 +42,15 @@ _ROW_BATCH = 4096
 
 # The theorem1 scan evaluates the pairing condition
 #     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
-# in int64 for residues 0 < a1, a2 < b and m1, m2 in {0, 4}. The first
-# term is below 4b^2 in absolute value; in the second, |a1 - a2| < b,
-# b - 1 < b and a1 a2 + b - 1 <= b(b - 1) < b^2, so every partial
-# product stays below b^4. The whole is exact while b^4 + 4b^2 < 2^63,
-# which holds up to b = 55,108. Reducing the factors mod 8b first would
-# raise the bound; the scan does not, so it refuses larger b. The
-# differences of b S(a, b) in the same blocks stay below 2b^2.
+# in int64 on its candidate pairs of residues 0 < a1, a2 < b, with m1, m2
+# in {0, 4}. The first term is below 4b^2 in absolute value; in the
+# second, |a1 - a2| < b, b - 1 < b and a1 a2 + b - 1 <= b(b - 1) < b^2,
+# so every partial product stays below b^4. The whole is exact while
+# b^4 + 4b^2 < 2^63, which holds up to b = 55,108. Reducing the factors
+# mod 8b first would raise the bound; the scan does not, so it refuses
+# larger b. The differences of b S(a, b) of the same pairs stay below
+# 2b^2, and so do the keys b^2 + (a + a^-1) mod b and b^2 + b S mod b
+# that select the candidates.
 THEOREM1_ROW_LIMIT = 55_108
 
 # The lift scans theorem2 and bt-mod8 walk T(a, b) in int64 for the lifts

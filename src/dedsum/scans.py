@@ -23,17 +23,18 @@ import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from dedsum.arith import _inverse_pairs
 from dedsum.congruence import (
+    MU_QUADRATIC_LIMIT,
     _bt_case,
     _bt_case_pairs,
     _mod8_offset_pairs,
     _mu_pairs,
-    mu,
-    mu_original,
+    _mu_quadratic_pairs,
 )
 from dedsum.contfrac import _t_pairs
 from dedsum.dedekind import (
@@ -48,11 +49,6 @@ from dedsum.dedekind import (
 from dedsum.report import COLUMNS, ScanReport
 
 SUITES = ("theorem1", "theorem2", "identities", "all")
-
-# Elements per int64 block of theorem1's pair triangle. Small blocks keep
-# the temporaries in cache and the peak memory flat; much larger ones
-# are slower and raise the peak RSS.
-_PAIR_BLOCK = 4096
 
 # Residues per batch: rows are gathered until a batch holds at least this
 # many. One numpy call per short row costs more in call overhead than in
@@ -81,7 +77,9 @@ class _Tally:
             self.summary[key] += 1
         self.violations_total += 1
         if len(self.violations) < self.cap:
-            self.violations.append(dict(zip(self.names, values, strict=True)))
+            if len(values) != len(self.names):
+                raise ValueError(f"{len(values)} values for the columns {self.names}")
+            self.violations.append(dict(zip(self.names, values)))
 
 
 class _Batch:
@@ -170,57 +168,59 @@ def _pair_condition(b, a1, m1, a2, m2):
     ) % (8 * b) == 0
 
 
+def _same_key_pairs(keys: np.ndarray) -> np.ndarray:
+    """The codes i * n + j, n = len(keys), of the pairs i < j with equal
+    keys. A stable sort keeps the indices of equal keys ascending, and
+    each position pairs with the rest of its run of equal keys."""
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    partners = np.searchsorted(keys[order], keys[order], side="right") - np.arange(n) - 1
+    first = np.repeat(np.arange(n), partners)
+    starts = np.repeat(np.cumsum(partners) - partners, partners)
+    return order[first] * n + order[first + 1 + np.arange(len(first)) - starts]
+
+
+# theorem1 evaluates only candidate pairs and decides the rest by a lemma.
+# Let a1, a2 be residues coprime to b with mu m1, m2, and C the pairing
+# expression b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1). Modulo
+# b, C == (a1 - a2)(a1 a2 - 1), and times the unit (a1 a2)^-1 this is
+# (a1 + a1^-1) - (a2 + a2^-1): the condition 8b | C implies
+# a1 + a1^-1 == a2 + a2^-1 (mod b). A difference of b S in 8bZ or in 24bZ
+# is in bZ, so either membership implies b S(a1) == b S(a2) (mod b). A
+# pair that shares neither key has all three False: it is checked, and no
+# violation. No Dedekind-sum theorem is used, and the b S key is read
+# from the values the memberships read, so a wrong b S hides no pair.
 def _theorem1_rows(tally: _Tally, batch: _Batch, include_9div: bool = False) -> None:
     """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
 
-    bS comes from the row kernel and mu(b, a) from one array call per
-    batch. Each row's pair triangle is checked in int64 blocks of about
-    _PAIR_BLOCK elements: rows lo..hi-1 against columns lo+1..n-1, of
-    which the pairs with j > i are kept. np.nonzero walks a block in
-    row-major order, so the violation rows come out in the order of the
-    pairs (a1, a2).
+    Every pair a1 < a2 of a row is decided and counts in tuples_checked.
+    Only the candidate pairs, which share a + a^-1 or b S mod b, are
+    evaluated, with bS from the row kernel and mu(b, a) from one array
+    call per batch. They are ordered by their indices (i, j), so the
+    violation rows come out in the order of (b, a1, a2).
     """
-    # mu(b, a): the residue is the modulus.
-    mus_all = _mu_pairs(batch.b, batch.a)
-    for b, start, end in batch.spans:
-        if b < 3 or not (include_9div or b % 9):
-            continue
-        key24 = "mod24_mismatches_9ndiv" if b % 9 else "mod24_mismatches_9div"
-        a, bss, mus = batch.a[start:end], batch.bs[start:end], mus_all[start:end]
-        residues = a.tolist()
-        n = len(residues)
-        tally.tuples_checked += n * (n - 1) // 2
-        lo = 0
-        while lo < n - 1:
-            hi = min(n - 1, lo + max(1, _PAIR_BLOCK // (n - 1 - lo)))
-            rows, cols = slice(lo, hi), slice(lo + 1, n)
-            cond = _pair_condition(
-                b, a[rows, None], mus[rows, None], a[None, cols], mus[None, cols]
-            )
-            d = bss[rows, None] - bss[None, cols]
-            d24 = d % (24 * b)
-            in24 = d24 == 0
-            in8 = d24 % (8 * b) == 0
-            # Block entry (r, c) is the pair (lo + r, lo + 1 + c): keep c >= r.
-            bad = np.triu((cond != in8) | (cond != in24))
-            for r, c in zip(*(idx.tolist() for idx in np.nonzero(bad))):
-                cond_rc, in8_rc, in24_rc = bool(cond[r, c]), bool(in8[r, c]), bool(in24[r, c])
-                counters = ("mod8_mismatches",) if cond_rc != in8_rc else ()
-                if cond_rc != in24_rc:
-                    counters += (key24,)
-                diff = Fraction(int(d[r, c]), b)
-                tally.flag(
-                    counters,
-                    b,
-                    residues[lo + r],
-                    residues[lo + 1 + c],
-                    cond_rc,
-                    diff.numerator,
-                    diff.denominator,
-                    in8_rc,
-                    in24_rc,
-                )
-            lo = hi
+    a, b, bs = batch.a, batch.b, batch.bs
+    # b^2 + key is unique to the row of b, since 0 <= key < b.
+    keys = (b * b + (a + batch.a_inv) % b, b * b + bs % b)
+    codes = np.sort(np.concatenate([_same_key_pairs(key) for key in keys]))
+    i, j = np.divmod(codes[np.diff(codes, prepend=-1) != 0], len(a))
+    kept = (b[i] >= 3) & (include_9div | (b[i] % 9 != 0))
+    i, j, pb = i[kept], j[kept], b[i[kept]]
+    mus = _mu_pairs(b, a)  # mu(b, a): the residue is the modulus.
+    cond = _pair_condition(pb, a[i], mus[i], a[j], mus[j])
+    d = bs[i] - bs[j]
+    in8, in24 = d % (8 * pb) == 0, d % (24 * pb) == 0
+    for row_b, start, end in batch.spans:
+        if row_b >= 3 and (include_9div or row_b % 9):
+            tally.tuples_checked += (end - start) * (end - start - 1) // 2
+    bad = np.flatnonzero((cond != in8) | (cond != in24))
+    columns = (pb, a[i], a[j], cond, d, in8, in24)
+    for row_b, a1, a2, holds, diff, in8_ij, in24_ij in zip(*(c[bad].tolist() for c in columns)):
+        counters = ("mod8_mismatches",) if holds != in8_ij else ()
+        if holds != in24_ij:
+            counters += ("mod24_mismatches_9ndiv" if row_b % 9 else "mod24_mismatches_9div",)
+        g = gcd(diff, row_b)
+        tally.flag(counters, row_b, a1, a2, holds, diff // g, row_b // g, in8_ij, in24_ij)
 
 
 def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
@@ -394,18 +394,18 @@ def _bs_congruence_rows(tally: _Tally, batch: _Batch) -> None:
 def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
     """mu(a,b) == (a-1)(a+b-1) (mod 8) for even b, a over a full period.
 
-    The a in 1..4b coprime to b are the residues plus 0, b, 2b and 3b.
+    The a in 1..4b coprime to b are the residues plus 0, b, 2b and 3b,
+    checked as one array per batch; the rows come in the order of (b, a).
     """
-    for b, start, end in batch.spans:
-        if b % 2 == 1:
-            continue
-        periods = batch.a[None, start:end] + b * np.arange(4, dtype=np.int64)[:, None]
-        tally.tuples_checked += periods.size
-        for a in periods.ravel().tolist():
-            simple = mu(a, b)
-            quadratic = mu_original(a, b)
-            if (simple - quadratic) % 8 != 0:
-                tally.flag(("mod8_mismatches",), b, a, simple, quadratic)
+    even = batch.b % 2 == 0
+    b = np.tile(batch.b[even], 4)
+    a = np.tile(batch.a[even], 4) + b * np.repeat(np.arange(4), np.count_nonzero(even))
+    tally.tuples_checked += len(a)
+    simple, quadratic = _mu_pairs(a, b), _mu_quadratic_pairs(a, b)
+    bad = np.flatnonzero((simple - quadratic) % 8 != 0)
+    bad = bad[np.lexsort((a[bad], b[bad]))]
+    for row in zip(*(column[bad].tolist() for column in (b, a, simple, quadratic))):
+        tally.flag(("mod8_mismatches",), *row)
 
 
 # The int64-exact limits of b_max that several checks share, and what
@@ -419,7 +419,7 @@ _CHECKS = {
     "theorem1": (
         _theorem1_rows,
         ("mod8_mismatches", "mod24_mismatches_9ndiv", "mod24_mismatches_9div"),
-        (THEOREM1_ROW_LIMIT, "the pair blocks of theorem1"),
+        (THEOREM1_ROW_LIMIT, "the candidate pairs that theorem1 evaluates"),
     ),
     "theorem2": (_theorem2_rows, ("residue_mismatches", "mod8_failures"), _LIFT_WALKS),
     "oracle-equivalence": (
@@ -431,7 +431,7 @@ _CHECKS = {
     "bhk": (_bhk_rows, ("identity_failures",), _ROW_KERNEL),
     "bt-mod8": (_bt_mod8_rows, ("mod8_failures",), _LIFT_WALKS),
     "bs-mod3-9": (_bs_congruence_rows, ("congruence_failures",), _ROW_KERNEL),
-    "mu-mod8": (_mu_mod8_rows, ("mod8_mismatches",), None),
+    "mu-mod8": (_mu_mod8_rows, ("mod8_mismatches",), (MU_QUADRATIC_LIMIT, "mu's quadratic form")),
 }
 
 # The kinds of the identities suite, in report order.
@@ -514,7 +514,7 @@ def scan_theorem1(
     violations and tallied under summary['mod24_mismatches_9div'].
 
     Raises ValueError before any work when b_max exceeds
-    THEOREM1_ROW_LIMIT, the bound of its int64 pair blocks.
+    THEOREM1_ROW_LIMIT, the int64 bound of the candidate pairs it evaluates.
     """
     return _run(["theorem1"], b_max, cap, jobs, include_9div)[0]
 

@@ -1,4 +1,5 @@
-"""The int64 array kernels of the lift scans against the scalar kernels.
+"""The int64 array kernels of the lift scans and of mu-mod8 against the
+scalar kernels.
 
 Each array form must equal its scalar counterpart pair by pair:
 exhaustively for every b < 200 and every lift a in (-3b, 3b), and by
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 
 from dedsum.arith import _inverse_pairs, _jacobi, _jacobi_pairs
 from dedsum.congruence import (
+    MU_QUADRATIC_LIMIT,
     _bt_case,
     _bt_case_pairs,
     _mod8_offset,
     _mod8_offset_pairs,
     _mu,
     _mu_pairs,
+    _mu_quadratic_pairs,
+    mu_original,
 )
 from dedsum.contfrac import _t_pairs, _t_walk
 from dedsum.dedekind import LIFT_WALK_LIMIT
@@ -87,6 +91,22 @@ def test_empty_batches():
     empty = np.zeros(0, dtype=np.int64)
     for kernel in (_t_pairs, _inverse_pairs, _jacobi_pairs, _mu_pairs):
         assert kernel(empty, empty).tolist() == []
+
+
+def test_mu_quadratic_pairs_equal_mu_original():
+    # The a in 1..4b coprime to every even b < 200, as mu-mod8 reads them,
+    # and the largest such a at the int64 limit of the quadratic form.
+    a, b = [], []
+    for y in range(2, 200, 2):
+        for x in range(1, 4 * y):
+            if gcd(x, y) == 1:
+                a.append(x)
+                b.append(y)
+    a.append(4 * MU_QUADRATIC_LIMIT - 1)
+    b.append(MU_QUADRATIC_LIMIT)
+    expected = [mu_original(x, y) for x, y in zip(a, b)]
+    assert _mu_quadratic_pairs(*as_arrays(a, b)).tolist() == expected
+    assert expected[-1] < 20 * MU_QUADRATIC_LIMIT**2 < 2**63 <= 20 * (MU_QUADRATIC_LIMIT + 1) ** 2
 
 
 @st.composite

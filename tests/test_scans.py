@@ -7,6 +7,7 @@ kernels show that each scan can fail, and under which counter.
 """
 
 import time
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -17,10 +18,22 @@ import dedsum.congruence
 import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
-from dedsum.arith import mod_inverse
-from dedsum.congruence import bt_congruence_mod8, bt_residue, mu, mu_condition
+from dedsum.arith import _inverse_pairs, mod_inverse
+from dedsum.congruence import (
+    MU_QUADRATIC_LIMIT,
+    _mu_pairs,
+    bt_congruence_mod8,
+    bt_residue,
+    mu,
+    mu_condition,
+)
 from dedsum.contfrac import t_value
-from dedsum.dedekind import LIFT_WALK_LIMIT, NAIVE_ROW_LIMIT, THEOREM1_ROW_LIMIT
+from dedsum.dedekind import (
+    LIFT_WALK_LIMIT,
+    NAIVE_ROW_LIMIT,
+    THEOREM1_ROW_LIMIT,
+    coprime_residues,
+)
 from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
@@ -119,13 +132,129 @@ def test_array_condition_equals_public_predicate():
                 assert table[i, j] == mu_condition(a1, residues[j], b), (b, a1)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_theorem1_block_edges_drop_or_repeat_no_pair(block, monkeypatch):
-    default = scan_theorem1(60, include_9div=True, cap=10**6)
-    monkeypatch.setattr(dedsum.scans, "_PAIR_BLOCK", block)
-    blocked = scan_theorem1(60, include_9div=True, cap=10**6)
-    default.elapsed = blocked.elapsed = 0.0
-    assert blocked == default
+THEOREM1_COUNTERS = ("mod24_mismatches_9div", "mod24_mismatches_9ndiv", "mod8_mismatches")
+
+
+def full_triangle(b_max: int, include_9div: bool):
+    """theorem1's (tuples_checked, rows, summary) from the whole pair
+    triangle of every b: the pairing condition and both memberships on
+    every pair i < j, in (a1, a2) order. It reads b S and mu from the
+    same kernels as the scan, so a defect planted there reaches both."""
+    tuples, rows, summary = 0, [], dict.fromkeys(THEOREM1_COUNTERS, 0)
+    for b in range(3, b_max + 1):
+        if not (include_9div or b % 9):
+            continue
+        a = coprime_residues(b)
+        column = np.full_like(a, b)
+        bs = dedsum.dedekind.bs_values(a, column)
+        mus = dedsum.scans._mu_pairs(column, a)
+        i, j = np.triu_indices(len(a), 1)
+        cond = _pair_condition(b, a[i], mus[i], a[j], mus[j])
+        d = bs[i] - bs[j]
+        in8, in24 = d % (8 * b) == 0, d % (24 * b) == 0
+        tuples += len(i)
+        for k in np.flatnonzero((cond != in8) | (cond != in24)).tolist():
+            counters = ["mod8_mismatches"] if cond[k] != in8[k] else []
+            if cond[k] != in24[k]:
+                counters.append("mod24_mismatches_9ndiv" if b % 9 else "mod24_mismatches_9div")
+            for key in counters:
+                summary[key] += 1
+            diff = Fraction(int(d[k]), b)
+            values = (b, int(a[i[k]]), int(a[j[k]]), bool(cond[k]))
+            values += (diff.numerator, diff.denominator, bool(in8[k]), bool(in24[k]))
+            rows.append(dict(zip([name for name, _ in COLUMNS["theorem1"]], values, strict=True)))
+    return tuples, rows, summary
+
+
+def assert_theorem1_equals_full_triangle(b_max: int, include_9div: bool, caps=(10**6,)):
+    tuples, rows, summary = full_triangle(b_max, include_9div)
+    for cap in caps:
+        report = scan_theorem1(b_max, include_9div=include_9div, cap=cap)
+        assert report.tuples_checked == tuples, cap
+        assert (report.violations_total, report.summary) == (len(rows), summary), cap
+        assert report.violations == rows[:cap], cap
+    return rows
+
+
+@pytest.mark.parametrize("include_9div", [False, True])
+@pytest.mark.parametrize("b_max", [60, 300])
+def test_theorem1_equals_the_full_pair_triangle(b_max, include_9div):
+    rows = assert_theorem1_equals_full_triangle(b_max, include_9div, caps=(100, 0, 10**6))
+    assert bool(rows) == include_9div
+
+
+def key_pairs(keys: np.ndarray) -> set[tuple[int, int]]:
+    """The pairs i < j with equal keys, from theorem1's helper."""
+    return {divmod(code, len(keys)) for code in dedsum.scans._same_key_pairs(keys).tolist()}
+
+
+def test_pairs_that_share_no_key_meet_no_predicate():
+    # The lemma behind theorem1's candidate pairs, on every pair: a pair
+    # that shares neither a + a^-1 nor b S mod b has the condition and
+    # both memberships False.
+    for b in range(3, 200):
+        a = coprime_residues(b)
+        column = np.full_like(a, b)
+        bs = dedsum.dedekind.bs_values(a, column)
+        i, j = np.triu_indices(len(a), 1)
+        keys = [(a + _inverse_pairs(a, column)) % b, bs % b]
+        shared = (keys[0][i] == keys[0][j]) | (keys[1][i] == keys[1][j])
+        candidates = set().union(*(key_pairs(key) for key in keys))
+        assert candidates == set(zip(i[shared].tolist(), j[shared].tolist())), b
+        mus = _mu_pairs(column, a)
+        cond = _pair_condition(b, a[i], mus[i], a[j], mus[j])
+        d = bs[i] - bs[j]
+        met = cond | (d % (8 * b) == 0) | (d % (24 * b) == 0)
+        assert not met[~shared].any(), b
+
+
+def test_same_key_pairs_of_runs_and_singletons():
+    keys = np.array([5, 3, 5, 5, 3, 7], dtype=np.int64)
+    assert key_pairs(keys) == {(0, 2), (0, 3), (2, 3), (1, 4)}
+    assert key_pairs(np.zeros(0, dtype=np.int64)) == set()
+
+
+def inverse_key(a: int, b: int) -> int:
+    return (a + mod_inverse(a, b)) % b
+
+
+def test_b_s_defect_off_the_inverse_key_equals_the_full_triangle(monkeypatch):
+    # b S(1, b) + 8 breaks b S == a + a^-1 (mod b) once per row, so some
+    # pairs whose difference of b S is in 8bZ share b S mod b but no
+    # a + a^-1. Their rows must be found all the same.
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where(a == 1, 8, 0))
+    for include_9div in (False, True):
+        rows = assert_theorem1_equals_full_triangle(150, include_9div)
+        off_key = [
+            row
+            for row in rows
+            if inverse_key(row["a1"], row["b"]) != inverse_key(row["a2"], row["b"])
+        ]
+        assert len(off_key) == 45, include_9div
+
+
+def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
+    real = dedsum.scans._pair_condition
+    evaluated = []
+
+    def counted(*args):
+        result = real(*args)
+        evaluated.append(np.size(result))
+        return result
+
+    monkeypatch.setattr(dedsum.scans, "_pair_condition", counted)
+    report = scan_theorem1(300, include_9div=True)
+    phi = totients(300)
+    assert report.tuples_checked == sum(p * (p - 1) // 2 for p in phi[3:])
+    assert 0 < sum(evaluated) <= 2 * sum(phi[3:])
+
+
+def test_a_row_of_the_wrong_length_is_refused():
+    tally = dedsum.scans._Tally("mu-mod8", ("mod8_mismatches",), cap=1)
+    with pytest.raises(ValueError):
+        tally.flag(("mod8_mismatches",), 2, 1, 0)
+    tally.flag(("mod8_mismatches",), 2, 1, 0, 4)
+    assert tally.violations == [{"b": 2, "a": 1, "mu_simple": 0, "mu_quadratic": 4}]
 
 
 def test_theorem2_small_range_clean():
@@ -162,12 +291,13 @@ def plant_wrong_inverse(monkeypatch):
 
 
 def plant_shifted_mu_original(monkeypatch):
-    real = dedsum.scans.mu_original
+    """Add 4 to the quadratic form of mu at every a == 1 (mod 8)."""
+    real = dedsum.scans._mu_quadratic_pairs
 
     def shifted(a, b):
-        return real(a, b) + 4 if a % 8 == 1 else real(a, b)
+        return real(a, b) + np.where(a % 8 == 1, 4, 0)
 
-    monkeypatch.setattr(dedsum.scans, "mu_original", shifted)
+    monkeypatch.setattr(dedsum.scans, "_mu_quadratic_pairs", shifted)
 
 
 def test_violation_rows_match_column_schema(monkeypatch):
@@ -528,6 +658,11 @@ def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
     order = [name for name, _ in COLUMNS["theorem2"]]
     assert report.violations == [{name: row[name] for name in order} for row in expected]
     assert report.violations_total == len(expected)
+
+
+def test_mu_quadratic_bound_fails_up_front(no_scan_may_start):
+    with pytest.raises(ValueError, match="int64-exact limit .* quadratic form"):
+        scan_mu_mod8(MU_QUADRATIC_LIMIT + 1, jobs=2)
 
 
 def test_lift_walk_bound_fails_up_front(no_scan_may_start):
