@@ -32,7 +32,10 @@ from dedsum.dedekind import (
     LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
+    b_times_s,
     coprime_residues,
+    dedekind_fast,
+    dedekind_naive,
 )
 from dedsum.report import COLUMNS
 from dedsum.scans import (
@@ -802,6 +805,124 @@ def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
     ]
     assert [(row["b"], row["a"]) for row in report.violations] == expected
     assert report.summary["mod8_mismatches"] == len(expected) > 0
+
+
+def residues_of(b: int) -> list[int]:
+    return [a for a in range(1, b) if gcd(a, b) == 1]
+
+
+def assert_rows_equal_plain_loop(scan, counter: str, expected: list[tuple]):
+    """The scan at BMAX_PLANTED, uncapped and capped at 3, reports
+    exactly `expected`, the rows of a plain loop, under one counter."""
+    assert len(expected) > 3
+    for cap in (10**6, 3):
+        report = scan(BMAX_PLANTED, cap=cap)
+        names = [name for name, _ in COLUMNS[report.kind]]
+        rows = [dict(zip(names, values, strict=True)) for values in expected]
+        assert report.violations == rows[:cap], cap
+        assert (report.violations_total, report.summary) == (len(rows), {counter: len(rows)}), cap
+
+
+def kernel_delta(a, b):
+    """A row kernel defect whose wrong values are negative, zero and
+    reducible over b; for ints and int64 arrays alike."""
+    return (a % 3 == 2) * (2 - b)
+
+
+def test_oracle_rows_follow_a_plain_loop(monkeypatch):
+    # The row kernel is wrong at a == 2 (mod 3) and the scalar evaluator
+    # at a = b - 1; a pair wrong in both shows the kernel's value.
+    plant_in_row_kernel(monkeypatch, kernel_delta)
+    real = dedsum.scans._fast_parts
+
+    def wrong(a, b):
+        num, den = real(a, b)
+        return (num + den, den) if a == b - 1 else (num, den)
+
+    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    expected = []
+    for b in range(2, BMAX_PLANTED + 1):
+        for a in residues_of(b):
+            naive = dedekind_naive(a, b)
+            kernel = Fraction(b_times_s(a, b) + kernel_delta(a, b), b)
+            scalar = dedekind_fast(a, b) + (a == b - 1)
+            if kernel != naive or scalar != naive:
+                fast = kernel if kernel != naive else scalar
+                expected.append((b, a, fast.numerator, fast.denominator, naive.numerator, naive.denominator))
+    assert min(row[2] for row in expected) < 0 and any(row[2] == 0 for row in expected)
+    assert any(1 < row[3] < row[0] for row in expected)
+    assert_rows_equal_plain_loop(scan_oracle_equivalence, "value_mismatches", expected)
+
+
+def test_reciprocity_rows_follow_a_plain_loop(monkeypatch):
+    plant_in_row_kernel(monkeypatch, kernel_delta)
+    expected = []
+    for b in range(2, BMAX_PLANTED + 1):
+        for a in residues_of(b):
+            bs = b_times_s(a, b) + kernel_delta(a, b)
+            mirror = b_times_s(b % a, a) + kernel_delta(b % a, a) if a > 1 else 0
+            residual = Fraction(a * bs + b * mirror - (a * a + b * b + 1 - 3 * a * b), a * b)
+            if residual:
+                expected.append((a, b, residual.numerator, residual.denominator))
+    assert min(row[2] for row in expected) < 0
+    assert any(row[3] < row[0] * row[1] for row in expected)
+    assert_rows_equal_plain_loop(scan_reciprocity, "residual_nonzero", expected)
+
+
+def test_bs_congruence_rows_follow_a_plain_loop(monkeypatch):
+    plant_in_row_kernel(monkeypatch, kernel_delta)
+    expected = []
+    for b in range(2, BMAX_PLANTED + 1):
+        for a in residues_of(b):
+            value = b_times_s(a, b) + kernel_delta(a, b)
+            modulus = 9 if b % 3 == 0 else 3
+            residue = (2 if a % 3 == 1 else 7) if b % 3 == 0 else 0
+            if value % modulus != residue:
+                expected.append((b, a, value, modulus, residue, value % modulus))
+    assert min(row[2] for row in expected) < 0 and any(row[-1] == 0 for row in expected)
+    assert_rows_equal_plain_loop(scan_bs_congruences, "congruence_failures", expected)
+
+
+def lift_rows(check) -> list[tuple]:
+    """check(b, residue, lift) over the three lifts of every residue, in
+    scan order; the rows of the lifts where it returns one."""
+    rows = []
+    for b in range(2, BMAX_PLANTED + 1):
+        for base in residues_of(b):
+            for a in (base, base - b, base + b):
+                row = check(b, base, a)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def test_bhk_rows_follow_a_plain_loop(monkeypatch):
+    plant_wrong_inverse(monkeypatch)
+
+    def check(b, base, a):
+        lhs = b * t_value(a, b) + a + mod_inverse(base, b) + 1 - 3 * b
+        rhs = b_times_s(base, b)
+        return (b, a, lhs, rhs) if lhs != rhs else None
+
+    expected = lift_rows(check)
+    assert min(row[3] for row in expected) < 0 and any(row[3] == 0 for row in expected)
+    assert_rows_equal_plain_loop(scan_bhk, "identity_failures", expected)
+
+
+def test_bt_mod8_rows_follow_a_plain_loop(monkeypatch):
+    def delta(a, b):
+        return (a > b) + 2 * (a < 0)
+
+    plant_in_lift_walk(monkeypatch, delta)
+
+    def check(b, base, a):
+        actual = b * (t_value(a, b) + delta(a, b)) % 8
+        expected = (b * b + 2 - mu(base, b) - mod_inverse(base, b) - a) % 8
+        return (b, a, actual, expected) if actual != expected else None
+
+    expected = lift_rows(check)
+    assert any(row[2] == 0 for row in expected) and any(row[3] == 0 for row in expected)
+    assert_rows_equal_plain_loop(scan_bt_mod8, "mod8_failures", expected)
 
 
 def test_readme_scan_table_states_the_int64_limits_of_the_checks():
