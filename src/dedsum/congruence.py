@@ -91,11 +91,13 @@ def mu_condition(a1: int, a2: int, b: int) -> bool:
 
     True iff b (a2 mu(b, a1) - a1 mu(b, a2)) ==
     (a1 - a2)(b - 1)(a1 a2 + b - 1)  (mod 8b). Both a1 and a2 must be
-    positive and coprime to b; note mu is evaluated with the arguments
-    swapped.
+    positive and coprime to b, and b positive; note mu is evaluated with
+    the arguments swapped.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"upper arguments must be positive, got {a1}, {a2}")
+    if b < 1:
+        raise ValueError(f"lower argument must be positive, got {b}")
     lhs = b * (a2 * mu(b, a1) - a1 * mu(b, a2))
     rhs = (a1 - a2) * (b - 1) * (a1 * a2 + b - 1)
     return (lhs - rhs) % (8 * b) == 0

@@ -13,6 +13,7 @@ Output is deterministic except for the elapsed_seconds field.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 # Column names and value types per report kind, fixed so that consumers
@@ -203,11 +204,20 @@ def render(reports: list[Report], fmt: str) -> str:
     raise ValueError(f"unknown report format: {fmt}")
 
 
-def _typed_row(kind: str, names: list[str], values: list) -> dict:
-    """The row of a kind from its column names and values, typed.
+# The text of an int and of a bool cell in CSV, as _csv_cell writes it.
+_CSV_INT = re.compile(r"-?[0-9]+")
+_CSV_BOOLS = {"true": True, "false": False}
+
+
+def _typed_row(kind: str, names: list[str], values: list, csv: bool = False) -> dict:
+    """The row of a kind from its column names and values.
 
     Raises ValueError unless names and values are exactly the kind's
-    columns, in any order, one value each.
+    columns, in any order, one value each, and each value has its
+    column's type, naming the kind and the column. A JSON value must be
+    an integer that is not a bool, a bool, or a string; a CSV cell, which
+    is text, must read as an integer, be exactly true or false, or be any
+    text.
     """
     columns = COLUMNS[kind]
     if len(values) != len(names) or sorted(names) != sorted(name for name, _ in columns):
@@ -217,12 +227,13 @@ def _typed_row(kind: str, names: list[str], values: list) -> dict:
     row = {}
     for name, typ in columns:
         value = raw[name]
-        if typ is bool and isinstance(value, str):
-            row[name] = value == "true"
-        elif typ is str:
-            row[name] = str(value)
-        else:
-            row[name] = typ(value)
+        if csv and typ is bool:
+            value = _CSV_BOOLS.get(value, value)
+        elif csv and typ is int and _CSV_INT.fullmatch(value):
+            value = int(value)
+        if type(value) is not typ:
+            raise ValueError(f"{kind} column {name!r} needs {typ.__name__}, got {value!r}")
+        row[name] = value
     return row
 
 
@@ -288,7 +299,7 @@ def parse_csv(text: str) -> list[Report]:
             else:
                 rows.append(line.split(","))
         kind = _report_kind(meta, json_rows=False)
-        typed = [_typed_row(kind, names, cells) for cells in rows]
+        typed = [_typed_row(kind, names, cells, csv=True) for cells in rows]
         common = {
             "kind": kind,
             "parameters": json.loads(meta["parameters"]),

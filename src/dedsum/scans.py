@@ -4,7 +4,10 @@ Each scan walks every admissible tuple with b up to a bound, checks one
 family of claims with exact arithmetic, and returns a ScanReport. Rows
 describing violating tuples are collected up to a cap; the counters in
 the report are never capped. Every scan is one entry of the check table
-_CHECKS, and one driver, _run, runs any list of them.
+_CHECKS, and one driver, _run, runs any list of them. A check decides a
+batch of tuples as int64 arrays and hands its violations to a _Tally as
+index-selected columns, in one call per batch; only the tally counts,
+caps and builds rows.
 
 A worker makes one pass over its b values: it gathers their rows
 (b, coprime residues of b) into batches and runs every kind on a batch
@@ -22,8 +25,6 @@ Building the rows and starting the pool count in no kind.
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -59,8 +60,10 @@ _BATCH = 2048
 class _Tally:
     """One worker's counters and first `cap` rows for one kind.
 
-    A check adds to tuples_checked and calls flag once per violation with
-    the counters it moves and the row's values in COLUMNS[kind] order.
+    A check adds to tuples_checked and calls flag once per batch with the
+    violations of the batch as columns, one per name of COLUMNS[kind], in
+    row order. The lift checks skip it for a clean batch, the usual case:
+    empty columns for every batch made the lift scans about 5 % slower.
     """
 
     def __init__(self, kind: str, counters: tuple[str, ...], cap: int):
@@ -72,14 +75,24 @@ class _Tally:
         self.summary = dict.fromkeys(counters, 0)
         self.elapsed = 0.0
 
-    def flag(self, counters: tuple[str, ...], *values) -> None:
-        for key in counters:
-            self.summary[key] += 1
-        self.violations_total += 1
-        if len(self.violations) < self.cap:
-            if len(values) != len(self.names):
-                raise ValueError(f"{len(values)} values for the columns {self.names}")
-            self.violations.append(dict(zip(self.names, values)))
+    def flag(self, counters: tuple[str, ...] | dict, *columns) -> None:
+        """Count the violations given as equal-length columns, arrays or
+        lists, and keep their rows up to the cap, as plain Python values.
+
+        Every violation moves each counter of a tuple; a dict maps each
+        counter to a mask of the violations that it counts.
+        """
+        if len(columns) != len(self.names) or len({len(c) for c in columns}) != 1:
+            raise ValueError(f"columns of lengths {[len(c) for c in columns]} for {self.names}")
+        count = len(columns[0])
+        self.violations_total += count
+        if not isinstance(counters, dict):
+            counters = dict.fromkeys(counters, np.ones(count, dtype=bool))
+        for key, mask in counters.items():
+            self.summary[key] += int(np.count_nonzero(mask))
+        room = self.cap - len(self.violations)
+        kept = [np.asarray(column[:room]).tolist() for column in columns]
+        self.violations.extend(dict(zip(self.names, row)) for row in zip(*kept))
 
 
 class _Batch:
@@ -156,6 +169,12 @@ def _batches(bs: list[int]):
         yield _Batch(rows)
 
 
+def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fractions num / den in lowest terms, elementwise; den > 0."""
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
 def _pair_condition(b, a1, m1, a2, m2):
     """The mod-8b pairing condition of `mu_condition`, elementwise.
 
@@ -214,13 +233,14 @@ def _theorem1_rows(tally: _Tally, batch: _Batch, include_9div: bool = False) -> 
         if row_b >= 3 and (include_9div or row_b % 9):
             tally.tuples_checked += (end - start) * (end - start - 1) // 2
     bad = np.flatnonzero((cond != in8) | (cond != in24))
-    columns = (pb, a[i], a[j], cond, d, in8, in24)
-    for row_b, a1, a2, holds, diff, in8_ij, in24_ij in zip(*(c[bad].tolist() for c in columns)):
-        counters = ("mod8_mismatches",) if holds != in8_ij else ()
-        if holds != in24_ij:
-            counters += ("mod24_mismatches_9ndiv" if row_b % 9 else "mod24_mismatches_9div",)
-        g = gcd(diff, row_b)
-        tally.flag(counters, row_b, a1, a2, holds, diff // g, row_b // g, in8_ij, in24_ij)
+    i, j, pb, cond, d, in8, in24 = (c[bad] for c in (i, j, pb, cond, d, in8, in24))
+    div9 = pb % 9 == 0
+    counters = {
+        "mod8_mismatches": cond != in8,
+        "mod24_mismatches_9ndiv": (cond != in24) & ~div9,
+        "mod24_mismatches_9div": (cond != in24) & div9,
+    }
+    tally.flag(counters, pb, a[i], a[j], cond, *_reduced(d, pb), in8, in24)
 
 
 def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
@@ -229,81 +249,53 @@ def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
     Every residue class is checked through three integer lifts a, a - b,
     a + b. The per-class terms are computed once per residue and one
     walk of each lift serves both checks. A lift that fails both gets
-    its residue row first.
+    its residue row first: the checks are the last axis of the violation
+    mask, k = 0 the residue and k = 1 the mod-8 check, so the row-major
+    order of the flagged entries is the row order.
     """
     a, b, a_inv, lifts, bt = batch.a, batch.b, batch.a_inv, batch.lifts, batch.bt
     tally.tuples_checked += lifts.size
     modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
     actual = bt % modulus
     predicted = (offset - lifts) % modulus
-    residue_bad = actual != predicted
     actual8, predicted8 = batch.mod8
-    mod8_bad = actual8 != predicted8
-    for i, j in np.argwhere(residue_bad | mod8_bad).tolist():
-        row_b, lift = int(b[i]), int(lifts[i, j])
-        case = _bt_case(int(a[i]), row_b, int(a_inv[i]))[0]
-        if residue_bad[i, j]:
-            tally.flag(
-                ("residue_mismatches",),
-                row_b,
-                lift,
-                "residue",
-                case,
-                int(modulus[i, 0]),
-                int(predicted[i, j]),
-                int(actual[i, j]),
-            )
-        if mod8_bad[i, j]:
-            tally.flag(
-                ("mod8_failures",),
-                row_b,
-                lift,
-                "mod8",
-                case,
-                8,
-                int(predicted8[i, j]),
-                int(actual8[i, j]),
-            )
+    bad = np.stack([actual != predicted, actual8 != predicted8], axis=-1)
+    lift, k = np.divmod(np.flatnonzero(bad), 2)
+    if not len(lift):
+        return
+    i, j = np.divmod(lift, 3)
+    cases = [_bt_case(*args)[0] for args in zip(a[i].tolist(), b[i].tolist(), a_inv[i].tolist())]
+    tally.flag(
+        {"residue_mismatches": k == 0, "mod8_failures": k == 1},
+        b[i],
+        lifts[i, j],
+        np.array(["residue", "mod8"])[k],
+        cases,
+        np.where(k, 8, modulus[i, 0]),
+        np.where(k, predicted8[i, j], predicted[i, j]),
+        np.where(k, actual8[i, j], actual[i, j]),
+    )
 
 
 def _oracle_rows(tally: _Tally, batch: _Batch) -> None:
     """Both reciprocity evaluators against the definitional summation.
 
-    The row kernel is compared with the naive row as a whole array, and
-    the scalar `_fast_parts` pair by pair. A pair counts once if either
-    disagrees; its row shows the kernel's value when the kernel is wrong,
-    else the scalar's.
+    The row kernel is compared with the batch's naive rows as one array,
+    and the scalar `_fast_parts` pair by pair in Python ints. A pair
+    counts once if either disagrees; its row shows the kernel's value
+    when the kernel is wrong, else the scalar's.
     """
-    for b, start, end in batch.spans:
-        if b < 2:
-            continue
-        residues, fast = batch.a[start:end], batch.bs[start:end]
-        _, naive = naive_bs_row(b)
-        tally.tuples_checked += len(residues)
-        kernel_bad = fast != naive
-        parts = [_fast_parts(a, b) for a in residues.tolist()]
-        bad = set(np.flatnonzero(kernel_bad).tolist())
-        bad.update(
-            i
-            for i, ((num, den), bs_naive) in enumerate(zip(parts, naive.tolist()))
-            if num * b != bs_naive * den
-        )
-        for i in sorted(bad):
-            if kernel_bad[i]:
-                s_fast = Fraction(int(fast[i]), b)
-                num, den = s_fast.numerator, s_fast.denominator
-            else:
-                num, den = parts[i]
-            s_naive = Fraction(int(naive[i]), b)
-            tally.flag(
-                ("value_mismatches",),
-                b,
-                int(residues[i]),
-                num,
-                den,
-                s_naive.numerator,
-                s_naive.denominator,
-            )
+    a, b, bs = batch.a, batch.b, batch.bs
+    rows = (naive_bs_row(row_b)[1] for row_b, _, _ in batch.spans if row_b > 1)
+    naive = np.concatenate([a[:0], *rows])
+    tally.tuples_checked += len(a)
+    parts = [_fast_parts(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    scalar_bad = [n * y != z * d for (n, d), y, z in zip(parts, b.tolist(), naive.tolist())]
+    kernel_bad = bs != naive
+    bad = np.flatnonzero(kernel_bad | np.array(scalar_bad, dtype=bool))
+    scalar = np.array([parts[i] for i in bad.tolist()], dtype=np.int64).reshape(-1, 2).T
+    fast = np.where(kernel_bad[bad], _reduced(bs[bad], b[bad]), scalar)
+    tally.flag(("value_mismatches",), b[bad], a[bad], *fast, *_reduced(naive[bad], b[bad]))
 
 
 def _reciprocity_rows(tally: _Tally, batch: _Batch) -> None:
@@ -317,18 +309,9 @@ def _reciprocity_rows(tally: _Tally, batch: _Batch) -> None:
         tally.tuples_checked += 1
     a, b = batch.a, batch.b
     tally.tuples_checked += len(a)
-    rhs = a * a + b * b + 1 - 3 * a * b
-    lhs = a * batch.bs + b * batch.mirror
-    for i in np.flatnonzero(lhs != rhs).tolist():
-        upper, lower = int(a[i]), int(b[i])
-        residual = Fraction(int(lhs[i] - rhs[i]), upper * lower)
-        tally.flag(
-            ("residual_nonzero",),
-            upper,
-            lower,
-            residual.numerator,
-            residual.denominator,
-        )
+    residual = a * batch.bs + b * batch.mirror - (a * a + b * b + 1 - 3 * a * b)
+    bad = np.flatnonzero(residual)
+    tally.flag(("residual_nonzero",), a[bad], b[bad], *_reduced(residual[bad], a[bad] * b[bad]))
 
 
 def _bhk_rows(tally: _Tally, batch: _Batch) -> None:
@@ -340,14 +323,9 @@ def _bhk_rows(tally: _Tally, batch: _Batch) -> None:
     b, lifts, rhs = batch.b, batch.lifts, batch.bs
     tally.tuples_checked += lifts.size
     lhs = batch.bt + lifts + (batch.a_inv - 3 * b)[:, None]
-    for i, j in np.argwhere(lhs != rhs[:, None]).tolist():
-        tally.flag(
-            ("identity_failures",),
-            int(b[i]),
-            int(lifts[i, j]),
-            int(lhs[i, j]),
-            int(rhs[i]),
-        )
+    i, j = np.nonzero(lhs != rhs[:, None])
+    if len(i):
+        tally.flag(("identity_failures",), b[i], lifts[i, j], lhs[i, j], rhs[i])
 
 
 def _bt_mod8_rows(tally: _Tally, batch: _Batch) -> None:
@@ -355,16 +333,11 @@ def _bt_mod8_rows(tally: _Tally, batch: _Batch) -> None:
 
     The claim of theorem2's mod-8 check, read from the same arrays.
     """
-    actual, expected = batch.mod8
+    b, lifts, (actual, expected) = batch.b, batch.lifts, batch.mod8
     tally.tuples_checked += actual.size
-    for i, j in np.argwhere(actual != expected).tolist():
-        tally.flag(
-            ("mod8_failures",),
-            int(batch.b[i]),
-            int(batch.lifts[i, j]),
-            int(actual[i, j]),
-            int(expected[i, j]),
-        )
+    i, j = np.nonzero(actual != expected)
+    if len(i):
+        tally.flag(("mod8_failures",), b[i], lifts[i, j], actual[i, j], expected[i, j])
 
 
 def _bs_congruence_rows(tally: _Tally, batch: _Batch) -> None:
@@ -379,16 +352,9 @@ def _bs_congruence_rows(tally: _Tally, batch: _Batch) -> None:
     modulus = np.where(div3, 9, 3)
     expected = np.where(div3, np.where(a % 3 == 1, 2, 7), 0)
     actual = values % modulus
-    for i in np.flatnonzero(actual != expected).tolist():
-        tally.flag(
-            ("congruence_failures",),
-            int(b[i]),
-            int(a[i]),
-            int(values[i]),
-            int(modulus[i]),
-            int(expected[i]),
-            int(actual[i]),
-        )
+    bad = np.flatnonzero(actual != expected)
+    columns = (b, a, values, modulus, expected, actual)
+    tally.flag(("congruence_failures",), *(column[bad] for column in columns))
 
 
 def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
@@ -404,8 +370,7 @@ def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
     simple, quadratic = _mu_pairs(a, b), _mu_quadratic_pairs(a, b)
     bad = np.flatnonzero((simple - quadratic) % 8 != 0)
     bad = bad[np.lexsort((a[bad], b[bad]))]
-    for row in zip(*(column[bad].tolist() for column in (b, a, simple, quadratic))):
-        tally.flag(("mod8_mismatches",), *row)
+    tally.flag(("mod8_mismatches",), *(column[bad] for column in (b, a, simple, quadratic)))
 
 
 # The int64-exact limits of b_max that several checks share, and what

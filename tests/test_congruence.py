@@ -85,6 +85,13 @@ def test_mu_condition_rejects_nonpositive():
         mu_condition(3, -1, 5)
 
 
+def test_mu_condition_rejects_a_nonpositive_modulus():
+    # b = 0 once divided by zero, and b = -3 returned True.
+    for b in (0, -3):
+        with pytest.raises(ValueError, match="lower argument must be positive"):
+            mu_condition(1, 1, b)
+
+
 def test_condition_matches_8z_membership_exhaustive():
     # The pairing condition must coincide with S-difference membership
     # in 8Z for every b, including b divisible by 9.

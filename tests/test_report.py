@@ -137,6 +137,28 @@ def test_csv_rejects_a_row_with_a_missing_cell():
         parse_csv(text)
 
 
+@pytest.mark.parametrize(
+    "name,value", [("condition", 5), ("condition", "true"), ("diff_num", 1.7), ("diff_num", True)]
+)
+def test_json_rejects_a_value_of_another_type(name, value):
+    doc = json.loads(render_json([sample_scan()]))
+    doc["violations"][0][name] = value
+    with pytest.raises(ValueError, match=f"theorem1 column '{name}'"):
+        parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name,cell", [("condition", "TRUE"), ("condition", "nope"), ("in8Z", ""), ("diff_num", "1.7")]
+)
+def test_csv_rejects_a_cell_that_does_not_read_as_its_type(name, cell):
+    names = [column for column, _ in COLUMNS["theorem1"]]
+    cells = "9,1,4,true,8,1,true,false".split(",")
+    cells[names.index(name)] = cell
+    text = render_csv([sample_scan()]).replace("9,1,4,true,8,1,true,false", ",".join(cells))
+    with pytest.raises(ValueError, match=f"theorem1 column '{name}'"):
+        parse_csv(text)
+
+
 PARSERS = {"json": parse_json, "csv": parse_csv}
 
 

@@ -253,11 +253,16 @@ def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
 
 
 def test_a_row_of_the_wrong_length_is_refused():
-    tally = dedsum.scans._Tally("mu-mod8", ("mod8_mismatches",), cap=1)
-    with pytest.raises(ValueError):
-        tally.flag(("mod8_mismatches",), 2, 1, 0)
-    tally.flag(("mod8_mismatches",), 2, 1, 0, 4)
-    assert tally.violations == [{"b": 2, "a": 1, "mu_simple": 0, "mu_quadratic": 4}]
+    # The columns are checked on every call, also when no row is kept.
+    for cap in (0, 1):
+        tally = dedsum.scans._Tally("mu-mod8", ("mod8_mismatches",), cap=cap)
+        with pytest.raises(ValueError):
+            tally.flag(("mod8_mismatches",), [2], [1], [0])
+        tally.flag(("mod8_mismatches",), np.array([2, 4]), [1, 3], [0, 4], [4, 0])
+        rows = [{"b": 2, "a": 1, "mu_simple": 0, "mu_quadratic": 4}]
+        assert tally.violations == rows[:cap], cap
+        assert all(type(value) is int for row in tally.violations for value in row.values())
+        assert (tally.violations_total, tally.summary) == (2, {"mod8_mismatches": 2}), cap
 
 
 def test_theorem2_small_range_clean():
