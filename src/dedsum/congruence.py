@@ -20,7 +20,8 @@ piece depends on a only through a mod b, apart from a linear -a term
 left to the caller, so it is the same on every lift of a residue class.
 `_mu_pairs`, `_bt_case_pairs` and `_mod8_offset_pairs` are their array
 forms over int64 arrays of pairs, on top of `_jacobi_pairs`; the lift
-scans compute them once per residue for whole batches of residues.
+scans compute them once per residue for whole batches of residues, the
+case tag of `_bt_case` as an index into BT_CASES.
 `_mu_quadratic_pairs` is the array form of `mu_original`, for the
 mu-mod8 scan; it stays independent of `_mu_pairs`.
 """
@@ -201,6 +202,11 @@ def bt_residue(a: int, b: int) -> BTResidue:
     )
 
 
+# The case tags of the bt_residue prediction, at 2 * class + (3 | b) for
+# the parity classes 0 (b odd), 1 (b == 2 mod 4 or a == 3 mod 4) and 2.
+BT_CASES = tuple(c + d for c in ("odd", "even_half", "even_quarter") for d in ("_ndiv3", "_div3"))
+
+
 def _bt_case(a: int, b: int, a_inv: int) -> tuple[str, int, int]:
     """(case_tag, modulus, offset) of the bt_residue prediction, unchecked.
 
@@ -209,32 +215,28 @@ def _bt_case(a: int, b: int, a_inv: int) -> tuple[str, int, int]:
     """
     div3 = b % 3 == 0
     if b & 1:
-        tag = "odd"
-        offset = 9 + 18 * _jacobi(a, b)
+        case, offset = 0, 9 + 18 * _jacobi(a, b)
     elif b & 3 == 2 or a & 3 == 3:
-        tag = "even_half"
-        offset = 54 if div3 else 6
+        case, offset = 1, 54 if div3 else 6
     else:
-        tag = "even_quarter"
-        offset = 18
+        case, offset = 2, 18
+    tag = BT_CASES[2 * case + div3]
     if div3:
-        return tag + "_div3", 72, offset - a_inv - 16 * sign_mod3(a)
-    return tag + "_ndiv3", 24, offset - a_inv
+        return tag, 72, offset - a_inv - 16 * sign_mod3(a)
+    return tag, 24, offset - a_inv
 
 
 def _bt_case_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray):
-    """(modulus, offset) of `_bt_case` elementwise over int64 arrays.
-
-    The case tag is left out; a scan takes it from `_bt_case` for the
-    few residues it reports.
-    """
+    """(case, modulus, offset) of `_bt_case` elementwise over int64
+    arrays, with the case tag given by its index into BT_CASES."""
     div3 = b % 3 == 0
-    offset = np.where((b & 3 == 2) | (a & 3 == 3), np.where(div3, 54, 6), 18)
+    half = (b & 3 == 2) | (a & 3 == 3)
+    offset = np.where(half, np.where(div3, 54, 6), 18)
     odd = (b & 1) == 1
     offset[odd] = 9 + 18 * _jacobi_pairs(a[odd], b[odd])
     offset -= a_inv
     offset[div3] -= 16 * np.where(a[div3] % 3 == 1, 1, -1)
-    return np.where(div3, 72, 24), offset
+    return 2 * np.where(odd, 0, 2 - half) + div3, np.where(div3, 72, 24), offset
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@ the property, and a capped list of violating rows. A TableReport is a
 plain table of constructed rows with no pass/fail semantics (used for
 the example family).
 
-Both serialize to JSON (one object, or an array when several reports
-are emitted together) and to CSV (one section per report, metadata and
-trailer as '#' comment lines, sections separated by a blank line).
-Output is deterministic except for the elapsed_seconds field.
+A report is one document, whose fields _FIELDS states per shape: their
+names, order and types. JSON writes the document as one object, or an
+array when several reports are emitted together. CSV writes it as one
+section per report: each field but the rows as a '# key=value' comment
+line, the rows as a table, sections separated by a blank line. Both
+parsers hand the document to one reader, which refuses a missing field
+or one of another type. Output is deterministic except for the
+elapsed_seconds field.
 """
 
 import json
@@ -121,48 +125,55 @@ class TableReport:
 
 Report = ScanReport | TableReport
 
-# The kinds reported as a TableReport; every other kind is a scan's.
-_TABLE_KINDS = ("examples",)
+# The shape of each kind that is not reported as a ScanReport.
+_SHAPES = {"examples": TableReport}
 
-# The fields besides kind that a parsed report must carry, as keys of a
-# JSON document or as '# key=' lines of a CSV section. A JSON document
-# also carries its rows, under "violations" or "rows".
-_SCAN_FIELDS = (
-    "b_range",
-    "tuples_checked",
-    "violations_total",
-    "parameters",
-    "summary",
-    "elapsed_seconds",
-)
-_TABLE_FIELDS = ("parameters", "elapsed_seconds")
+# What a document field of each type holds; no int is a bool.
+_TYPES = {
+    "text": lambda v: type(v) is str,
+    "two ints": lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+    "an int": lambda v: type(v) is int,
+    "an object": lambda v: type(v) is dict,
+    "a list of rows": lambda v: type(v) is list,
+    "a number": lambda v: type(v) in (int, float),
+}
+
+# The fields of each shape's document with their types, in the order that
+# CSV writes them. "b_range" holds [b_lo, b_hi] and "elapsed_seconds"
+# elapsed; every other field holds the attribute of its name, and the
+# list of rows holds rows of COLUMNS[kind].
+_FIELDS = {
+    ScanReport: (
+        ("kind", "text"),
+        ("b_range", "two ints"),
+        ("tuples_checked", "an int"),
+        ("violations_total", "an int"),
+        ("parameters", "an object"),
+        ("summary", "an object"),
+        ("violations", "a list of rows"),
+        ("elapsed_seconds", "a number"),
+    ),
+    TableReport: (
+        ("kind", "text"),
+        ("parameters", "an object"),
+        ("rows", "a list of rows"),
+        ("elapsed_seconds", "a number"),
+    ),
+}
 
 
-def _json_payload(report: Report) -> dict:
+def _document(report: Report) -> dict:
+    """The fields of the report's shape, in order, with its values."""
+    values = vars(report) | {"elapsed_seconds": report.elapsed}
     if isinstance(report, ScanReport):
-        return {
-            "kind": report.kind,
-            "b_range": [report.b_lo, report.b_hi],
-            "tuples_checked": report.tuples_checked,
-            "violations_total": report.violations_total,
-            "violations": report.violations,
-            "parameters": report.parameters,
-            "summary": report.summary,
-            "elapsed_seconds": report.elapsed,
-        }
-    return {
-        "kind": report.kind,
-        "parameters": report.parameters,
-        "rows": report.rows,
-        "elapsed_seconds": report.elapsed,
-    }
+        values["b_range"] = [report.b_lo, report.b_hi]
+    return {name: values[name] for name, _ in _FIELDS[type(report)]}
 
 
 def render_json(reports: list[Report]) -> str:
     """JSON text for one or many reports; single object when exactly one."""
-    payload = [_json_payload(r) for r in reports]
-    doc = payload[0] if len(payload) == 1 else payload
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    docs = [_document(r) for r in reports]
+    return json.dumps(docs[0] if len(docs) == 1 else docs, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -171,23 +182,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# How CSV writes the fields that it does not write as JSON.
+_CSV_TEXT = {
+    "kind": str,
+    "b_range": "{0[0]}..{0[1]}".format,
+    "elapsed_seconds": "{:.6f}".format,
+}
+
+
 def _csv_section(report: Report) -> str:
-    lines = [f"# kind={report.kind}"]
-    if isinstance(report, ScanReport):
-        lines.append(f"# b_range={report.b_lo}..{report.b_hi}")
-        lines.append(f"# tuples_checked={report.tuples_checked}")
-        lines.append(f"# violations_total={report.violations_total}")
-        rows = report.violations
-    else:
-        rows = report.rows
-    lines.append(f"# parameters={json.dumps(report.parameters, sort_keys=True)}")
-    if isinstance(report, ScanReport):
-        lines.append(f"# summary={json.dumps(report.summary, sort_keys=True)}")
     names = [name for name, _ in COLUMNS[report.kind]]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[name]) for name in names))
-    lines.append(f"# elapsed_seconds={report.elapsed:.6f}")
+    doc = _document(report)
+    lines = []
+    for name, typ in _FIELDS[type(report)]:
+        if typ == "a list of rows":
+            lines.append(",".join(names))
+            lines += (",".join(_csv_cell(row[n]) for n in names) for row in doc[name])
+        else:
+            text = _CSV_TEXT.get(name, lambda v: json.dumps(v, sort_keys=True))(doc[name])
+            lines.append(f"# {name}={text}")
     return "\n".join(lines)
 
 
@@ -204,27 +217,33 @@ def render(reports: list[Report], fmt: str) -> str:
     raise ValueError(f"unknown report format: {fmt}")
 
 
-# The text of an int and of a bool cell in CSV, as _csv_cell writes it.
+# The text of an int and of a bool cell in CSV, as _csv_cell writes it,
+# and of b_range, as _csv_section writes it.
 _CSV_INT = re.compile(r"-?[0-9]+")
 _CSV_BOOLS = {"true": True, "false": False}
+_CSV_RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
-def _typed_row(kind: str, names: list[str], values: list, csv: bool = False) -> dict:
-    """The row of a kind from its column names and values.
+def _typed_row(kind: str, row, csv: bool = False) -> dict:
+    """The row of a kind from a JSON object, or with csv from a pair: the
+    column names of a CSV section and the cells of one of its lines.
 
-    Raises ValueError unless names and values are exactly the kind's
+    Raises ValueError unless the names and values are exactly the kind's
     columns, in any order, one value each, and each value has its
     column's type, naming the kind and the column. A JSON value must be
     an integer that is not a bool, a bool, or a string; a CSV cell, which
     is text, must read as an integer, be exactly true or false, or be any
     text.
     """
+    if not csv and type(row) is not dict:
+        raise ValueError(f"a {kind} row needs an object, got {row!r}")
+    names, values = row if csv else (list(row), list(row.values()))
     columns = COLUMNS[kind]
     if len(values) != len(names) or sorted(names) != sorted(name for name, _ in columns):
         expected = [name for name, _ in columns]
         raise ValueError(f"a {kind} row needs one value for each of {expected}, got {values}")
     raw = dict(zip(names, values))
-    row = {}
+    typed = {}
     for name, typ in columns:
         value = raw[name]
         if csv and typ is bool:
@@ -233,91 +252,71 @@ def _typed_row(kind: str, names: list[str], values: list, csv: bool = False) -> 
             value = int(value)
         if type(value) is not typ:
             raise ValueError(f"{kind} column {name!r} needs {typ.__name__}, got {value!r}")
-        row[name] = value
-    return row
+        typed[name] = value
+    return typed
 
 
-def _report_kind(doc: dict, json_rows: bool) -> str:
-    """The kind of a parsed report, once it is known and doc has every
-    field of its shape; else ValueError naming the kind and the field."""
-    if "kind" not in doc:
+def _report(doc, csv: bool = False) -> Report:
+    """The report of a parsed document; with csv its rows are the pairs
+    of a CSV section that _typed_row reads.
+
+    Raises ValueError unless the document has every field of its kind's
+    shape with the field's type, naming the kind and the field.
+    """
+    if type(doc) is not dict or "kind" not in doc:
         raise ValueError("a report needs the field 'kind'")
     kind = doc["kind"]
-    if kind not in COLUMNS:
+    if type(kind) is not str or kind not in COLUMNS:
         raise ValueError(f"unknown report kind {kind!r}, expected one of {sorted(COLUMNS)}")
-    table = kind in _TABLE_KINDS
-    fields = _TABLE_FIELDS if table else _SCAN_FIELDS
-    if json_rows:
-        fields += ("rows",) if table else ("violations",)
-    for name in fields:
+    shape = _SHAPES.get(kind, ScanReport)
+    values = {}
+    for name, typ in _FIELDS[shape]:
         if name not in doc:
             raise ValueError(f"a {kind} report needs the field {name!r}")
-    return kind
-
-
-def _report_from_payload(doc: dict) -> Report:
-    kind = _report_kind(doc, json_rows=True)
-    if kind in _TABLE_KINDS:
-        return TableReport(
-            kind=kind,
-            parameters=doc["parameters"],
-            rows=[_typed_row(kind, list(r), list(r.values())) for r in doc["rows"]],
-            elapsed=doc["elapsed_seconds"],
-        )
-    lo, hi = doc["b_range"]
-    return ScanReport(
-        kind=kind,
-        b_lo=lo,
-        b_hi=hi,
-        tuples_checked=doc["tuples_checked"],
-        violations_total=doc["violations_total"],
-        violations=[_typed_row(kind, list(r), list(r.values())) for r in doc["violations"]],
-        parameters=doc["parameters"],
-        summary=doc["summary"],
-        elapsed=doc["elapsed_seconds"],
-    )
+        value = doc[name]
+        if not _TYPES[typ](value):
+            raise ValueError(f"{kind} field {name!r} needs {typ}, got {value!r}")
+        rows = typ == "a list of rows"
+        values[name] = [_typed_row(kind, row, csv) for row in value] if rows else value
+    values["elapsed"] = values.pop("elapsed_seconds")
+    if shape is ScanReport:
+        values["b_lo"], values["b_hi"] = values.pop("b_range")
+    return shape(**values)
 
 
 def parse_json(text: str) -> list[Report]:
     doc = json.loads(text)
-    docs = doc if isinstance(doc, list) else [doc]
-    return [_report_from_payload(d) for d in docs]
+    return [_report(d) for d in (doc if isinstance(doc, list) else [doc])]
+
+
+def _csv_value(name: str, text: str):
+    """The value of a '# name=text' line as _csv_section wrote it. Text
+    that does not decode stays text, for the reader to refuse."""
+    if name == "b_range" and (match := _CSV_RANGE.fullmatch(text)):
+        return [int(match[1]), int(match[2])]
+    if name in ("kind", "b_range"):
+        return text
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def parse_csv(text: str) -> list[Report]:
     reports = []
     for section in text.strip().split("\n\n"):
-        meta: dict = {}
+        doc: dict = {}
         names: list[str] = []
-        rows: list[list[str]] = []
+        rows: list[tuple[list[str], list[str]]] = []
         for line in section.splitlines():
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
-                meta[key] = value
+                doc[key] = _csv_value(key, value)
             elif not names:
                 names = line.split(",")
             else:
-                rows.append(line.split(","))
-        kind = _report_kind(meta, json_rows=False)
-        typed = [_typed_row(kind, names, cells, csv=True) for cells in rows]
-        common = {
-            "kind": kind,
-            "parameters": json.loads(meta["parameters"]),
-            "elapsed": float(meta["elapsed_seconds"]),
-        }
-        if kind not in _TABLE_KINDS:
-            lo, _, hi = meta["b_range"].partition("..")
-            reports.append(
-                ScanReport(
-                    b_lo=int(lo),
-                    b_hi=int(hi),
-                    tuples_checked=int(meta["tuples_checked"]),
-                    violations_total=int(meta["violations_total"]),
-                    violations=typed,
-                    summary=json.loads(meta["summary"]),
-                    **common,
-                )
-            )
-        else:
-            reports.append(TableReport(rows=typed, **common))
+                rows.append((names, line.split(",")))
+        fields = _FIELDS[_SHAPES.get(doc.get("kind"), ScanReport)]
+        doc[next(name for name, typ in fields if typ == "a list of rows")] = rows
+        reports.append(_report(doc, csv=True))
     return reports

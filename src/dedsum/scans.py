@@ -30,8 +30,8 @@ import numpy as np
 
 from dedsum.arith import _inverse_pairs
 from dedsum.congruence import (
+    BT_CASES,
     MU_QUADRATIC_LIMIT,
-    _bt_case,
     _bt_case_pairs,
     _mod8_offset_pairs,
     _mu_pairs,
@@ -255,7 +255,7 @@ def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
     """
     a, b, a_inv, lifts, bt = batch.a, batch.b, batch.a_inv, batch.lifts, batch.bt
     tally.tuples_checked += lifts.size
-    modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
+    case, modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
     actual = bt % modulus
     predicted = (offset - lifts) % modulus
     actual8, predicted8 = batch.mod8
@@ -264,13 +264,12 @@ def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
     if not len(lift):
         return
     i, j = np.divmod(lift, 3)
-    cases = [_bt_case(*args)[0] for args in zip(a[i].tolist(), b[i].tolist(), a_inv[i].tolist())]
     tally.flag(
         {"residue_mismatches": k == 0, "mod8_failures": k == 1},
         b[i],
         lifts[i, j],
         np.array(["residue", "mod8"])[k],
-        cases,
+        np.array(BT_CASES)[case[i, 0]],
         np.where(k, 8, modulus[i, 0]),
         np.where(k, predicted8[i, j], predicted[i, j]),
         np.where(k, actual8[i, j], actual[i, j]),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dedsum.arith import _inverse_pairs, _jacobi, _jacobi_pairs
 from dedsum.congruence import (
+    BT_CASES,
     MU_QUADRATIC_LIMIT,
     _bt_case,
     _bt_case_pairs,
@@ -27,7 +28,7 @@ from dedsum.congruence import (
     mu_original,
 )
 from dedsum.contfrac import _t_pairs, _t_walk
-from dedsum.dedekind import LIFT_WALK_LIMIT
+from dedsum.dedekind import LIFT_WALK_LIMIT, bs_values
 
 
 def as_arrays(a: list[int], b: list[int]):
@@ -42,9 +43,10 @@ def check_against_scalar(a: list[int], b: list[int]) -> None:
     xinv = _inverse_pairs(xa, xb)
     assert xinv.tolist() == inverses
     assert _mu_pairs(xa, xb).tolist() == [_mu(x, y) for x, y in zip(a, b)]
-    modulus, offset = _bt_case_pairs(xa, xb, xinv)
-    assert list(zip(modulus.tolist(), offset.tolist())) == [
-        _bt_case(x, y, z)[1:] for x, y, z in zip(a, b, inverses)
+    case, modulus, offset = _bt_case_pairs(xa, xb, xinv)
+    tags = [BT_CASES[c] for c in case.tolist()]
+    assert list(zip(tags, modulus.tolist(), offset.tolist())) == [
+        _bt_case(x, y, z) for x, y, z in zip(a, b, inverses)
     ]
     assert _mod8_offset_pairs(xa, xb, xinv).tolist() == [
         _mod8_offset(x, y, z) for x, y, z in zip(a, b, inverses)
@@ -91,6 +93,8 @@ def test_empty_batches():
     empty = np.zeros(0, dtype=np.int64)
     for kernel in (_t_pairs, _inverse_pairs, _jacobi_pairs, _mu_pairs):
         assert kernel(empty, empty).tolist() == []
+    values = bs_values(empty, empty)
+    assert (values.dtype, values.shape) == (np.int64, (0,))
 
 
 def test_mu_quadratic_pairs_equal_mu_original():

@@ -104,8 +104,11 @@ def test_csv_layout_is_pinned():
     assert lines[1] == "# b_range=1..9"
     assert lines[2] == "# tuples_checked=45"
     assert lines[3] == "# violations_total=4"
-    assert lines[4].startswith("# parameters=")
-    assert lines[5].startswith("# summary=")
+    # Every other field is its JSON document value.
+    assert lines[4] == '# parameters={"bmax": 9, "cap": 100, "include_9div": true}'
+    assert lines[5] == (
+        '# summary={"mod24_mismatches_9div": 4, "mod24_mismatches_9ndiv": 0, "mod8_mismatches": 0}'
+    )
     assert lines[6] == "b,a1,a2,condition,diff_num,diff_den,in8Z,in24Z"
     assert lines[7] == "9,1,4,true,8,1,true,false"
     assert lines[8] == "# elapsed_seconds=0.125000"
@@ -157,6 +160,68 @@ def test_csv_rejects_a_cell_that_does_not_read_as_its_type(name, cell):
     text = render_csv([sample_scan()]).replace("9,1,4,true,8,1,true,false", ",".join(cells))
     with pytest.raises(ValueError, match=f"theorem1 column '{name}'"):
         parse_csv(text)
+
+
+@pytest.mark.parametrize(
+    "sample,name,value",
+    [
+        (sample_scan, "b_range", "19"),
+        (sample_scan, "b_range", [1, 9, 10]),
+        (sample_scan, "b_range", [1, True]),
+        (sample_scan, "tuples_checked", "x"),
+        (sample_scan, "violations_total", False),
+        (sample_scan, "summary", [1]),
+        (sample_scan, "parameters", 7),
+        (sample_scan, "violations", {}),
+        (sample_scan, "elapsed_seconds", "soon"),
+        (sample_table, "parameters", [1]),
+        (sample_table, "rows", 5),
+        (sample_table, "elapsed_seconds", None),
+    ],
+)
+def test_json_rejects_a_field_of_another_type(sample, name, value):
+    report = sample()
+    doc = json.loads(render_json([report]))
+    doc[name] = value
+    with pytest.raises(ValueError, match=f"{report.kind} field '{name}'"):
+        parse_json(json.dumps(doc))
+
+
+def test_json_rejects_a_row_that_is_not_an_object():
+    doc = json.loads(render_json([sample_table()]))
+    doc["rows"] = [[1, 3, 9, 4, 8, True, False]]
+    with pytest.raises(ValueError, match="examples row needs an object"):
+        parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", ["5", '"kind"'])
+def test_json_rejects_a_report_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="needs the field 'kind'"):
+        parse_json(doc)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "# summary=[1]",
+        "# parameters=7",
+        "# tuples_checked=9x",
+        "# tuples_checked=4.5",
+        "# violations_total=true",
+        "# b_range=19",
+        "# b_range=[1, 9]",
+        "# b_range=1..9x",
+        "# elapsed_seconds=soon",
+    ],
+)
+def test_csv_rejects_a_metadata_line_of_another_type(line):
+    name = line[2:].partition("=")[0]
+    lines = [
+        line if text.startswith(f"# {name}=") else text
+        for text in render_csv([sample_scan()]).splitlines()
+    ]
+    with pytest.raises(ValueError, match=f"theorem1 field '{name}'"):
+        parse_csv("\n".join(lines))
 
 
 PARSERS = {"json": parse_json, "csv": parse_csv}

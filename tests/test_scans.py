@@ -27,7 +27,7 @@ from dedsum.congruence import (
     mu,
     mu_condition,
 )
-from dedsum.contfrac import t_value
+from dedsum.contfrac import _t_walk, t_value
 from dedsum.dedekind import (
     LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
@@ -133,6 +133,28 @@ def test_array_condition_equals_public_predicate():
         for i, a1 in enumerate(residues):
             for j in range(i + 1, len(residues)):
                 assert table[i, j] == mu_condition(a1, residues[j], b), (b, a1)
+
+
+def test_pair_condition_is_exact_at_the_row_limit():
+    # The int64 condition against Python ints at b = THEOREM1_ROW_LIMIT,
+    # m in {0, 4}, on residues near 1, b / 2 and b. The pairing expression
+    # C peaks near a1 = b, a2 = b / 2 at about b^4 / 4; an overflow would
+    # show only on a pair with 8b | C, so pairs there with C == 0 (mod 8b)
+    # are found first, from factors reduced mod 8b (exact in int64).
+    b = THEOREM1_ROW_LIMIT
+    assert b**4 + 4 * b**2 < 2**63 <= (b + 1) ** 4 + 4 * (b + 1) ** 2
+    ends = [1, 2, 3, b // 2 - 1, b // 2, b // 2 + 1, b - 3, b - 2, b - 1]
+    pairs = [(x, m1, y, m2) for x in ends for y in ends for m1 in (0, 4) for m2 in (0, 4)]
+    x, y = (v.ravel() for v in np.meshgrid(np.arange(b - 64, b), b // 2 + np.arange(-1536, 1536)))
+    for m1 in (0, 4):
+        for m2 in (0, 4):
+            second = (x - y) * (b - 1) % (8 * b) * ((x * y + b - 1) % (8 * b))
+            hit = (b * (y * m1 - x * m2) - second) % (8 * b) == 0
+            pairs += [(i, m1, j, m2) for i, j in zip(x[hit].tolist(), y[hit].tolist())]
+    expected = [_pair_condition(b, *pair) for pair in pairs]
+    columns = np.array(pairs, dtype=np.int64).T
+    assert _pair_condition(np.int64(b), *columns).tolist() == expected
+    assert sum(expected) >= 8
 
 
 THEOREM1_COUNTERS = ("mod24_mismatches_9div", "mod24_mismatches_9ndiv", "mod8_mismatches")
@@ -265,6 +287,31 @@ def test_a_row_of_the_wrong_length_is_refused():
         assert (tally.violations_total, tally.summary) == (2, {"mod8_mismatches": 2}), cap
 
 
+def test_theorem1_decides_the_pair_at_b_three(monkeypatch):
+    # b S(1, 3) = 2 becomes 22, the only change up to bmax 12: then
+    # S(1, 3) - S(2, 3) = 8 is in 8Z but not in 24Z, and the pairing
+    # condition stays False.
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b == 3), 20, 0))
+    report = scan_theorem1(12)
+    assert report.violations == [
+        {
+            "b": 3,
+            "a1": 1,
+            "a2": 2,
+            "condition": False,
+            "diff_num": 8,
+            "diff_den": 1,
+            "in8Z": True,
+            "in24Z": False,
+        }
+    ]
+    assert report.summary == {
+        "mod8_mismatches": 1,
+        "mod24_mismatches_9ndiv": 0,
+        "mod24_mismatches_9div": 0,
+    }
+
+
 def test_theorem2_small_range_clean():
     report = scan_theorem2(40)
     assert report.violations_total == 0
@@ -366,6 +413,17 @@ def test_cap_limits_rows_not_counters():
     assert report.violations_total == 4
     assert report.summary["mod24_mismatches_9div"] == 4
     assert [(r["a1"], r["a2"]) for r in report.violations] == [(1, 4), (1, 7)]
+
+
+def test_a_worker_tally_keeps_no_more_rows_than_the_cap(monkeypatch):
+    # Batches of 16 residues: bhk flags every lift of each, so the tally
+    # gets a column call per batch after its cap is reached.
+    plant_wrong_inverse(monkeypatch)
+    monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
+    (tally,) = dedsum.scans._run_slice(["bhk"], list(range(1, 31)), 3, {})
+    (full,) = dedsum.scans._run_slice(["bhk"], list(range(1, 31)), 10**6, {})
+    assert tally.violations == full.violations[:3]
+    assert tally.violations_total == full.violations_total == 831
 
 
 def test_cap_zero_keeps_counts_only():
@@ -520,7 +578,7 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
         raise AssertionError("a scalar kernel ran")
 
     for module, name in [
-        (dedsum.scans, "_bt_case"),
+        (dedsum.congruence, "_bt_case"),
         (dedsum.congruence, "_mu"),
         (dedsum.congruence, "_jacobi"),
         (dedsum.congruence, "_t_walk"),
@@ -529,6 +587,25 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
         monkeypatch.setattr(module, name, scalar)
     summary = lift_scans()
     assert all(not any(counts.values()) for counts in summary.values()), summary
+
+
+def test_theorem2_takes_its_case_tags_from_the_array_kernel(monkeypatch):
+    # Under a wrong inverse every lift fails both checks; at cap 0 no row
+    # is kept, and no scalar _bt_case may run for a tag.
+    calls = []
+    real = dedsum.congruence._bt_case
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (dedsum.congruence, dedsum.scans):
+        monkeypatch.setattr(module, "_bt_case", counted, raising=False)
+    plant_wrong_inverse(monkeypatch)
+    report = scan_theorem2(250, cap=0)
+    assert report.violations == []
+    assert report.summary == {"residue_mismatches": 57069, "mod8_failures": 57069}
+    assert calls == []
 
 
 def suite_at_60():
@@ -685,6 +762,12 @@ def test_a_batch_refuses_to_walk_above_the_limit():
     batch = dedsum.scans._Batch([(LIFT_WALK_LIMIT + 1, np.array([1], dtype=np.int64))])
     with pytest.raises(ValueError, match="int64-exact limit"):
         batch.bt
+
+
+def test_a_batch_walks_the_lifts_at_the_limit():
+    b = LIFT_WALK_LIMIT
+    batch = dedsum.scans._Batch([(b, np.array([1, 2], dtype=np.int64))])
+    assert batch.bt.tolist() == [[b * _t_walk(x, b) for x in (a, a - b, a + b)] for a in (1, 2)]
 
 
 def test_lift_walk_limit_is_the_largest_exact_bound():
