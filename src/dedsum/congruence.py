@@ -14,14 +14,14 @@ difference of sums is divisible by 8 but, for suitable parameters,
 not by 24.
 
 The public predicates check their arguments (b large enough, a coprime
-to b) and then evaluate unchecked pieces: `_mu`, `_bt_case` and
-`_mod8_offset`, on top of the raw kernels `_jacobi` and `_t_walk`. Each
-piece depends on a only through a mod b, apart from a linear -a term
-left to the caller, so it is the same on every lift of a residue class.
-`_mu_pairs`, `_bt_case_pairs` and `_mod8_offset_pairs` are their array
-forms over int64 arrays of pairs, on top of `_jacobi_pairs`; the lift
-scans compute them once per residue for whole batches of residues, the
-case tag of `_bt_case` as an index into BT_CASES.
+to b) and then evaluate their formulas on the raw kernels `_mu`,
+`_jacobi` and `_t_walk`. Each prediction depends on a only through
+a mod b, apart from a linear -a term, so it is the same on every lift
+of a residue class. `_mu_pairs`, `_bt_case_pairs` and
+`_mod8_offset_pairs`, on top of `_jacobi_pairs`, are the array forms of
+`_mu` and of the predictions of `bt_residue` and `bt_congruence_mod8`,
+and those predicates are the tests' reference for them. The lift scans
+compute them once per residue for whole batches of residues.
 `_mu_quadratic_pairs` is the array form of `mu_original`, for the
 mu-mod8 scan; it stays independent of `_mu_pairs`.
 """
@@ -149,19 +149,13 @@ def bt_congruence_mod8(a: int, b: int) -> bool:
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
     require_coprime(a, b)
-    offset = _mod8_offset(a, b, pow(a, -1, b))
+    offset = b * b + 2 - _mu(a, b) - pow(a, -1, b)
     return (b * _t_walk(a, b) - offset + a) % 8 == 0
 
 
-def _mod8_offset(a: int, b: int, a_inv: int) -> int:
-    """-mu(a, b) + b^2 + 2 - a_inv, so that the mod-8 form predicts
-    b T(a, b) == offset - a. Unchecked: b >= 2, a coprime to b, a_inv
-    its inverse in 1..b-1."""
-    return b * b + 2 - _mu(a, b) - a_inv
-
-
 def _mod8_offset_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
-    """`_mod8_offset` elementwise over int64 arrays; b^2 must fit."""
+    """The offset b^2 + 2 - mu(a, b) - a_inv of `bt_congruence_mod8`,
+    elementwise over int64 arrays, unchecked; b^2 must fit."""
     return b * b + 2 - _mu_pairs(a, b) - a_inv
 
 
@@ -191,11 +185,19 @@ def bt_residue(a: int, b: int) -> BTResidue:
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
     require_coprime(a, b)
-    case_tag, modulus, offset = _bt_case(a, b, pow(a, -1, b))
+    div3 = b % 3 == 0
+    if b & 1:
+        case, offset = 0, 9 + 18 * _jacobi(a, b)
+    elif b & 3 == 2 or a & 3 == 3:
+        case, offset = 1, 54 if div3 else 6
+    else:
+        case, offset = 2, 18
+    offset -= pow(a, -1, b) + (16 * sign_mod3(a) if div3 else 0)
+    modulus = 72 if div3 else 24
     return BTResidue(
         b=b,
         a=a,
-        case_tag=case_tag,
+        case_tag=BT_CASES[2 * case + div3],
         modulus=modulus,
         predicted=(offset - a) % modulus,
         actual=(b * _t_walk(a, b)) % modulus,
@@ -207,28 +209,10 @@ def bt_residue(a: int, b: int) -> BTResidue:
 BT_CASES = tuple(c + d for c in ("odd", "even_half", "even_quarter") for d in ("_ndiv3", "_div3"))
 
 
-def _bt_case(a: int, b: int, a_inv: int) -> tuple[str, int, int]:
-    """(case_tag, modulus, offset) of the bt_residue prediction, unchecked.
-
-    The predicted residue is (offset - a) % modulus. Requires b >= 2, a
-    coprime to b and a_inv its inverse in 1..b-1.
-    """
-    div3 = b % 3 == 0
-    if b & 1:
-        case, offset = 0, 9 + 18 * _jacobi(a, b)
-    elif b & 3 == 2 or a & 3 == 3:
-        case, offset = 1, 54 if div3 else 6
-    else:
-        case, offset = 2, 18
-    tag = BT_CASES[2 * case + div3]
-    if div3:
-        return tag, 72, offset - a_inv - 16 * sign_mod3(a)
-    return tag, 24, offset - a_inv
-
-
 def _bt_case_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray):
-    """(case, modulus, offset) of `_bt_case` elementwise over int64
-    arrays, with the case tag given by its index into BT_CASES."""
+    """(case, modulus, offset) of the `bt_residue` prediction
+    (offset - a) % modulus elementwise over int64 arrays, unchecked; the
+    case is the index of its tag in BT_CASES."""
     div3 = b % 3 == 0
     half = (b & 3 == 2) | (a & 3 == 3)
     offset = np.where(half, np.where(div3, 54, 6), 18)

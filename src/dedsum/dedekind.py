@@ -43,15 +43,16 @@ _ROW_BATCH = 4096
 # The theorem1 scan evaluates the pairing condition
 #     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
 # in int64 on its candidate pairs of residues 0 < a1, a2 < b, with m1, m2
-# in {0, 4}. The first term is below 4b^2 in absolute value; in the
-# second, |a1 - a2| < b, b - 1 < b and a1 a2 + b - 1 <= b(b - 1) < b^2,
-# so every partial product stays below b^4. The whole is exact while
-# b^4 + 4b^2 < 2^63, which holds up to b = 55,108. Reducing the factors
-# mod 8b first would raise the bound; the scan does not, so it refuses
-# larger b. The differences of b S(a, b) of the same pairs stay below
-# 2b^2, and so do the keys b^2 + (a + a^-1) mod b and b^2 + b S mod b
-# that select the candidates.
-THEOREM1_ROW_LIMIT = 55_108
+# in {0, 4}. The first term is below 4b^2 in absolute value. In the
+# second, with d = |a1 - a2|, a1 a2 <= (b - 1)(b - 1 - d) gives
+# a1 a2 + b - 1 <= (b - 1)(b - d), so |second| <= d(b - d)(b - 1)^2
+# <= b^2 (b - 1)^2 / 4, and its partial product d(b - 1) is below b^2.
+# The whole is exact while b^4 / 4 + 4b^2 < 2^63, that is up to
+# b = 77,935. Reducing the factors mod 8b first would raise the bound;
+# the scan does not, so it refuses larger b. The differences
+# of b S(a, b) of the same pairs stay below 2b^2, and so do the keys
+# b^2 + (a + a^-1) mod b and b^2 + b S mod b that select the candidates.
+THEOREM1_ROW_LIMIT = 77_935
 
 # The lift scans theorem2 and bt-mod8 walk T(a, b) in int64 for the lifts
 # a, a - b, a + b of each residue 0 < a < b, so -b < a < 2b. The first
@@ -79,8 +80,6 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     stays integral until the final division.
     """
     _validate(a, b)
-    if b == 1:
-        return Fraction(0)
     total = 0
     r = 0
     a %= b
@@ -126,9 +125,7 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
 def dedekind_fast(a: int, b: int) -> Fraction:
     """Normalized Dedekind sum S(a, b) via reciprocity, O(log b) time."""
     _validate(a, b)
-    if b == 1:
-        return Fraction(0)
-    num, den = _fast_parts(a % b, b)
+    num, den = _fast_parts(a, b)
     return Fraction(num, den)
 
 
@@ -139,9 +136,7 @@ def b_times_s(a: int, b: int) -> int:
     would indicate a bug rather than bad input.
     """
     _validate(a, b)
-    if b == 1:
-        return 0
-    num, den = _fast_parts(a % b, b)
+    num, den = _fast_parts(a, b)
     if b % den != 0:
         raise ArithmeticError(f"b*S({a}, {b}) came out non-integral: {num}/{den}")
     return num * (b // den)

@@ -5,9 +5,10 @@ family of claims with exact arithmetic, and returns a ScanReport. Rows
 describing violating tuples are collected up to a cap; the counters in
 the report are never capped. Every scan is one entry of the check table
 _CHECKS, and one driver, _run, runs any list of them. A check decides a
-batch of tuples as int64 arrays and hands its violations to a _Tally as
-index-selected columns, in one call per batch; only the tally counts,
-caps and builds rows.
+batch of tuples as int64 arrays and returns the batch's count of tuples
+and its violations as index-selected columns; _run_slice hands them to
+the kind's _Tally in one call per batch, and only the tally counts, caps
+and builds rows.
 
 A worker makes one pass over its b values: it gathers their rows
 (b, coprime residues of b) into batches and runs every kind on a batch
@@ -60,10 +61,10 @@ _BATCH = 2048
 class _Tally:
     """One worker's counters and first `cap` rows for one kind.
 
-    A check adds to tuples_checked and calls flag once per batch with the
-    violations of the batch as columns, one per name of COLUMNS[kind], in
-    row order. The lift checks skip it for a clean batch, the usual case:
-    empty columns for every batch made the lift scans about 5 % slower.
+    It takes each batch's (tuples_checked, columns, masks) from the
+    kind's check: the violations of the batch as columns, one per name of
+    COLUMNS[kind], in row order, and the masks that say which counters
+    each violation moves.
     """
 
     def __init__(self, kind: str, counters: tuple[str, ...], cap: int):
@@ -75,21 +76,24 @@ class _Tally:
         self.summary = dict.fromkeys(counters, 0)
         self.elapsed = 0.0
 
-    def flag(self, counters: tuple[str, ...] | dict, *columns) -> None:
-        """Count the violations given as equal-length columns, arrays or
-        lists, and keep their rows up to the cap, as plain Python values.
+    def add(self, tuples_checked: int, columns: tuple, masks: dict | None = None) -> None:
+        """Count a batch's tuples and its violations, given as equal-length
+        columns, arrays or lists, and keep their rows up to the cap, as
+        plain Python values.
 
-        Every violation moves each counter of a tuple; a dict maps each
-        counter to a mask of the violations that it counts.
+        With masks None every violation moves every counter of the kind;
+        else masks maps each counter to a mask of the violations that it
+        counts.
         """
         if len(columns) != len(self.names) or len({len(c) for c in columns}) != 1:
             raise ValueError(f"columns of lengths {[len(c) for c in columns]} for {self.names}")
+        self.tuples_checked += tuples_checked
         count = len(columns[0])
+        if not count:
+            return
         self.violations_total += count
-        if not isinstance(counters, dict):
-            counters = dict.fromkeys(counters, np.ones(count, dtype=bool))
-        for key, mask in counters.items():
-            self.summary[key] += int(np.count_nonzero(mask))
+        for key in self.summary:
+            self.summary[key] += count if masks is None else int(np.count_nonzero(masks[key]))
         room = self.cap - len(self.violations)
         kept = [np.asarray(column[:room]).tolist() for column in columns]
         self.violations.extend(dict(zip(self.names, row)) for row in zip(*kept))
@@ -209,7 +213,7 @@ def _same_key_pairs(keys: np.ndarray) -> np.ndarray:
 # pair that shares neither key has all three False: it is checked, and no
 # violation. No Dedekind-sum theorem is used, and the b S key is read
 # from the values the memberships read, so a wrong b S hides no pair.
-def _theorem1_rows(tally: _Tally, batch: _Batch, include_9div: bool = False) -> None:
+def _theorem1_rows(batch: _Batch, include_9div: bool = False):
     """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
 
     Every pair a1 < a2 of a row is decided and counts in tuples_checked.
@@ -229,21 +233,21 @@ def _theorem1_rows(tally: _Tally, batch: _Batch, include_9div: bool = False) -> 
     cond = _pair_condition(pb, a[i], mus[i], a[j], mus[j])
     d = bs[i] - bs[j]
     in8, in24 = d % (8 * pb) == 0, d % (24 * pb) == 0
-    for row_b, start, end in batch.spans:
-        if row_b >= 3 and (include_9div or row_b % 9):
-            tally.tuples_checked += (end - start) * (end - start - 1) // 2
+    # Rows with b < 3 hold fewer than two residues, so no pair.
+    sizes = [end - start for row_b, start, end in batch.spans if include_9div or row_b % 9]
+    checked = sum(n * (n - 1) // 2 for n in sizes)
     bad = np.flatnonzero((cond != in8) | (cond != in24))
     i, j, pb, cond, d, in8, in24 = (c[bad] for c in (i, j, pb, cond, d, in8, in24))
     div9 = pb % 9 == 0
-    counters = {
+    masks = {
         "mod8_mismatches": cond != in8,
         "mod24_mismatches_9ndiv": (cond != in24) & ~div9,
         "mod24_mismatches_9div": (cond != in24) & div9,
     }
-    tally.flag(counters, pb, a[i], a[j], cond, *_reduced(d, pb), in8, in24)
+    return checked, (pb, a[i], a[j], cond, *_reduced(d, pb), in8, in24), masks
 
 
-def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
+def _theorem2_rows(batch: _Batch):
     """Exact residues of b T(a, b) mod 24/72 plus the mod-8 congruence.
 
     Every residue class is checked through three integer lifts a, a - b,
@@ -254,18 +258,13 @@ def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
     order of the flagged entries is the row order.
     """
     a, b, a_inv, lifts, bt = batch.a, batch.b, batch.a_inv, batch.lifts, batch.bt
-    tally.tuples_checked += lifts.size
     case, modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
     actual = bt % modulus
     predicted = (offset - lifts) % modulus
     actual8, predicted8 = batch.mod8
     bad = np.stack([actual != predicted, actual8 != predicted8], axis=-1)
-    lift, k = np.divmod(np.flatnonzero(bad), 2)
-    if not len(lift):
-        return
-    i, j = np.divmod(lift, 3)
-    tally.flag(
-        {"residue_mismatches": k == 0, "mod8_failures": k == 1},
+    i, j, k = np.unravel_index(np.flatnonzero(bad), bad.shape)
+    columns = (
         b[i],
         lifts[i, j],
         np.array(["residue", "mod8"])[k],
@@ -274,9 +273,10 @@ def _theorem2_rows(tally: _Tally, batch: _Batch) -> None:
         np.where(k, predicted8[i, j], predicted[i, j]),
         np.where(k, actual8[i, j], actual[i, j]),
     )
+    return lifts.size, columns, {"residue_mismatches": k == 0, "mod8_failures": k == 1}
 
 
-def _oracle_rows(tally: _Tally, batch: _Batch) -> None:
+def _oracle_rows(batch: _Batch):
     """Both reciprocity evaluators against the definitional summation.
 
     The row kernel is compared with the batch's naive rows as one array,
@@ -287,76 +287,68 @@ def _oracle_rows(tally: _Tally, batch: _Batch) -> None:
     a, b, bs = batch.a, batch.b, batch.bs
     rows = (naive_bs_row(row_b)[1] for row_b, _, _ in batch.spans if row_b > 1)
     naive = np.concatenate([a[:0], *rows])
-    tally.tuples_checked += len(a)
     parts = [_fast_parts(x, y) for x, y in zip(a.tolist(), b.tolist())]
     scalar_bad = [n * y != z * d for (n, d), y, z in zip(parts, b.tolist(), naive.tolist())]
     kernel_bad = bs != naive
     bad = np.flatnonzero(kernel_bad | np.array(scalar_bad, dtype=bool))
     scalar = np.array([parts[i] for i in bad.tolist()], dtype=np.int64).reshape(-1, 2).T
     fast = np.where(kernel_bad[bad], _reduced(bs[bad], b[bad]), scalar)
-    tally.flag(("value_mismatches",), b[bad], a[bad], *fast, *_reduced(naive[bad], b[bad]))
+    return len(a), (b[bad], a[bad], *fast, *_reduced(naive[bad], b[bad])), None
 
 
-def _reciprocity_rows(tally: _Tally, batch: _Batch) -> None:
+def _reciprocity_rows(batch: _Batch):
     """ab S(a,b) + ab S(b,a) == a^2 + b^2 + 1 - 3ab for coprime a <= b.
 
     Checked as a (b S(a, b)) + b (a S(b mod a, a)) == rhs over the whole
-    batch; both terms come from the row kernel.
+    batch; both terms come from the row kernel. The tuple a = b = 1 is
+    checked too: S(1, 1) = 0 on both sides, and rhs = 0.
     """
-    if batch.spans[0][0] == 1:
-        # The tuple a = b = 1: S(1, 1) = 0 on both sides, and rhs = 0.
-        tally.tuples_checked += 1
     a, b = batch.a, batch.b
-    tally.tuples_checked += len(a)
     residual = a * batch.bs + b * batch.mirror - (a * a + b * b + 1 - 3 * a * b)
     bad = np.flatnonzero(residual)
-    tally.flag(("residual_nonzero",), a[bad], b[bad], *_reduced(residual[bad], a[bad] * b[bad]))
+    checked = len(a) + (batch.spans[0][0] == 1)
+    return checked, (a[bad], b[bad], *_reduced(residual[bad], a[bad] * b[bad])), None
 
 
-def _bhk_rows(tally: _Tally, batch: _Batch) -> None:
+def _bhk_rows(batch: _Batch):
     """b T(a,b) + a + a_inv - 3b == b S(a,b) over three lifts per class.
 
     b S comes from the reciprocity row kernel and b T from the Euclid
     walk of each lift, so the two sides never share a computation.
     """
     b, lifts, rhs = batch.b, batch.lifts, batch.bs
-    tally.tuples_checked += lifts.size
     lhs = batch.bt + lifts + (batch.a_inv - 3 * b)[:, None]
     i, j = np.nonzero(lhs != rhs[:, None])
-    if len(i):
-        tally.flag(("identity_failures",), b[i], lifts[i, j], lhs[i, j], rhs[i])
+    return lifts.size, (b[i], lifts[i, j], lhs[i, j], rhs[i]), None
 
 
-def _bt_mod8_rows(tally: _Tally, batch: _Batch) -> None:
+def _bt_mod8_rows(batch: _Batch):
     """b T(a,b) == -mu(a,b) + b^2 + 2 - a - a_inv (mod 8), three lifts.
 
     The claim of theorem2's mod-8 check, read from the same arrays.
     """
     b, lifts, (actual, expected) = batch.b, batch.lifts, batch.mod8
-    tally.tuples_checked += actual.size
     i, j = np.nonzero(actual != expected)
-    if len(i):
-        tally.flag(("mod8_failures",), b[i], lifts[i, j], actual[i, j], expected[i, j])
+    return actual.size, (b[i], lifts[i, j], actual[i, j], expected[i, j]), None
 
 
-def _bs_congruence_rows(tally: _Tally, batch: _Batch) -> None:
+def _bs_congruence_rows(batch: _Batch):
     """b S(a,b) == 0 (mod 3) when 3 does not divide b, else 2e (mod 9).
 
     e = +-1 with a == e (mod 3), so 2e mod 9 is 2 or 7. The whole batch
     is checked as one array.
     """
     a, b, values = batch.a, batch.b, batch.bs
-    tally.tuples_checked += len(a)
     div3 = b % 3 == 0
     modulus = np.where(div3, 9, 3)
     expected = np.where(div3, np.where(a % 3 == 1, 2, 7), 0)
     actual = values % modulus
     bad = np.flatnonzero(actual != expected)
     columns = (b, a, values, modulus, expected, actual)
-    tally.flag(("congruence_failures",), *(column[bad] for column in columns))
+    return len(a), tuple(column[bad] for column in columns), None
 
 
-def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
+def _mu_mod8_rows(batch: _Batch):
     """mu(a,b) == (a-1)(a+b-1) (mod 8) for even b, a over a full period.
 
     The a in 1..4b coprime to b are the residues plus 0, b, 2b and 3b,
@@ -365,11 +357,10 @@ def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
     even = batch.b % 2 == 0
     b = np.tile(batch.b[even], 4)
     a = np.tile(batch.a[even], 4) + b * np.repeat(np.arange(4), np.count_nonzero(even))
-    tally.tuples_checked += len(a)
     simple, quadratic = _mu_pairs(a, b), _mu_quadratic_pairs(a, b)
     bad = np.flatnonzero((simple - quadratic) % 8 != 0)
     bad = bad[np.lexsort((a[bad], b[bad]))]
-    tally.flag(("mod8_mismatches",), *(column[bad] for column in (b, a, simple, quadratic)))
+    return len(a), tuple(column[bad] for column in (b, a, simple, quadratic)), None
 
 
 # The int64-exact limits of b_max that several checks share, and what
@@ -377,7 +368,7 @@ def _mu_mod8_rows(tally: _Tally, batch: _Batch) -> None:
 _ROW_KERNEL = (NAIVE_ROW_LIMIT, "the row kernel that {kind} reads")
 _LIFT_WALKS = (LIFT_WALK_LIMIT, "the lift walks of {kind}")
 
-# kind -> (check(tally, batch, ...), summary counters, (largest b_max of
+# kind -> (check(batch, ...), summary counters, (largest b_max of
 # its int64 fast path, what that limit bounds) or None).
 _CHECKS = {
     "theorem1": (
@@ -410,7 +401,7 @@ def _run_slice(kinds: list[str], bs: list[int], cap: int, options: dict) -> list
     for batch in _batches(bs):
         for kind, tally in zip(kinds, tallies):
             start = time.perf_counter()
-            _CHECKS[kind][0](tally, batch, **options.get(kind, {}))
+            tally.add(*_CHECKS[kind][0](batch, **options.get(kind, {})))
             tally.elapsed += time.perf_counter() - start
     return tallies
 

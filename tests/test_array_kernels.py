@@ -1,5 +1,5 @@
 """The int64 array kernels of the lift scans and of mu-mod8 against the
-scalar kernels.
+scalar kernels and the public predicates.
 
 Each array form must equal its scalar counterpart pair by pair:
 exhaustively for every b < 200 and every lift a in (-3b, 3b), and by
@@ -18,13 +18,13 @@ from dedsum.arith import _inverse_pairs, _jacobi, _jacobi_pairs
 from dedsum.congruence import (
     BT_CASES,
     MU_QUADRATIC_LIMIT,
-    _bt_case,
     _bt_case_pairs,
-    _mod8_offset,
     _mod8_offset_pairs,
     _mu,
     _mu_pairs,
     _mu_quadratic_pairs,
+    bt_residue,
+    mu,
     mu_original,
 )
 from dedsum.contfrac import _t_pairs, _t_walk
@@ -45,11 +45,13 @@ def check_against_scalar(a: list[int], b: list[int]) -> None:
     assert _mu_pairs(xa, xb).tolist() == [_mu(x, y) for x, y in zip(a, b)]
     case, modulus, offset = _bt_case_pairs(xa, xb, xinv)
     tags = [BT_CASES[c] for c in case.tolist()]
-    assert list(zip(tags, modulus.tolist(), offset.tolist())) == [
-        _bt_case(x, y, z) for x, y, z in zip(a, b, inverses)
+    predicted = ((offset - xa) % modulus).tolist()
+    residues = [bt_residue(x, y) for x, y in zip(a, b)]
+    assert list(zip(tags, modulus.tolist(), predicted)) == [
+        (r.case_tag, r.modulus, r.predicted) for r in residues
     ]
     assert _mod8_offset_pairs(xa, xb, xinv).tolist() == [
-        _mod8_offset(x, y, z) for x, y, z in zip(a, b, inverses)
+        y * y + 2 - mu(x, y) - z for x, y, z in zip(a, b, inverses)
     ]
 
 
@@ -135,4 +137,5 @@ def test_array_kernels_equal_scalar_kernels_up_to_the_limit(batch):
     for x in a:
         t = _t_walk(x, b)
         assert abs(t) <= b + 3
-        assert abs(b * t - _mod8_offset(x, b, pow(x, -1, b)) + x) <= 2 * b * b + 5 * b + 2
+        offset = b * b + 2 - mu(x, b) - pow(x, -1, b)
+        assert abs(b * t - offset + x) <= 2 * b * b + 5 * b + 2

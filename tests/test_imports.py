@@ -1,15 +1,24 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every package name that the README or a docstring or comment cites
+exists."""
 
 import ast
+import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    path
-    for path in (Path(__file__).parent.parent / "src" / "dedsum").glob("*.py")
-    if path.name != "__init__.py"
-)
+import dedsum
+
+PACKAGE = Path(__file__).parent.parent / "src" / "dedsum"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+README = Path(__file__).parent.parent / "README.md"
+
+# A name in backticks: one identifier or a dotted chain of them.
+CITED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +42,64 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_a_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def docs_and_comments(source: str) -> str:
+    """The docstrings and the comments of source, one after another."""
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    docs = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, nodes)
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return "\n".join(docs + [token.string for token in tokens if token.type == tokenize.COMMENT])
+
+
+def unresolved_names(text: str) -> list[str]:
+    """The names in backticks in text that cite the package but name
+    nothing in it: a private name, looked up in every module, or a
+    dotted name that starts with dedsum or one of its modules."""
+    modules = {path.stem: importlib.import_module(f"dedsum.{path.stem}") for path in MODULES}
+    missing = set()
+    for name in CITED.findall(text):
+        head, *rest = name.split(".")
+        if head == "dedsum":
+            roots, path = [dedsum], rest
+        elif head in modules:
+            roots, path = [modules[head]], rest
+        elif head.startswith("_"):
+            roots, path = modules.values(), [head, *rest]
+        else:
+            continue
+        if not any(resolves(root, path) for root in roots):
+            missing.add(name)
+    return sorted(missing)
+
+
+def resolves(obj, path: list[str]) -> bool:
+    for part in path:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_the_check_sees_a_name_that_is_gone():
+    text = (
+        "`_no_such_kernel`, `scans._Tally.flag`, `dedsum.scans._gone`, `dedekind`,"
+        " `scans._Tally.add`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_fast_parts`,"
+        " `fractions.Fraction`, `cap`"
+    )
+    assert unresolved_names(text) == ["_no_such_kernel", "dedsum.scans._gone", "scans._Tally.flag"]
+    source = '"""`_gone_from_docstring`"""\nx = "`_in_a_string`"  # `_gone_from_comment`\n'
+    assert unresolved_names(docs_and_comments(source)) == ["_gone_from_comment", "_gone_from_docstring"]
+
+
+def test_the_readme_cites_only_names_that_exist():
+    assert unresolved_names(README.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_docstrings_and_comments_cite_only_names_that_exist(path):
+    assert unresolved_names(docs_and_comments(path.read_text(encoding="utf-8"))) == []

@@ -142,7 +142,7 @@ def test_pair_condition_is_exact_at_the_row_limit():
     # show only on a pair with 8b | C, so pairs there with C == 0 (mod 8b)
     # are found first, from factors reduced mod 8b (exact in int64).
     b = THEOREM1_ROW_LIMIT
-    assert b**4 + 4 * b**2 < 2**63 <= (b + 1) ** 4 + 4 * (b + 1) ** 2
+    assert b**4 + 16 * b**2 < 2**65 <= (b + 1) ** 4 + 16 * (b + 1) ** 2
     ends = [1, 2, 3, b // 2 - 1, b // 2, b // 2 + 1, b - 3, b - 2, b - 1]
     pairs = [(x, m1, y, m2) for x in ends for y in ends for m1 in (0, 4) for m2 in (0, 4)]
     x, y = (v.ravel() for v in np.meshgrid(np.arange(b - 64, b), b // 2 + np.arange(-1536, 1536)))
@@ -275,15 +275,19 @@ def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
 
 
 def test_a_row_of_the_wrong_length_is_refused():
-    # The columns are checked on every call, also when no row is kept.
+    # The columns are checked on every call, also when no row is kept and
+    # when the batch is clean.
     for cap in (0, 1):
         tally = dedsum.scans._Tally("mu-mod8", ("mod8_mismatches",), cap=cap)
-        with pytest.raises(ValueError):
-            tally.flag(("mod8_mismatches",), [2], [1], [0])
-        tally.flag(("mod8_mismatches",), np.array([2, 4]), [1, 3], [0, 4], [4, 0])
+        for columns in (([2], [1], [0]), ([], [], []), ([2], [1], [0], [4, 0])):
+            with pytest.raises(ValueError):
+                tally.add(1, columns)
+        tally.add(8, (np.array([2, 4]), [1, 3], [0, 4], [4, 0]))
+        tally.add(4, ([], [], [], []))
         rows = [{"b": 2, "a": 1, "mu_simple": 0, "mu_quadratic": 4}]
         assert tally.violations == rows[:cap], cap
         assert all(type(value) is int for row in tally.violations for value in row.values())
+        assert tally.tuples_checked == 12, cap
         assert (tally.violations_total, tally.summary) == (2, {"mod8_mismatches": 2}), cap
 
 
@@ -578,7 +582,8 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
         raise AssertionError("a scalar kernel ran")
 
     for module, name in [
-        (dedsum.congruence, "_bt_case"),
+        (dedsum.congruence, "bt_residue"),
+        (dedsum.congruence, "bt_congruence_mod8"),
         (dedsum.congruence, "_mu"),
         (dedsum.congruence, "_jacobi"),
         (dedsum.congruence, "_t_walk"),
@@ -591,16 +596,16 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
 
 def test_theorem2_takes_its_case_tags_from_the_array_kernel(monkeypatch):
     # Under a wrong inverse every lift fails both checks; at cap 0 no row
-    # is kept, and no scalar _bt_case may run for a tag.
+    # is kept, and no scalar bt_residue may run for a tag.
     calls = []
-    real = dedsum.congruence._bt_case
+    real = dedsum.congruence.bt_residue
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (dedsum.congruence, dedsum.scans):
-        monkeypatch.setattr(module, "_bt_case", counted, raising=False)
+    for module in (dedsum, dedsum.congruence):
+        monkeypatch.setattr(module, "bt_residue", counted)
     plant_wrong_inverse(monkeypatch)
     report = scan_theorem2(250, cap=0)
     assert report.violations == []
