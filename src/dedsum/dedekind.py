@@ -17,10 +17,14 @@ import numpy as np
 
 from dedsum.arith import require_coprime
 
-# 3 * b**3 must stay below 2**63 for the vectorized row to be exact: each
-# of its b - 1 terms (2k - b)(ak mod b) is below b^2 in size, so every
-# partial sum of a row stays below b^3, and the row's value
-# 3 sum (2k - b)(2 (ak mod b) - b) = 6 sum (2k - b)(ak mod b) below 3b^3.
+# 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
+# row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
+# h < b/2 terms (2k - b)(ak mod b) is below b^2 in size, so every partial
+# sum of them stays below b^3 / 2. Twice that sum, plus the correction
+# b h (b - 1 - h) <= b^3 / 4, gives the half sum
+# H = sum_{k < b/2} (2k - b)(2 (ak mod b) - b), whose h terms are below
+# b^2 too, so |H| < b^3 / 2. The row's value b S(a, b) = 6H / b has 6H
+# below 3b^3.
 #
 # The same bound covers the reciprocity row kernel `_bs_pairs`. With the
 # Euclid remainders r_0 = b > r_1 = a > r_2 > ... and V_k =
@@ -143,9 +147,23 @@ def b_times_s(a: int, b: int) -> int:
 
 
 def coprime_residues(b: int) -> np.ndarray:
-    """The residues a in 1..b-1 with gcd(a, b) == 1, as an int64 array."""
-    k = np.arange(1, b, dtype=np.int64)
-    return k[np.gcd(k, b) == 1]
+    """The residues a in 1..b-1 with gcd(a, b) == 1, as an int64 array.
+
+    Sieves 1..b-1: clears the multiples of each prime factor of b, found
+    by trial division.
+    """
+    keep = np.ones(max(b, 1), dtype=bool)
+    keep[0] = False
+    n, p = b, 2
+    while p * p <= n:
+        if n % p == 0:
+            keep[::p] = False
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        keep[::n] = False
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
 
 
 def _reciprocity_rhs(x, y):
@@ -198,33 +216,66 @@ def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
+# The row sums half of its range. ((x)) is odd, ((-x)) = -((x)), and
+# periodic, so the summand of k in
+#     4 b^2 s(a, b) = sum_{k=1}^{b-1} (2k - b)(2 r_k - b),  r_k = ak mod b,
+# equals that of b - k: r_{b-k} = b - r_k, as r_k > 0 for a coprime to b,
+# so both factors change sign. For even b the term k = b/2 is 0. So the
+# row is 2H with H = sum_{1 <= k < b/2} (2k - b)(2 r_k - b), and
+# b S(a, b) = 3 (2H) / b = 6H / b. This pairs the summation index only;
+# it uses no identity of Dedekind sums, so the row stays the definitional
+# sum that `dedekind_naive` runs in full.
+#
+# With h = floor((b - 1) / 2) terms, H = 2 sum_k (2k - b) r_k - b W for
+# the constant W = sum_{k=1}^{h} (2k - b) = -h (b - 1 - h). The blocks
+# hold a k < b^2 / 2 and then (2k - b) r_k, below b^2 in size; both fit
+# int32 while b^2 <= 2^31 - 1, that is for b <= NAIVE_INT32_LIMIT.
+# Larger b run the same blocks in int64. The sums over k are int64.
+NAIVE_INT32_LIMIT = 46_340
+
+
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     """b * S(a, b) by direct summation for every a in 1..b-1 coprime to b.
 
     Returns (residues, values) as int64 arrays. This is the bulk oracle
-    used by the equivalence scan; it never touches the recursion. Raises
-    ValueError when b exceeds the exactness bound for int64.
+    used by the equivalence scan; it never touches the recursion. Each
+    row sums the terms k < b/2 of the defining sum, which equal those of
+    b - k, in int32 blocks up to NAIVE_INT32_LIMIT and int64 blocks above
+    it. Raises ValueError when b exceeds the exactness bound for int64.
     """
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
     if b > NAIVE_ROW_LIMIT:
         raise ValueError(f"b={b} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
-    k = np.arange(1, b, dtype=np.int64)
     residues = coprime_residues(b)
+    return residues, _naive_row_values(residues, b)
+
+
+def _naive_row_values(residues: np.ndarray, b: int) -> np.ndarray:
+    """6H / b for each of the residues, H the half sum above."""
+    dtype = np.int32 if b <= NAIVE_INT32_LIMIT else np.int64
+    h = (b - 1) // 2
+    k = np.arange(1, h + 1, dtype=dtype)
     wk = 2 * k - b
-    # sum_k (2k - b) = 0, so sum_k (2k - b)(2 r_k - b) = 2 sum_k (2k - b) r_k:
-    # the rows sum (2k - b) r_k and are doubled once at the end.
     sums = np.zeros(len(residues), dtype=np.int64)
+    # Blocks of at most 4,000,000 / b rows of h < b/2 terms, one for the
+    # products and one for the quotients: at most 8 MB each in int32 and
+    # 16 MB each in int64 (one int64 block of full rows took 32 MB).
     chunk = max(1, 4_000_000 // b)
-    block = np.empty((min(chunk, len(residues)), b - 1), dtype=np.int64)
+    block = np.empty((min(chunk, len(residues)), h), dtype=dtype)
+    quot = np.empty_like(block)
     for lo in range(0, len(residues), chunk):
-        part = residues[lo : lo + chunk]
-        buf = block[: len(part)]
-        np.multiply(part[:, None], k[None, :], out=buf)
-        buf %= b
-        buf *= wk[None, :]
-        sums[lo : lo + chunk] = buf.sum(axis=1)
-    bs, rem = np.divmod(6 * sums, b)
+        part = residues[lo : lo + chunk].astype(dtype, copy=False)
+        buf, q = block[: len(part)], quot[: len(part)]
+        np.multiply(part[:, None], k, out=buf)
+        # r = ak - b floor(ak / b): numpy divides by a scalar in vector
+        # loops, about three times faster than its remainder.
+        np.floor_divide(buf, b, out=q)
+        q *= b
+        buf -= q
+        buf *= wk
+        sums[lo : lo + chunk] = buf.sum(axis=1, dtype=np.int64)
+    bs, rem = np.divmod(6 * (2 * sums + b * h * (b - 1 - h)), b)
     if rem.any():
         raise ArithmeticError(f"non-integral b*S value in row b={b}")
-    return residues, bs
+    return bs

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 import dedsum.dedekind
 import dedsum.scans
 from dedsum.dedekind import (
+    NAIVE_INT32_LIMIT,
     NAIVE_ROW_LIMIT,
     _bs_pairs,
+    _naive_row_values,
     b_times_s,
     bs_values,
     coprime_residues,
@@ -132,13 +134,46 @@ def test_rejects_bad_input():
         dedekind_fast(1, -5)
 
 
+def test_coprime_residues_match_gcd():
+    for b in range(1, 3000):
+        residues = coprime_residues(b)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [a for a in range(1, b) if gcd(a, b) == 1], b
+
+
 def test_naive_bs_row_matches_scalar_naive():
-    for b in [2, 3, 4, 5, 9, 12, 30, 49, 97, 360]:
+    # The row sums only k < b/2: the half range is empty at b = 2, and
+    # for even b the term k = b/2 drops out; the scalar sums every k.
+    for b in [*range(2, 301), 360]:
         residues, values = naive_bs_row(b)
         expected_residues = [a for a in range(1, b) if gcd(a, b) == 1]
         assert residues.tolist() == expected_residues
         for a, value in zip(residues.tolist(), values.tolist()):
             assert Fraction(value, b) == dedekind_naive(a, b), (a, b)
+
+
+def test_naive_rows_agree_at_the_int32_switch(monkeypatch):
+    # Blocks hold a k and (2k - b) r_k, below b^2: int32 up to the bound.
+    assert NAIVE_INT32_LIMIT**2 <= 2**31 - 1 < (NAIVE_INT32_LIMIT + 1) ** 2
+    rng = random.Random(NAIVE_INT32_LIMIT)
+    for b in [NAIVE_INT32_LIMIT, NAIVE_INT32_LIMIT + 1]:
+        residues = coprime_residues(b)
+        sample = residues[[0, 1, -2, -1, *rng.sample(range(len(residues)), 8)]]
+        values = _naive_row_values(sample, b)
+        for a, value in zip(sample.tolist(), values.tolist()):
+            assert Fraction(value, b) == dedekind_naive(a, b), (a, b)
+        if b == NAIVE_INT32_LIMIT:
+            with monkeypatch.context() as patch:
+                patch.setattr(dedsum.dedekind, "NAIVE_INT32_LIMIT", b - 1)
+                assert _naive_row_values(sample, b).tolist() == values.tolist()
+    # The switch matters: int32 blocks at twice the bound overflow.
+    b = 2 * NAIVE_INT32_LIMIT + 1
+    sample = np.array([1, b // 3, b - 2, b - 1], dtype=np.int64)
+    values = _naive_row_values(sample, b)
+    assert values.tolist() == [b * dedekind_naive(a, b) for a in sample.tolist()]
+    monkeypatch.setattr(dedsum.dedekind, "NAIVE_INT32_LIMIT", b)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _naive_row_values(sample, b)
 
 
 def test_naive_bs_row_rejects_bad_input():
