@@ -10,20 +10,25 @@ and its violations as index-selected columns; _run_slice hands them to
 the kind's _Tally in one call per batch, and only the tally counts, caps
 and builds rows.
 
-A worker makes one pass over its b values: it gathers their rows
-(b, coprime residues of b) into batches and runs every kind on a batch
-before it builds the next. The arrays that several kinds read are
-computed at most once per batch, by the first kind that reads them.
+A pass over b values gathers their rows (b, coprime residues of b)
+into batches and runs every kind on a batch before it builds the next.
+The arrays that several kinds read are computed at most once per batch,
+by the first kind that reads them.
 
-With jobs > 1 a whole suite runs on one process pool. Each worker runs
-every scan on its strided slice of the b range, and the partial results
-are merged in ascending b order, so the report content is identical for
-any job count. A report's elapsed time is its kind's longest time in one
-worker, counting the shared arrays that kind was the first to read.
-Building the rows and starting the pool count in no kind.
+With jobs > 1 the b range is cut into pieces of about one batch each
+(_pieces), largest b first. The calling process and a pool of up to
+jobs - 1 workers each start on a piece of their own, then claim the
+next unclaimed piece from a shared counter until none is left, so a
+process that runs slower on a busy host does less of the work. The
+partial results are merged in ascending b order, so the report content
+is identical for any job count. A report's elapsed time is its kind's
+longest time in one worker, the caller counting as one, including the
+shared arrays that kind was the first to read. Building the rows and
+starting the pool count in no kind.
 """
 
 import functools
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -100,7 +105,7 @@ class _Tally:
 
 
 class _Batch:
-    """Consecutive rows (b, coprime residues of b) of one worker's slice.
+    """Consecutive rows (b, coprime residues of b) of one pass.
 
     a and b hold one entry per residue, and spans the (b, start, end) of
     each row, so that a[start:end] are the residues of that b; b = 1 has
@@ -393,10 +398,10 @@ _CHECKS = {
 IDENTITY_KINDS = tuple(kind for kind in _CHECKS if kind not in ("theorem1", "theorem2"))
 
 
-def _run_slice(kinds: list[str], bs: list[int], cap: int, options: dict) -> list[_Tally]:
-    """One worker's share: one pass over its b slice, batch by batch,
-    every kind on a batch before the next one is built. Each kind's
-    time is the sum of its checks' times."""
+def _run_slice(kinds: list[str], bs, cap: int, options: dict) -> list[_Tally]:
+    """One pass over the ascending b of bs, the whole range or one piece,
+    batch by batch, every kind on a batch before the next one is built.
+    Each kind's time is the sum of its checks' times."""
     tallies = [_Tally(kind, _CHECKS[kind][1], cap) for kind in kinds]
     for batch in _batches(bs):
         for kind, tally in zip(kinds, tallies):
@@ -406,15 +411,96 @@ def _run_slice(kinds: list[str], bs: list[int], cap: int, options: dict) -> list
     return tallies
 
 
+def _row_sizes(b_max: int) -> np.ndarray:
+    """The row size of each b in 0..b_max: phi(b), the count of residues
+    coprime to b, by a totient sieve; 0 at b = 0 and at b = 1, whose row
+    is empty."""
+    sizes = np.arange(b_max + 1)
+    for p in range(2, b_max + 1):
+        if sizes[p] == p:  # no smaller prime divides p
+            sizes[p::p] -= sizes[p::p] // p
+    sizes[:2] = 0
+    return sizes
+
+
+def _pieces(b_max: int, jobs: int) -> list[list[int]]:
+    """1..b_max cut into runs of consecutive b for jobs processes to
+    share, the run of the largest b first.
+
+    Like _batches, a run gathers rows in ascending b until it holds at
+    least `size` residues; so a run is one batch, as at jobs 1. size is
+    _BATCH, or a jobs-th of the range's residues when that is less, so
+    that a short range still gives every process a run. Every run but
+    the one of the largest b holds at least size residues, and every run
+    fewer than size plus the largest row.
+    """
+    sizes = _row_sizes(b_max).tolist()
+    size = max(1, min(_BATCH, -(-sum(sizes) // jobs)))
+    pieces, piece, load = [], [], 0
+    for b in range(1, b_max + 1):
+        piece.append(b)
+        load += sizes[b]
+        if load >= size:
+            pieces.append(piece)
+            piece, load = [], 0
+    if piece:
+        pieces.append(piece)
+    return pieces[::-1]
+
+
+# The claim counter of the pieces in a pool worker; _join sets it when
+# the worker starts.
+_pool_claims = None
+
+
+def _join(claims) -> None:
+    global _pool_claims
+    _pool_claims = claims
+
+
+def _claimed(work, pieces: list[list[int]], first: int, claims=None) -> list:
+    """One process's share of pieces: piece `first`, then, until none is
+    left, the next piece that no process has claimed yet from the shared
+    counter `claims` (a pool worker's own when None). A process that runs
+    slower than the others thus claims fewer pieces. Returns
+    work(piece) for each piece run here, in the order run.
+    """
+    claims = _pool_claims if claims is None else claims
+    done, index = [], first
+    while index < len(pieces):
+        done.append(work(pieces[index]))
+        with claims.get_lock():
+            index = claims.value
+            claims.value += 1
+    return done
+
+
+def _shared(work, pieces: list[list[int]], jobs: int) -> list[list]:
+    """work(piece) for every piece, on the calling process and a pool of
+    at most jobs - 1 workers: one list per process, the caller's first.
+    Process i starts on piece i, so every process runs at least one."""
+    processes = min(jobs, len(pieces))
+    claims = multiprocessing.Value("q", processes)
+    if processes == 1:
+        return [_claimed(work, pieces, 0, claims)]
+    with ProcessPoolExecutor(
+        max_workers=processes - 1, initializer=_join, initargs=(claims,)
+    ) as pool:
+        pending = [pool.submit(_claimed, work, pieces, i) for i in range(1, processes)]
+        return [_claimed(work, pieces, 0, claims), *(f.result() for f in pending)]
+
+
 def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
     """Run several kinds over b = 1..b_max on at most one process pool.
 
     Every kind's arguments are checked before any work, so a bound one
-    kind cannot take fails at once, not after the others ran. Workers
-    receive strided slices bs[i::jobs], so their b sets are disjoint;
-    per kind, a stable sort by b restores the sequential row order
-    before the cap is applied to the merged list. A report's elapsed
-    time is its kind's longest time in one worker.
+    kind cannot take fails at once, not after the others ran. With jobs
+    > 1 the b range is cut by _pieces into runs of consecutive b, which
+    the caller and a pool of up to jobs - 1 workers share (_shared); each
+    run keeps its own tallies. Per kind, a stable sort by b restores the
+    sequential row order before the cap is applied to the merged list. A
+    report's elapsed time is its kind's longest time in one worker, the
+    caller included.
     """
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
@@ -430,15 +516,13 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
     # The keyword arguments of each kind's check, also in its parameters.
     options = {"theorem1": {"include_9div": include_9div}}
     work = functools.partial(_run_slice, kinds, cap=cap, options=options)
-    all_bs = list(range(1, b_max + 1))
-    slices = [s for s in (all_bs[i::jobs] for i in range(jobs)) if s]
-    if len(slices) <= 1:
-        parts = [work(all_bs)]
+    if jobs == 1:
+        shares = [[work(range(1, b_max + 1))]]
     else:
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(pool.map(work, slices))
+        shares = _shared(work, _pieces(b_max, jobs), jobs)
     reports = []
-    for kind, tallies in zip(kinds, zip(*parts)):
+    for k, kind in enumerate(kinds):
+        tallies = [piece[k] for share in shares for piece in share]
         rows = sorted((row for t in tallies for row in t.violations), key=lambda row: row["b"])
         parameters = {"bmax": b_max, "cap": cap, **options.get(kind, {})}
         summary = {key: sum(t.summary[key] for t in tallies) for key in sorted(_CHECKS[kind][1])}
@@ -452,7 +536,7 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
                 violations=rows[:cap],
                 parameters=dict(sorted(parameters.items())),
                 summary=summary,
-                elapsed=max(t.elapsed for t in tallies),
+                elapsed=max(sum(piece[k].elapsed for piece in share) for share in shares),
             )
         )
     return reports

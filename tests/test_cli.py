@@ -1,15 +1,20 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import multiprocessing
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 import dedsum.cli
+import dedsum.scans
 from dedsum.cli import main
 from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import parse_csv, parse_json
@@ -158,6 +163,41 @@ def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("holder", ["caller", "worker"])
+def test_a_row_that_fails_in_a_parallel_suite_exits_3_and_writes_nothing(
+    holder, tmp_path, monkeypatch, capsys
+):
+    # Every process starts on a piece of its own, so the planted error
+    # fires in the first batch that the holder runs.
+    caller = os.getpid()
+    real = dedsum.scans.bs_values
+
+    def planted(a, b):
+        if (os.getpid() == caller) == (holder == "caller"):
+            raise ArithmeticError(f"planted in process {os.getpid()}")
+        return real(a, b)
+
+    monkeypatch.setattr(dedsum.scans, "bs_values", planted)
+    out = tmp_path / "report.json"
+    argv = ["check", "--suite", "all", "--bmax", "60", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: ArithmeticError: planted in process "
+    assert captured.err.startswith(prefix)
+    assert (int(captured.err[len(prefix):]) == caller) == (holder == "caller")
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_parallel_suite_matches_the_golden_report(capsys):
+    argv = ["check", "--suite", "all", "--bmax", "60", "--include-9div", "--jobs", "2"]
+    assert main(argv) == 1
+    out = re.sub(r'^\s*"elapsed_seconds": .*\n', "", capsys.readouterr().out, flags=re.M)
+    golden = pathlib.Path(__file__).parent / "golden" / "check_all_bmax60.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_check_csv_and_json_agree(capsys):

@@ -465,7 +465,22 @@ def test_jobs_do_not_change_suite_content():
     assert sequential[0].violations_total > 5
 
 
-@pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
+# bmax 3 at jobs 5: more jobs than b, and b = 1 and 2 share a piece.
+# bmax 130 holds three batches of residues, so at jobs 2 the caller and
+# the worker claim the third from the shared counter.
+@pytest.mark.parametrize(
+    "b_max,jobs,cap", [(27, 2, 5), (27, 4, 5), (3, 5, 5), (130, 2, 5), (130, 2, 10**6), (130, 3, 0)]
+)
+def test_more_jobs_do_not_change_suite_content(b_max, jobs, cap):
+    sequential = run_suite("all", b_max, include_9div=True, cap=cap)
+    parallel = run_suite("all", b_max, include_9div=True, cap=cap, jobs=jobs)
+    for report in sequential + parallel:
+        report.elapsed = 0.0
+    assert sequential == parallel
+    assert (sequential[0].violations_total > 5) == (b_max >= 9)
+
+
+@pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
 def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
     started = []
 
@@ -477,7 +492,50 @@ def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
     monkeypatch.setattr(dedsum.scans, "ProcessPoolExecutor", CountingPool)
     reports = run_suite("all", 30, include_9div=True, jobs=jobs)
     assert len(reports) == 8
-    assert len(started) == pools
+    # The calling process works pieces too, so the pool has jobs - 1 workers.
+    assert [kwargs["max_workers"] for kwargs in started] == [jobs - 1] * pools
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4, 7])
+@pytest.mark.parametrize("b_max", [1, 2, 3, 9, 60, 251, 1000])
+def test_pieces_cut_the_range_into_runs_of_about_one_batch(b_max, jobs):
+    pieces = dedsum.scans._pieces(b_max, jobs)
+    assert all(pieces)
+    assert [b for piece in reversed(pieces) for b in piece] == list(range(1, b_max + 1))
+    sizes = [0] + [len(coprime_residues(b)) for b in range(1, b_max + 1)]
+    size = max(1, min(dedsum.scans._BATCH, -(-sum(sizes) // jobs)))
+    loads = [sum(sizes[b] for b in piece) for piece in pieces]
+    assert all(size <= load < size + max(sizes) for load in loads[1:])
+    assert loads[0] < size + max(sizes)
+    if size == dedsum.scans._BATCH:
+        batches = dedsum.scans._batches(range(1, b_max + 1))
+        spans = [(batch.spans[0][0], batch.spans[-1][0]) for batch in batches]
+        assert [(piece[0], piece[-1]) for piece in reversed(pieces)] == spans
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_shared_pieces_run_once_each(jobs):
+    pieces = [[i] for i in range(12)]
+    shares = dedsum.scans._shared(sum, pieces, jobs)
+    assert len(shares) == jobs
+    # Process i starts on piece i, then claims pieces in list order.
+    assert [share[0] for share in shares] == list(range(jobs))
+    assert all(share == sorted(share) for share in shares)
+    assert sorted(i for share in shares for i in share) == list(range(12))
+    assert dedsum.scans._shared(sum, [[0], [1]], 5) == [[0], [1]]
+
+
+def test_one_job_runs_no_sieve(monkeypatch):
+    def sieve(b_max):
+        raise AssertionError("sieved at jobs 1")
+
+    monkeypatch.setattr(dedsum.scans, "_row_sizes", sieve)
+    assert len(run_suite("all", 50, jobs=1)) == 8
+
+
+def test_row_sizes_are_the_coprime_residue_counts():
+    sizes = dedsum.scans._row_sizes(3000).tolist()
+    assert sizes == [0] + [len(coprime_residues(b)) for b in range(1, 3001)]
 
 
 def test_jobs_preserve_capped_row_order():
