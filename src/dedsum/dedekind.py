@@ -233,6 +233,9 @@ def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Larger b run the same blocks in int64. The sums over k are int64.
 NAIVE_INT32_LIMIT = 46_340
 
+# The number of elements in a block of the naive row.
+_NAIVE_BLOCK = 2**17
+
 
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     """b * S(a, b) by direct summation for every a in 1..b-1 coprime to b.
@@ -258,10 +261,13 @@ def _naive_row_values(residues: np.ndarray, b: int) -> np.ndarray:
     k = np.arange(1, h + 1, dtype=dtype)
     wk = 2 * k - b
     sums = np.zeros(len(residues), dtype=np.int64)
-    # Blocks of at most 4,000,000 / b rows of h < b/2 terms, one for the
-    # products and one for the quotients: at most 8 MB each in int32 and
-    # 16 MB each in int64 (one int64 block of full rows took 32 MB).
-    chunk = max(1, 4_000_000 // b)
+    # Blocks of about _NAIVE_BLOCK elements, _NAIVE_BLOCK // h rows of
+    # h < b/2 terms, one for the products and one for the quotients: at
+    # most 512 KB each in int32 and 1 MB each in int64, or one row each
+    # once a row alone is longer (b > 262,146). Two fresh blocks of the
+    # whole row would cost more in first touches of their pages than in
+    # arithmetic at b near 2000. A row with b <= 513 is one block.
+    chunk = max(1, _NAIVE_BLOCK // max(h, 1))
     block = np.empty((min(chunk, len(residues)), h), dtype=dtype)
     quot = np.empty_like(block)
     for lo in range(0, len(residues), chunk):

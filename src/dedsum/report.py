@@ -19,6 +19,8 @@ elapsed_seconds field.
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 # Column names and value types per report kind, fixed so that consumers
 # can rely on the layout.
@@ -170,10 +172,81 @@ def _document(report: Report) -> dict:
     return {name: values[name] for name, _ in _FIELDS[type(report)]}
 
 
+# The JSON text of a row value of each type, as json.dumps writes it
+# with ensure_ascii.
+_CELL_JSON = {
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: encode_basestring_ascii,
+}
+
+
+def _cell_json(value) -> str:
+    write = _CELL_JSON.get(type(value))
+    if write is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return write(value)
+
+
+def _rows_json(kind: str, rows: list[dict], depth: int) -> list[str]:
+    """The JSON text of each row as json.dumps(row, sort_keys=True,
+    indent=2) writes it nested at depth, from one template per call.
+
+    Raises ValueError, as _typed_row does, unless each row is an object
+    of exactly the kind's columns, and TypeError for a value that is not
+    an int, a bool or a string.
+    """
+    if not rows:
+        return []
+    if kind not in COLUMNS:
+        raise ValueError(f"unknown report kind {kind!r}, expected one of {sorted(COLUMNS)}")
+    names = sorted(name for name, _ in COLUMNS[kind])
+    expected, values = set(names), itemgetter(*names)
+    pad = "\n" + "  " * (depth + 1)
+    template = "{" + ",".join(f'{pad}"{name}": %s' for name in names) + pad[:-2] + "}"
+    texts = []
+    for row in rows:
+        if type(row) is not dict or row.keys() != expected:
+            _typed_row(kind, row)  # raises the parser's error
+        texts.append(template % tuple(map(_cell_json, values(row))))
+    return texts
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """The JSON array of the items' texts as json.dumps(indent=2) writes
+    it nested at depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + f",{pad}".join(items) + pad[:-2] + "]"
+
+
+def _document_json(report: Report, depth: int) -> str:
+    """The report's document as json.dumps(doc, sort_keys=True, indent=2)
+    writes it nested at depth. Each field but the rows is written by
+    json.dumps and shifted to its depth: JSON text holds no raw newline,
+    so every "\\n" in it starts a line of the layout."""
+    doc = _document(report)
+    pad = "\n" + "  " * (depth + 1)
+    fields = []
+    for name, typ in sorted(_FIELDS[type(report)]):
+        if typ == "a list of rows":
+            text = _json_list(_rows_json(report.kind, doc[name], depth + 2), depth + 1)
+        else:
+            text = json.dumps(doc[name], sort_keys=True, indent=2).replace("\n", pad)
+        fields.append(f'{pad}"{name}": {text}')
+    return "{" + ",".join(fields) + pad[:-2] + "}"
+
+
 def render_json(reports: list[Report]) -> str:
-    """JSON text for one or many reports; single object when exactly one."""
-    docs = [_document(r) for r in reports]
-    return json.dumps(docs[0] if len(docs) == 1 else docs, sort_keys=True, indent=2) + "\n"
+    """JSON text for one or many reports; single object when exactly one.
+
+    The text is json.dumps(docs, sort_keys=True, indent=2) + "\\n":
+    two-space indent, keys sorted, non-ASCII escaped.
+    """
+    if len(reports) == 1:
+        return _document_json(reports[0], 0) + "\n"
+    return _json_list([_document_json(r, 1) for r in reports], 0) + "\n"
 
 
 def _csv_cell(value) -> str:

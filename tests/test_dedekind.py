@@ -176,6 +176,21 @@ def test_naive_rows_agree_at_the_int32_switch(monkeypatch):
         _naive_row_values(sample, b)
 
 
+@pytest.mark.parametrize("b", [521, 1009, 2003])
+def test_naive_row_split_over_blocks_matches_scalar_naive(b):
+    # 521 is the least b whose row takes more than one block; each of
+    # these rows ends on a partial block.
+    residues, values = naive_bs_row(b)
+    rows = dedsum.dedekind._NAIVE_BLOCK // ((b - 1) // 2)
+    assert rows < len(residues) and len(residues) % rows
+    # The first and last residue of every block, and a random sample.
+    picks = {*range(0, len(residues), rows), *range(rows - 1, len(residues), rows)}
+    picks |= {len(residues) - 1, *random.Random(b).sample(range(len(residues)), 16)}
+    for i in sorted(picks):
+        a = int(residues[i])
+        assert Fraction(int(values[i]), b) == dedekind_naive(a, b), (a, b)
+
+
 def test_naive_bs_row_rejects_bad_input():
     with pytest.raises(ValueError):
         naive_bs_row(1)

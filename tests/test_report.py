@@ -18,6 +18,7 @@ from dedsum.report import (
     render_csv,
     render_json,
 )
+from dedsum.scans import run_suite
 
 
 def sample_scan() -> ScanReport:
@@ -305,24 +306,31 @@ def test_boolean_cells_use_lowercase_words():
 # CSV cells are not quoted, so text cells hold no comma or line break;
 # the scans only ever write short tags such as "residue" or "odd_ndiv3".
 CELL_TEXT = st.text(string.ascii_letters + string.digits + "_-", max_size=12)
-CELLS = {int: st.integers(-(10**40), 10**40), bool: st.booleans(), str: CELL_TEXT}
+# JSON escapes any text: quotes, backslashes, control characters,
+# non-ASCII characters and lone surrogates.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
 METADATA = st.dictionaries(
     st.text(max_size=8), st.integers(-(10**12), 10**12) | st.booleans(), max_size=4
 )
 
 
-def rows_of(kind: str):
+def rows_of(kind: str, text):
+    cells = {int: st.integers(-(10**40), 10**40), bool: st.booleans(), str: text}
     return st.lists(
-        st.fixed_dictionaries({name: CELLS[typ] for name, typ in COLUMNS[kind]}),
+        st.fixed_dictionaries({name: cells[typ] for name, typ in COLUMNS[kind]}),
         max_size=5,
     )
 
 
-def any_report(kind: str):
+def any_report(kind: str, text):
     elapsed = st.floats(0, 10**6, allow_nan=False)
     if kind == "examples":
         return st.builds(
-            TableReport, kind=st.just(kind), parameters=METADATA, rows=rows_of(kind), elapsed=elapsed
+            TableReport,
+            kind=st.just(kind),
+            parameters=METADATA,
+            rows=rows_of(kind, text),
+            elapsed=elapsed,
         )
     return st.builds(
         ScanReport,
@@ -331,14 +339,20 @@ def any_report(kind: str):
         b_hi=st.integers(1, 10**9),
         tuples_checked=st.integers(0, 10**15),
         violations_total=st.integers(0, 10**15),
-        violations=rows_of(kind),
+        violations=rows_of(kind, text),
         parameters=METADATA,
         summary=st.dictionaries(st.text(max_size=8), st.integers(0, 10**15), max_size=4),
         elapsed=elapsed,
     )
 
 
-REPORTS = st.lists(st.sampled_from(sorted(COLUMNS)).flatmap(any_report), min_size=1, max_size=3)
+def reports_of(text):
+    kinds = st.sampled_from(sorted(COLUMNS))
+    return st.lists(kinds.flatmap(lambda kind: any_report(kind, text)), min_size=1, max_size=3)
+
+
+REPORTS = reports_of(CELL_TEXT)
+JSON_REPORTS = reports_of(JSON_TEXT)
 
 
 def deterministic(reports):
@@ -346,11 +360,118 @@ def deterministic(reports):
     return [dataclasses.replace(report, elapsed=0.0) for report in reports]
 
 
-@given(REPORTS)
+@given(JSON_REPORTS)
 def test_json_roundtrip_any_rows(reports):
     assert deterministic(parse_json(render(reports, "json"))) == deterministic(reports)
+
+
+def reference_json(reports) -> str:
+    """The JSON layout of the reports as json.dumps writes it."""
+    docs = []
+    for report in reports:
+        doc = {"kind": report.kind, "parameters": report.parameters}
+        if isinstance(report, ScanReport):
+            doc |= {
+                "b_range": [report.b_lo, report.b_hi],
+                "tuples_checked": report.tuples_checked,
+                "violations_total": report.violations_total,
+                "summary": report.summary,
+                "violations": report.violations,
+            }
+        else:
+            doc["rows"] = report.rows
+        docs.append(doc | {"elapsed_seconds": report.elapsed})
+    return json.dumps(docs[0] if len(docs) == 1 else docs, sort_keys=True, indent=2) + "\n"
+
+
+@given(JSON_REPORTS)
+def test_json_layout_is_json_dumps_indent_2(reports):
+    assert render_json(reports) == reference_json(reports)
+
+
+def theorem2_scan(violations: list[dict]) -> ScanReport:
+    return ScanReport(
+        kind="theorem2",
+        b_lo=1,
+        b_hi=60,
+        tuples_checked=3312,
+        violations_total=len(violations),
+        violations=violations,
+        parameters={"bmax": 60, "cap": 0, "nested": {"list": [1, [], {}], "z": None, "f": 0.5}},
+        summary={"residue_failures": len(violations), "lift_failures": 0},
+        elapsed=1e-7,
+    )
+
+
+def theorem2_row(**cells) -> dict:
+    row = {"b": 5, "a": 2, "check": "residue", "case": "odd_ndiv3"}
+    return row | {"modulus": 24, "predicted": 10, "actual": 10} | cells
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [
+        pytest.param([sample_scan()], id="one"),
+        pytest.param([sample_table()], id="table"),
+        pytest.param([sample_scan(), sample_table(), sample_scan()], id="several"),
+        pytest.param([], id="none"),
+        pytest.param([theorem2_scan([])], id="no-rows"),
+        pytest.param([sample_scan(), theorem2_scan([])], id="no-rows-in-several"),
+        pytest.param(
+            [theorem2_scan([theorem2_row(), theorem2_row(check="lift", case='\u00e9"\\\n\x00')])],
+            id="theorem2-text",
+        ),
+        pytest.param(
+            [theorem2_scan([theorem2_row(a=-7, predicted=2**63, actual=-(2**70))])],
+            id="beyond-int64",
+        ),
+        pytest.param([theorem2_scan([theorem2_row(), theorem2_row(predicted=True)])], id="bool-int"),
+    ],
+)
+def test_json_layout_cases(reports):
+    assert render_json(reports) == reference_json(reports)
+
+
+def test_json_layout_of_suites():
+    for bmax in (1, 2, 60):
+        for cap in (0, 3, 10**9):
+            reports = run_suite("all", bmax, include_9div=True, cap=cap)
+            assert render_json(reports) == reference_json(reports), (bmax, cap)
+            for report in reports:
+                assert render_json([report]) == reference_json([report]), (bmax, cap)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(theorem2_row(extra=1), id="extra-key"),
+        pytest.param({k: v for k, v in theorem2_row().items() if k != "case"}, id="missing-key"),
+    ],
+)
+def test_json_refuses_to_write_a_row_that_is_not_its_kinds_columns(row):
+    with pytest.raises(ValueError, match="theorem2 row needs one value for each of"):
+        render_json([theorem2_scan([theorem2_row(), row])])
+
+
+def test_json_refuses_to_write_a_row_that_is_not_an_object():
+    with pytest.raises(ValueError, match="theorem2 row needs an object"):
+        render_json([theorem2_scan([list(theorem2_row().values())])])
+
+
+@pytest.mark.parametrize("value", [0.5, None, [1]])
+@pytest.mark.parametrize("others", [0, 1])
+def test_json_refuses_to_write_a_row_value_of_another_type(value, others):
+    rows = [theorem2_row()] * others + [theorem2_row(actual=value)]
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        render_json([theorem2_scan(rows)])
 
 
 @given(REPORTS)
 def test_csv_roundtrip_any_rows(reports):
     assert deterministic(parse_csv(render(reports, "csv"))) == deterministic(reports)
+
+
+def test_json_refuses_to_write_rows_of_an_unknown_kind():
+    report = dataclasses.replace(sample_scan(), kind="nope")
+    with pytest.raises(ValueError, match="unknown report kind 'nope'"):
+        render_json([report])
