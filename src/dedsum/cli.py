@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
 2 usage or validation error, 3 runtime failure (an I/O error, an
-arithmetic check that failed, or a broken worker pool), 130 interrupted.
+arithmetic check that failed, a broken worker pool, or memory that ran
+out), 130 interrupted.
 Validation covers the --out directory and the scan bounds, and is done
 before any scan starts.
 """
@@ -263,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ArithmeticError, BrokenExecutor) as exc:
+    except (OSError, ArithmeticError, BrokenExecutor, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

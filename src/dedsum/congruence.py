@@ -17,11 +17,11 @@ The public predicates check their arguments (b large enough, a coprime
 to b) and then evaluate their formulas on the raw kernels `_mu`,
 `_jacobi` and `_t_walk`. Each prediction depends on a only through
 a mod b, apart from a linear -a term, so it is the same on every lift
-of a residue class. `_mu_pairs`, `_bt_case_pairs` and
-`_mod8_offset_pairs`, on top of `_jacobi_pairs`, are the array forms of
-`_mu` and of the predictions of `bt_residue` and `bt_congruence_mod8`,
-and those predicates are the tests' reference for them. The lift scans
-compute them once per residue for whole batches of residues.
+of a residue class. `_mu_pairs` (on top of `_jacobi_pairs`),
+`_bt_case_pairs` and `_mod8_offset_pairs` are the array forms of `_mu`
+and of the predictions of `bt_residue` and `bt_congruence_mod8`, and
+those predicates are the tests' reference for them. The lift scans
+compute them once per residue for whole batches, one mu for both.
 `_mu_quadratic_pairs` is the array form of `mu_original`, for the
 mu-mod8 scan; it stays independent of `_mu_pairs`.
 """
@@ -153,10 +153,10 @@ def bt_congruence_mod8(a: int, b: int) -> bool:
     return (b * _t_walk(a, b) - offset + a) % 8 == 0
 
 
-def _mod8_offset_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
-    """The offset b^2 + 2 - mu(a, b) - a_inv of `bt_congruence_mod8`,
-    elementwise over int64 arrays, unchecked; b^2 must fit."""
-    return b * b + 2 - _mu_pairs(a, b) - a_inv
+def _mod8_offset_pairs(b: np.ndarray, a_inv: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The offset b^2 + 2 - mus - a_inv of `bt_congruence_mod8`, mus =
+    mu(a, b), elementwise over int64 arrays, unchecked; b^2 must fit."""
+    return b * b + 2 - mus - a_inv
 
 
 @dataclass(frozen=True)
@@ -209,15 +209,16 @@ def bt_residue(a: int, b: int) -> BTResidue:
 BT_CASES = tuple(c + d for c in ("odd", "even_half", "even_quarter") for d in ("_ndiv3", "_div3"))
 
 
-def _bt_case_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray):
+def _bt_case_pairs(a: np.ndarray, b: np.ndarray, a_inv: np.ndarray, mus: np.ndarray):
     """(case, modulus, offset) of the `bt_residue` prediction
     (offset - a) % modulus elementwise over int64 arrays, unchecked; the
-    case is the index of its tag in BT_CASES."""
+    case is the index of its tag in BT_CASES. mus is `_mu_pairs(a, b)`:
+    for odd b, (a|b) = 1 - mu/2, so 9 + 18 (a|b) = 27 - 9 mu."""
     div3 = b % 3 == 0
     half = (b & 3 == 2) | (a & 3 == 3)
     offset = np.where(half, np.where(div3, 54, 6), 18)
     odd = (b & 1) == 1
-    offset[odd] = 9 + 18 * _jacobi_pairs(a[odd], b[odd])
+    offset[odd] = 27 - 9 * mus[odd]
     offset -= a_inv
     offset[div3] -= 16 * np.where(a[div3] % 3 == 1, 1, -1)
     return 2 * np.where(odd, 0, 2 - half) + div3, np.where(div3, 72, 24), offset

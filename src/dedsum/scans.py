@@ -6,25 +6,25 @@ describing violating tuples are collected up to a cap; the counters in
 the report are never capped. Every scan is one entry of the check table
 _CHECKS, and one driver, _run, runs any list of them. A check decides a
 batch of tuples as int64 arrays and returns the batch's count of tuples
-and its violations as index-selected columns; _run_slice hands them to
-the kind's _Tally in one call per batch, and only the tally counts, caps
+and its violations as index-selected columns; _pass hands them to the
+kind's _Tally in one call per batch, and only the tally counts, caps
 and builds rows.
 
-A pass over b values gathers their rows (b, coprime residues of b)
-into batches and runs every kind on a batch before it builds the next.
-The arrays that several kinds read are computed at most once per batch,
-by the first kind that reads them.
+_pieces cuts the b range into pieces of consecutive b, about one batch
+of residues each, in ascending b. The calling process and a pool of up
+to jobs - 1 workers (none at jobs 1) share them: each process starts on
+a piece of its own, then claims the next unclaimed piece from a shared
+counter until none is left, so a process that runs slower on a busy
+host does less of the work. A process makes one pass (_pass): it builds
+each piece as one _Batch, runs every kind on it before the next, and
+keeps one _Tally per kind. The arrays that several kinds read are
+computed at most once per batch, by the first kind that reads them.
 
-With jobs > 1 the b range is cut into pieces of about one batch each
-(_pieces), largest b first. The calling process and a pool of up to
-jobs - 1 workers each start on a piece of their own, then claim the
-next unclaimed piece from a shared counter until none is left, so a
-process that runs slower on a busy host does less of the work. The
-partial results are merged in ascending b order, so the report content
-is identical for any job count. A report's elapsed time is its kind's
-longest time in one worker, the caller counting as one, including the
-shared arrays that kind was the first to read. Building the rows and
-starting the pool count in no kind.
+The tallies are merged in ascending b order, so the report content is
+identical for any job count. A report's elapsed time is its kind's
+longest time in one process, including the shared arrays that kind was
+the first to read. Building the rows and starting the pool count in no
+kind.
 """
 
 import functools
@@ -64,7 +64,8 @@ _BATCH = 2048
 
 
 class _Tally:
-    """One worker's counters and first `cap` rows for one kind.
+    """One process's counters and first `cap` rows for one kind, over
+    all the pieces that the process runs, in ascending b.
 
     It takes each batch's (tuples_checked, columns, masks) from the
     kind's check: the violations of the batch as columns, one per name of
@@ -105,7 +106,7 @@ class _Tally:
 
 
 class _Batch:
-    """Consecutive rows (b, coprime residues of b) of one pass.
+    """The rows (b, coprime residues of b) of one piece, ascending b.
 
     a and b hold one entry per residue, and spans the (b, start, end) of
     each row, so that a[start:end] are the residues of that b; b = 1 has
@@ -113,12 +114,13 @@ class _Batch:
     and kept for the other checks of the batch.
     """
 
-    def __init__(self, rows: list[tuple[int, np.ndarray]]):
-        sizes = [len(residues) for _, residues in rows]
+    def __init__(self, piece):
+        rows = [coprime_residues(b) for b in piece]
+        sizes = [len(residues) for residues in rows]
         ends = np.cumsum(sizes).tolist()
-        self.spans = [(b, end - size, end) for (b, _), size, end in zip(rows, sizes, ends)]
-        self.a = np.concatenate([residues for _, residues in rows])
-        self.b = np.repeat(np.array([b for b, _ in rows], dtype=np.int64), sizes)
+        self.spans = [(b, end - size, end) for b, size, end in zip(piece, sizes, ends)]
+        self.a = np.concatenate(rows)
+        self.b = np.repeat(np.array(piece, dtype=np.int64), sizes)
 
     @functools.cached_property
     def bs(self) -> np.ndarray:
@@ -136,6 +138,11 @@ class _Batch:
     @functools.cached_property
     def a_inv(self) -> np.ndarray:
         return _inverse_pairs(self.a, self.b)
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        """mu(a, b) of each residue: one Jacobi walk for the batch."""
+        return _mu_pairs(self.a, self.b)
 
     @functools.cached_property
     def lifts(self) -> np.ndarray:
@@ -159,23 +166,8 @@ class _Batch:
     def mod8(self) -> tuple[np.ndarray, np.ndarray]:
         """(actual, predicted) b T mod 8 of every lift; the prediction is
         -mu(a, b) + b^2 + 2 - a - a_inv."""
-        offset = _mod8_offset_pairs(self.a, self.b, self.a_inv)
+        offset = _mod8_offset_pairs(self.b, self.a_inv, self.mu)
         return self.bt % 8, (offset[:, None] - self.lifts) % 8
-
-
-def _batches(bs: list[int]):
-    """The rows of bs, in order, as batches of at least _BATCH residues;
-    the last batch may hold fewer."""
-    rows: list[tuple[int, np.ndarray]] = []
-    size = 0
-    for b in bs:
-        rows.append((b, coprime_residues(b)))
-        size += len(rows[-1][1])
-        if size >= _BATCH:
-            yield _Batch(rows)
-            rows, size = [], 0
-    if rows:
-        yield _Batch(rows)
 
 
 def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +255,7 @@ def _theorem2_rows(batch: _Batch):
     order of the flagged entries is the row order.
     """
     a, b, a_inv, lifts, bt = batch.a, batch.b, batch.a_inv, batch.lifts, batch.bt
-    case, modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv))
+    case, modulus, offset = (col[:, None] for col in _bt_case_pairs(a, b, a_inv, batch.mu))
     actual = bt % modulus
     predicted = (offset - lifts) % modulus
     actual8, predicted8 = batch.mod8
@@ -398,12 +390,13 @@ _CHECKS = {
 IDENTITY_KINDS = tuple(kind for kind in _CHECKS if kind not in ("theorem1", "theorem2"))
 
 
-def _run_slice(kinds: list[str], bs, cap: int, options: dict) -> list[_Tally]:
-    """One pass over the ascending b of bs, the whole range or one piece,
-    batch by batch, every kind on a batch before the next one is built.
-    Each kind's time is the sum of its checks' times."""
+def _pass(kinds: list[str], pieces, cap: int, options: dict) -> list[_Tally]:
+    """One process's pass over its pieces, each one batch, every kind on
+    a batch before the next one is built: one tally per kind. Each
+    kind's time is the sum of its checks' times."""
     tallies = [_Tally(kind, _CHECKS[kind][1], cap) for kind in kinds]
-    for batch in _batches(bs):
+    for piece in pieces:
+        batch = _Batch(piece)
         for kind, tally in zip(kinds, tallies):
             start = time.perf_counter()
             tally.add(*_CHECKS[kind][0](batch, **options.get(kind, {})))
@@ -423,29 +416,26 @@ def _row_sizes(b_max: int) -> np.ndarray:
     return sizes
 
 
-def _pieces(b_max: int, jobs: int) -> list[list[int]]:
-    """1..b_max cut into runs of consecutive b for jobs processes to
-    share, the run of the largest b first.
+def _pieces(b_max: int, jobs: int):
+    """1..b_max cut into ranges of consecutive b for jobs processes to
+    share, yielded in ascending b.
 
-    Like _batches, a run gathers rows in ascending b until it holds at
-    least `size` residues; so a run is one batch, as at jobs 1. size is
-    _BATCH, or a jobs-th of the range's residues when that is less, so
-    that a short range still gives every process a run. Every run but
-    the one of the largest b holds at least size residues, and every run
-    fewer than size plus the largest row.
+    A piece gathers rows in ascending b until it holds at least `size`
+    residues, so a piece is one batch. size is _BATCH, or a jobs-th of
+    the range's residues when that is less, so that a short range still
+    gives every process a piece. Every piece but the last holds at least
+    size residues, and every piece fewer than size plus its largest row.
     """
     sizes = _row_sizes(b_max).tolist()
     size = max(1, min(_BATCH, -(-sum(sizes) // jobs)))
-    pieces, piece, load = [], [], 0
+    start, load = 1, 0
     for b in range(1, b_max + 1):
-        piece.append(b)
         load += sizes[b]
         if load >= size:
-            pieces.append(piece)
-            piece, load = [], 0
-    if piece:
-        pieces.append(piece)
-    return pieces[::-1]
+            yield range(start, b + 1)
+            start, load = b + 1, 0
+    if start <= b_max:
+        yield range(start, b_max + 1)
 
 
 # The claim counter of the pieces in a pool worker; _join sets it when
@@ -458,49 +448,53 @@ def _join(claims) -> None:
     _pool_claims = claims
 
 
-def _claimed(work, pieces: list[list[int]], first: int, claims=None) -> list:
+def _claimed(pieces: list[range], first: int, claims=None):
     """One process's share of pieces: piece `first`, then, until none is
     left, the next piece that no process has claimed yet from the shared
     counter `claims` (a pool worker's own when None). A process that runs
-    slower than the others thus claims fewer pieces. Returns
-    work(piece) for each piece run here, in the order run.
+    slower than the others thus claims fewer pieces, each in turn as it
+    finishes the last, and claims them in ascending order.
     """
     claims = _pool_claims if claims is None else claims
-    done, index = [], first
+    index = first
     while index < len(pieces):
-        done.append(work(pieces[index]))
+        yield pieces[index]
         with claims.get_lock():
             index = claims.value
             claims.value += 1
-    return done
 
 
-def _shared(work, pieces: list[list[int]], jobs: int) -> list[list]:
-    """work(piece) for every piece, on the calling process and a pool of
-    at most jobs - 1 workers: one list per process, the caller's first.
-    Process i starts on piece i, so every process runs at least one."""
-    processes = min(jobs, len(pieces))
-    claims = multiprocessing.Value("q", processes)
-    if processes == 1:
-        return [_claimed(work, pieces, 0, claims)]
-    with ProcessPoolExecutor(
-        max_workers=processes - 1, initializer=_join, initargs=(claims,)
-    ) as pool:
-        pending = [pool.submit(_claimed, work, pieces, i) for i in range(1, processes)]
-        return [_claimed(work, pieces, 0, claims), *(f.result() for f in pending)]
+def _work_claimed(work, pieces: list[range], first: int):
+    return work(_claimed(pieces, first))
+
+
+def _shared(work, pieces, jobs: int) -> list:
+    """work(share) for each process's share of pieces, on the calling
+    process and a pool of at most jobs - 1 workers: one result per
+    process, the caller's first. With one job or one piece the caller
+    works them all, and no pool starts. Else process i starts on piece
+    i, so every process runs at least one."""
+    if jobs > 1:
+        pieces = list(pieces)
+        jobs = min(jobs, len(pieces))
+    if jobs == 1:
+        return [work(pieces)]
+    claims = multiprocessing.Value("q", jobs)
+    with ProcessPoolExecutor(max_workers=jobs - 1, initializer=_join, initargs=(claims,)) as pool:
+        pending = [pool.submit(_work_claimed, work, pieces, i) for i in range(1, jobs)]
+        return [work(_claimed(pieces, 0, claims)), *(f.result() for f in pending)]
 
 
 def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
     """Run several kinds over b = 1..b_max on at most one process pool.
 
     Every kind's arguments are checked before any work, so a bound one
-    kind cannot take fails at once, not after the others ran. With jobs
-    > 1 the b range is cut by _pieces into runs of consecutive b, which
-    the caller and a pool of up to jobs - 1 workers share (_shared); each
-    run keeps its own tallies. Per kind, a stable sort by b restores the
-    sequential row order before the cap is applied to the merged list. A
-    report's elapsed time is its kind's longest time in one worker, the
-    caller included.
+    kind cannot take fails at once, not after the others ran. The pieces
+    of _pieces are shared by the caller and up to jobs - 1 workers
+    (_shared), and each process returns one tally per kind. Per kind, a
+    stable sort by b restores the sequential row order before the cap is
+    applied to the merged rows. A report's elapsed time is its kind's
+    longest time in one process, the caller included.
     """
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
@@ -515,14 +509,11 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
             raise ValueError(f"b_max={b_max} exceeds {bound}, the int64-exact limit of {what}")
     # The keyword arguments of each kind's check, also in its parameters.
     options = {"theorem1": {"include_9div": include_9div}}
-    work = functools.partial(_run_slice, kinds, cap=cap, options=options)
-    if jobs == 1:
-        shares = [[work(range(1, b_max + 1))]]
-    else:
-        shares = _shared(work, _pieces(b_max, jobs), jobs)
+    work = functools.partial(_pass, kinds, cap=cap, options=options)
+    shares = _shared(work, _pieces(b_max, jobs), jobs)
     reports = []
     for k, kind in enumerate(kinds):
-        tallies = [piece[k] for share in shares for piece in share]
+        tallies = [share[k] for share in shares]
         rows = sorted((row for t in tallies for row in t.violations), key=lambda row: row["b"])
         parameters = {"bmax": b_max, "cap": cap, **options.get(kind, {})}
         summary = {key: sum(t.summary[key] for t in tallies) for key in sorted(_CHECKS[kind][1])}
@@ -536,7 +527,7 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
                 violations=rows[:cap],
                 parameters=dict(sorted(parameters.items())),
                 summary=summary,
-                elapsed=max(sum(piece[k].elapsed for piece in share) for share in shares),
+                elapsed=max(t.elapsed for t in tallies),
             )
         )
     return reports

@@ -13,4 +13,4 @@ def no_scan_may_start(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(dedsum.scans, "_run_slice", started)
+    monkeypatch.setattr(dedsum.scans, "_Batch", started)

@@ -42,15 +42,16 @@ def check_against_scalar(a: list[int], b: list[int]) -> None:
     inverses = [pow(x, -1, y) for x, y in zip(a, b)]
     xinv = _inverse_pairs(xa, xb)
     assert xinv.tolist() == inverses
-    assert _mu_pairs(xa, xb).tolist() == [_mu(x, y) for x, y in zip(a, b)]
-    case, modulus, offset = _bt_case_pairs(xa, xb, xinv)
+    mus = _mu_pairs(xa, xb)
+    assert mus.tolist() == [_mu(x, y) for x, y in zip(a, b)]
+    case, modulus, offset = _bt_case_pairs(xa, xb, xinv, mus)
     tags = [BT_CASES[c] for c in case.tolist()]
     predicted = ((offset - xa) % modulus).tolist()
     residues = [bt_residue(x, y) for x, y in zip(a, b)]
     assert list(zip(tags, modulus.tolist(), predicted)) == [
         (r.case_tag, r.modulus, r.predicted) for r in residues
     ]
-    assert _mod8_offset_pairs(xa, xb, xinv).tolist() == [
+    assert _mod8_offset_pairs(xb, xinv, mus).tolist() == [
         y * y + 2 - mu(x, y) - z for x, y, z in zip(a, b, inverses)
     ]
 

@@ -165,6 +165,25 @@ def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, caps
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_memory_that_runs_out_exits_3_and_writes_nothing(jobs, tmp_path, monkeypatch, capsys):
+    # Every --jobs value sieves the row sizes of the whole range first,
+    # and a huge --bmax runs out of memory there.
+    def sieve(b_max):
+        raise MemoryError(f"Unable to allocate the row sizes of {b_max}")
+
+    monkeypatch.setattr(dedsum.scans, "_row_sizes", sieve)
+    out = tmp_path / "report.json"
+    argv = ["check", "--suite", "theorem2", "--bmax", "60", "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: MemoryError: Unable to allocate the row sizes of 60"
+    ]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("holder", ["caller", "worker"])
 def test_a_row_that_fails_in_a_parallel_suite_exits_3_and_writes_nothing(
     holder, tmp_path, monkeypatch, capsys

@@ -424,10 +424,37 @@ def test_a_worker_tally_keeps_no_more_rows_than_the_cap(monkeypatch):
     # gets a column call per batch after its cap is reached.
     plant_wrong_inverse(monkeypatch)
     monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
-    (tally,) = dedsum.scans._run_slice(["bhk"], list(range(1, 31)), 3, {})
-    (full,) = dedsum.scans._run_slice(["bhk"], list(range(1, 31)), 10**6, {})
+    (tally,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 3, {})
+    (full,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 10**6, {})
     assert tally.violations == full.violations[:3]
     assert tally.violations_total == full.violations_total == 831
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_each_process_returns_at_most_cap_rows_per_kind(jobs, monkeypatch):
+    # Batches of 16 residues give every process several pieces, and a
+    # wrong inverse gives rows in theorem1 and in every lift scan.
+    plant_wrong_inverse(monkeypatch)
+    monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
+    real = dedsum.scans._shared
+    shares = []
+
+    def spy(*args):
+        shares.extend(real(*args))
+        return shares
+
+    monkeypatch.setattr(dedsum.scans, "_shared", spy)
+    reports = run_suite("all", 60, include_9div=True, cap=3, jobs=jobs)
+    assert len(shares) == jobs
+    for share in shares:
+        assert [tally.names for tally in share] == [
+            [name for name, _ in COLUMNS[report.kind]] for report in reports
+        ]
+        assert all(len(tally.violations) <= 3 for tally in share)
+    for k, report in enumerate(reports):
+        assert report.violations_total == sum(share[k].violations_total for share in shares)
+        assert len(report.violations) == min(3, report.violations_total)
+    assert sum(report.violations_total > 3 for report in reports) >= 4
 
 
 def test_cap_zero_keeps_counts_only():
@@ -499,38 +526,37 @@ def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
 @pytest.mark.parametrize("jobs", [2, 3, 4, 7])
 @pytest.mark.parametrize("b_max", [1, 2, 3, 9, 60, 251, 1000])
 def test_pieces_cut_the_range_into_runs_of_about_one_batch(b_max, jobs):
-    pieces = dedsum.scans._pieces(b_max, jobs)
+    pieces = [list(piece) for piece in dedsum.scans._pieces(b_max, jobs)]
     assert all(pieces)
-    assert [b for piece in reversed(pieces) for b in piece] == list(range(1, b_max + 1))
+    assert [b for piece in pieces for b in piece] == list(range(1, b_max + 1))
     sizes = [0] + [len(coprime_residues(b)) for b in range(1, b_max + 1)]
     size = max(1, min(dedsum.scans._BATCH, -(-sum(sizes) // jobs)))
     loads = [sum(sizes[b] for b in piece) for piece in pieces]
-    assert all(size <= load < size + max(sizes) for load in loads[1:])
-    assert loads[0] < size + max(sizes)
-    if size == dedsum.scans._BATCH:
-        batches = dedsum.scans._batches(range(1, b_max + 1))
-        spans = [(batch.spans[0][0], batch.spans[-1][0]) for batch in batches]
-        assert [(piece[0], piece[-1]) for piece in reversed(pieces)] == spans
+    assert all(size <= load < size + max(sizes) for load in loads[:-1])
+    assert loads[-1] < size + max(sizes)
+    # A reference cut: gather rows in ascending b until a piece holds at
+    # least size residues.
+    expected, piece, load = [], [], 0
+    for b in range(1, b_max + 1):
+        piece.append(b)
+        load += sizes[b]
+        if load >= size:
+            expected.append(piece)
+            piece, load = [], 0
+    assert pieces == expected + [piece] * bool(piece)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_shared_pieces_run_once_each(jobs):
     pieces = [[i] for i in range(12)]
-    shares = dedsum.scans._shared(sum, pieces, jobs)
+    shares = dedsum.scans._shared(list, iter(pieces), jobs)
     assert len(shares) == jobs
     # Process i starts on piece i, then claims pieces in list order.
-    assert [share[0] for share in shares] == list(range(jobs))
+    assert [share[0] for share in shares] == [[i] for i in range(jobs)]
     assert all(share == sorted(share) for share in shares)
-    assert sorted(i for share in shares for i in share) == list(range(12))
-    assert dedsum.scans._shared(sum, [[0], [1]], 5) == [[0], [1]]
-
-
-def test_one_job_runs_no_sieve(monkeypatch):
-    def sieve(b_max):
-        raise AssertionError("sieved at jobs 1")
-
-    monkeypatch.setattr(dedsum.scans, "_row_sizes", sieve)
-    assert len(run_suite("all", 50, jobs=1)) == 8
+    assert sorted(i for share in shares for [i] in share) == list(range(12))
+    assert dedsum.scans._shared(list, iter([[0], [1]]), 5) == [[[0]], [[1]]]
+    assert dedsum.scans._shared(list, iter(pieces), 1) == [pieces]
 
 
 def test_row_sizes_are_the_coprime_residue_counts():
@@ -609,15 +635,32 @@ def test_walk_off_by_one_above_b_fails_every_lift_scan(monkeypatch):
 
 
 def test_flipped_mu_fails_the_mod8_checks_only(monkeypatch):
-    real = dedsum.congruence._mu_pairs
+    # Flipped only where the mod-8 prediction reads mu.
+    real = dedsum.scans._mod8_offset_pairs
+
+    def flipped(b, a_inv, m):
+        return real(b, a_inv, np.where(b % 4 == 3, 4 - m, m))
+
+    monkeypatch.setattr(dedsum.scans, "_mod8_offset_pairs", flipped)
+    assert lift_scans() == {
+        "theorem2": {"mod8_failures": 252, "residue_mismatches": 0},
+        "bhk": {"identity_failures": 0},
+        "bt-mod8": {"mod8_failures": 252},
+    }
+
+
+def test_flipped_mu_fails_both_predictions_of_theorem2(monkeypatch):
+    # The batch's mu serves the residue prediction, through the Jacobi
+    # symbol of odd b, and the mod-8 prediction alike.
+    real = dedsum.scans._mu_pairs
 
     def flipped(a, b):
         m = real(a, b)
         return np.where(b % 4 == 3, 4 - m, m)
 
-    monkeypatch.setattr(dedsum.congruence, "_mu_pairs", flipped)
+    monkeypatch.setattr(dedsum.scans, "_mu_pairs", flipped)
     assert lift_scans() == {
-        "theorem2": {"mod8_failures": 252, "residue_mismatches": 0},
+        "theorem2": {"mod8_failures": 252, "residue_mismatches": 252},
         "bhk": {"identity_failures": 0},
         "bt-mod8": {"mod8_failures": 252},
     }
@@ -743,9 +786,9 @@ def test_a_suite_builds_each_row_once_and_walks_each_lift_once(batch, monkeypatc
         return real_residues(b)
 
     class CountedBatch(dedsum.scans._Batch):
-        def __init__(self, rows):
-            batches.append(rows)
-            super().__init__(rows)
+        def __init__(self, piece):
+            batches.append(piece)
+            super().__init__(piece)
 
     for name in calls:
         monkeypatch.setattr(dedsum.scans, name, counted(name))
@@ -763,6 +806,31 @@ def test_a_suite_builds_each_row_once_and_walks_each_lift_once(batch, monkeypatc
         "_inverse_pairs": len(batches),
         "bs_values": 2 * len(batches),
     }
+
+
+@pytest.mark.parametrize("batch", [None, 64])
+def test_theorem2_walks_the_jacobi_symbols_once_per_batch(batch, monkeypatch):
+    # mu, and through it the Jacobi symbols, serve both predictions.
+    calls, batches = [], []
+    real = dedsum.congruence._jacobi_pairs
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    class CountedBatch(dedsum.scans._Batch):
+        def __init__(self, piece):
+            batches.append(piece)
+            super().__init__(piece)
+
+    monkeypatch.setattr(dedsum.congruence, "_jacobi_pairs", counted)
+    monkeypatch.setattr(dedsum.scans, "_Batch", CountedBatch)
+    if batch:
+        monkeypatch.setattr(dedsum.scans, "_BATCH", batch)
+    assert scan_theorem2(60).violations_total == 0
+    assert (len(batches) == 1) == (batch is None)
+    assert len(calls) == len(batches)
+    assert sum(calls) == sum(b % 2 * len(coprime_residues(b)) for b in range(1, 61))
 
 
 def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
@@ -821,15 +889,24 @@ def test_lift_walk_bound_fails_up_front(no_scan_may_start):
     assert time.perf_counter() - start < 1.0
 
 
-def test_a_batch_refuses_to_walk_above_the_limit():
-    batch = dedsum.scans._Batch([(LIFT_WALK_LIMIT + 1, np.array([1], dtype=np.int64))])
+def one_residue_rows(monkeypatch, *residues):
+    """Give every row the residues given, so that a batch at a huge b
+    does not build its whole row."""
+    row = np.array(residues, dtype=np.int64)
+    monkeypatch.setattr(dedsum.scans, "coprime_residues", lambda b: row)
+
+
+def test_a_batch_refuses_to_walk_above_the_limit(monkeypatch):
+    one_residue_rows(monkeypatch, 1)
+    batch = dedsum.scans._Batch([LIFT_WALK_LIMIT + 1])
     with pytest.raises(ValueError, match="int64-exact limit"):
         batch.bt
 
 
-def test_a_batch_walks_the_lifts_at_the_limit():
+def test_a_batch_walks_the_lifts_at_the_limit(monkeypatch):
     b = LIFT_WALK_LIMIT
-    batch = dedsum.scans._Batch([(b, np.array([1, 2], dtype=np.int64))])
+    one_residue_rows(monkeypatch, 1, 2)
+    batch = dedsum.scans._Batch([b])
     assert batch.bt.tolist() == [[b * _t_walk(x, b) for x in (a, a - b, a + b)] for a in (1, 2)]
 
 
