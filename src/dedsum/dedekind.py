@@ -8,6 +8,9 @@ and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Two
 independent evaluators are provided: a definitional O(b) loop and an
 O(log b) recursion driven by the reciprocity law. Both return exact
 rationals and must agree everywhere; the scan suite checks that they do.
+The recursion has a scalar form, `_fast_parts`, which walks the Euclid
+remainders forward on one Python integer, and a row form, `bs_values`,
+which solves them backward in int64 for whole arrays of pairs.
 """
 
 from fractions import Fraction
@@ -96,34 +99,42 @@ def dedekind_naive(a: int, b: int) -> Fraction:
 
 
 def _fast_parts(a: int, b: int) -> tuple[int, int]:
-    """S(a, b) as a reduced pair (numerator, denominator), b >= 1.
+    """S(a, b) as a reduced pair (numerator, denominator), b >= 1 and
+    a coprime to b.
 
-    Runs the reciprocity recursion
-        S(a, b) = (a^2 + b^2 + 1 - 3ab) / (ab) - S(b mod a, a)
-    entirely in integer arithmetic. Partial sums are reduced at each
-    step, which keeps the denominator bounded by the product of two
-    consecutive remainders.
+    Walks the reciprocity law
+        S(y, x) = (x^2 + y^2 + 1 - 3xy) / (xy) - S(x mod y, y)
+    forward along the Euclid remainders x = b, y = a mod b, ... on one
+    integer, with one exact division per level, and reduces b S(a, b)
+    over b once at the end. Python ints keep it exact for every b.
+    Raises ArithmeticError if a step does not divide exactly.
     """
-    a %= b
-    num, den = 0, 1
-    sign = 1
-    while a > 1:
-        # num/den += sign * (a^2 + b^2 + 1 - 3ab) / (ab)
-        num = num * a * b + sign * (a * a + b * b + 1 - 3 * a * b) * den
-        den *= a * b
-        g = gcd(num, den)
-        num //= g
-        den //= g
-        sign = -sign
-        a, b = b % a, a
-    if a == 1:
-        # S(1, y) = (y - 1)(y - 2) / y
-        num = num * b + sign * (b * b - 3 * b + 2) * den
-        den *= b
-        g = gcd(num, den)
-        num //= g
-        den //= g
-    return num, den
+    # With the remainders x_0 = b, x_1 = a mod b, ..., level k has
+    # x = x_k, y = x_{k+1} and sb = (-1)^k b. The law gives
+    #     S(a, b) = P_k + (-1)^k S(y, x),
+    # P_k the sum of the terms (-1)^j (x_j^2 + x_{j+1}^2 + 1 - 3 x_j x_{j+1})
+    # / (x_j x_{j+1}) of the levels j < k. The walk keeps n = b x P_k:
+    #     n = x (b S(a, b)) - (-1)^k b (x S(y, x)),
+    # and c S(d, c) is an integer for every c >= 1 and d coprime to c
+    # (Rademacher and Grosswald, Dedekind Sums, ch. 3), so n is an integer
+    # at every level.
+    # The step computes t = y n + sb (x^2 + y^2 + 1 - 3xy), which is x times
+    # the next level's n = b y P_{k+1}; so t / x is exact. The last level
+    # has y = 1: its step adds sb (x - 1)(x - 2), as S(1, x) = (x - 1)(x - 2)
+    # / x, and leaves n = b P_{k+1} = b S(a, b), as S(0, 1) = 0. For b = 1
+    # the walk never starts and b S(a, b) = n = 0.
+    x, y = b, a % b
+    n, sb = 0, b
+    while y:
+        t = n * y + sb * ((x - y) ** 2 - x * y + 1)
+        n = t // x
+        if n * x != t:
+            raise ArithmeticError(
+                f"a reciprocity step of the scalar kernel came out non-integral: S({a}, {b})"
+            )
+        x, y, sb = y, x % y, -sb
+    g = gcd(n, b)
+    return n // g, b // g
 
 
 def dedekind_fast(a: int, b: int) -> Fraction:
@@ -136,13 +147,12 @@ def dedekind_fast(a: int, b: int) -> Fraction:
 def b_times_s(a: int, b: int) -> int:
     """The integer b * S(a, b).
 
-    Raises ArithmeticError if the computed value is not integral, which
-    would indicate a bug rather than bad input.
+    `_fast_parts` reduces b S(a, b) over b, so its denominator divides b.
+    It raises ArithmeticError if a step of its walk does not divide
+    exactly, which would indicate a bug rather than bad input.
     """
     _validate(a, b)
     num, den = _fast_parts(a, b)
-    if b % den != 0:
-        raise ArithmeticError(f"b*S({a}, {b}) came out non-integral: {num}/{den}")
     return num * (b // den)
 
 

@@ -31,6 +31,7 @@ import functools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from math import isqrt
 
 import numpy as np
 
@@ -277,15 +278,17 @@ def _oracle_rows(batch: _Batch):
     """Both reciprocity evaluators against the definitional summation.
 
     The row kernel is compared with the batch's naive rows as one array,
-    and the scalar `_fast_parts` pair by pair in Python ints. A pair
+    and the scalar `_fast_parts` pair by pair in Python ints, where a
+    pair (n, d) agrees when n b == naive d, by its value alone. A pair
     counts once if either disagrees; its row shows the kernel's value
     when the kernel is wrong, else the scalar's.
     """
     a, b, bs = batch.a, batch.b, batch.bs
     rows = (naive_bs_row(row_b)[1] for row_b, _, _ in batch.spans if row_b > 1)
     naive = np.concatenate([a[:0], *rows])
-    parts = [_fast_parts(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    scalar_bad = [n * y != z * d for (n, d), y, z in zip(parts, b.tolist(), naive.tolist())]
+    b_list = b.tolist()
+    parts = list(map(_fast_parts, a.tolist(), b_list))
+    scalar_bad = [n * y != z * d for (n, d), y, z in zip(parts, b_list, naive.tolist())]
     kernel_bad = bs != naive
     bad = np.flatnonzero(kernel_bad | np.array(scalar_bad, dtype=bool))
     scalar = np.array([parts[i] for i in bad.tolist()], dtype=np.int64).reshape(-1, 2).T
@@ -406,12 +409,17 @@ def _pass(kinds: list[str], pieces, cap: int, options: dict) -> list[_Tally]:
 
 def _row_sizes(b_max: int) -> np.ndarray:
     """The row size of each b in 0..b_max: phi(b), the count of residues
-    coprime to b, by a totient sieve; 0 at b = 0 and at b = 1, whose row
-    is empty."""
+    coprime to b, by a totient sieve over the primes to b_max, which a
+    boolean sieve finds first; 0 at b = 0 and at b = 1, whose row is
+    empty."""
+    prime = np.ones(b_max + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(b_max) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
     sizes = np.arange(b_max + 1)
-    for p in range(2, b_max + 1):
-        if sizes[p] == p:  # no smaller prime divides p
-            sizes[p::p] -= sizes[p::p] // p
+    for p in np.flatnonzero(prime).tolist():
+        sizes[p::p] -= sizes[p::p] // p
     sizes[:2] = 0
     return sizes
 

@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dedsum.dedekind
@@ -22,6 +22,7 @@ from dedsum.dedekind import (
     NAIVE_INT32_LIMIT,
     NAIVE_ROW_LIMIT,
     _bs_pairs,
+    _fast_parts,
     _naive_row_values,
     b_times_s,
     bs_values,
@@ -121,6 +122,45 @@ def test_b_times_s_random(data, b):
 def test_denominator_divides_b():
     for a, b in coprime_pairs(80):
         assert b % dedekind_fast(a, b).denominator == 0
+
+
+def s_fast(a: int, b: int) -> Fraction:
+    """S(a, b) from the raw scalar kernel, whose pair must be reduced with
+    a positive denominator that divides b."""
+    num, den = _fast_parts(a, b)
+    assert den > 0 and gcd(num, den) == 1 and b % den == 0, (a, b, num, den)
+    return Fraction(num, den)
+
+
+def test_fast_parts_match_naive_to_300():
+    for a, b in coprime_pairs(300):
+        assert s_fast(a, b) == dedekind_naive(a, b), (a, b)
+
+
+# Consecutive Fibonacci numbers, the longest Euclid walk for their size.
+FIB_A, FIB_B = 1, 2
+while FIB_B < 10**60:
+    FIB_A, FIB_B = FIB_B, FIB_A + FIB_B
+
+
+@settings(max_examples=200)
+@given(b=st.integers(1, 10**60), a=st.integers(-(10**61), 10**61), k=st.integers(-(10**60), 10**60))
+@example(b=1, a=0, k=1)
+@example(b=1, a=-7, k=-3)
+@example(b=2, a=-1, k=10**60)
+@example(b=FIB_B, a=FIB_A, k=-1)
+@example(b=10**60 - 1, a=2 * 10**60 + 1, k=1)
+def test_fast_parts_identities_at_large_b(b, a, k):
+    # Identities that hold for every coprime pair and need no second
+    # evaluator: periodicity, oddness, inversion and reciprocity.
+    assume(gcd(a, b) == 1)
+    value = s_fast(a, b)
+    assert s_fast(a + k * b, b) == value
+    assert s_fast(-a, b) == -value
+    assert s_fast(pow(a, -1, b), b) == value
+    r = a % b
+    if r:
+        assert value + s_fast(b, r) == Fraction(r * r + b * b + 1, r * b) - 3
 
 
 def test_rejects_bad_input():

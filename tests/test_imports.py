@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every package name that the README or a docstring or comment cites
-exists."""
+exists, and so do the private names that perfbench patches."""
 
 import ast
 import importlib
@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import dedsum
+import dedsum.dedekind
+import dedsum.scans
 
 PACKAGE = Path(__file__).parent.parent / "src" / "dedsum"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -103,3 +105,12 @@ def test_the_readme_cites_only_names_that_exist():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_docstrings_and_comments_cite_only_names_that_exist(path):
     assert unresolved_names(docs_and_comments(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scalar_kernel_perfbench_patches_exists():
+    # perfbench's tracer, probes and tests patch or call `_fast_parts`
+    # under both modules and read its reduced pair (num, den), den > 0; a
+    # rename would break them, not these tests.
+    assert dedsum.scans._fast_parts is dedsum.dedekind._fast_parts
+    for (a, b), pair in {(5, 12): (-1, 6), (1, 1): (0, 1), (-4, 9): (16, 9)}.items():
+        assert dedsum.dedekind._fast_parts(a, b) == pair

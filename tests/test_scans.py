@@ -562,6 +562,9 @@ def test_shared_pieces_run_once_each(jobs):
 def test_row_sizes_are_the_coprime_residue_counts():
     sizes = dedsum.scans._row_sizes(3000).tolist()
     assert sizes == [0] + [len(coprime_residues(b)) for b in range(1, 3001)]
+    # The ends where the prime sieve finds no prime or only the first.
+    for b_max in range(4):
+        assert dedsum.scans._row_sizes(b_max).tolist() == sizes[: b_max + 1]
 
 
 def test_jobs_preserve_capped_row_order():
