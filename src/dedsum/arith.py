@@ -7,8 +7,9 @@ checks its modulus and then runs `_jacobi`, the unchecked kernel that
 `congruence` builds on.
 
 `_inverse_pairs` and `_jacobi_pairs` are the array forms that the lift
-scans run on int64 arrays of pairs: the extended Euclid walk for the
-inverse (Knuth, TAOCP vol. 2, 4.5.2) and the binary walk of `_jacobi`.
+scans run on int64 arrays of pairs: the inverse a^(phi(b) - 1) mod b by
+Euler's theorem, with every product below b^2 < 2^62 up to
+`dedekind.LIFT_WALK_LIMIT`, and the binary walk of `_jacobi`.
 """
 
 import math
@@ -70,28 +71,22 @@ def _jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-def _inverse_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 mod b in 1..b-1 for int64 arrays of pairs with b >= 2.
+def _inverse_pairs(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """a^-1 mod b in 1..b-1 for int64 arrays of pairs, b >= 2, phi = phi(b).
 
-    The extended Euclid walk on r_0 = b, r_1 = a mod b, keeping s_k with
-    s_k a == r_k (mod b); |s_k| <= b, so nothing leaves int64. A pair
-    leaves the walk when its next remainder is 0, and its last nonzero
-    remainder is the gcd. Raises ValueError if that is not 1 somewhere.
+    a^(phi - 1) mod b by square and multiply over factors reduced mod b,
+    one round per bit of the largest exponent. Raises ValueError where
+    a a^-1 != 1 (mod b): a pair that is not coprime, or a wrong phi.
     """
-    out = np.empty(len(a), dtype=np.int64)
-    idx = np.arange(len(a))
-    m, r0, r1 = b, b, a % b
-    s0, s1 = np.zeros_like(out), np.ones_like(out)
-    while len(idx):
-        done = r1 == 0
-        if done.any():
-            if (r0[done] != 1).any():
-                raise ValueError("the inverse kernel needs coprime pairs")
-            out[idx[done]] = s0[done] % m[done]
-            live = ~done
-            idx, m, r0, r1, s0, s1 = idx[live], m[live], r0[live], r1[live], s0[live], s1[live]
-        q, r = np.divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    base = a % b
+    exp = phi - 1
+    out = np.ones_like(base)
+    for _ in range(int(exp.max(initial=0)).bit_length()):
+        out = out * np.where(exp & 1, base, 1) % b
+        base = base * base % b
+        exp >>= 1
+    if (out * (a % b) % b != 1).any():
+        raise ValueError("the inverse kernel needs coprime pairs and their phi(b)")
     return out
 
 

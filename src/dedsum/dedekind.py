@@ -68,8 +68,10 @@ THEOREM1_ROW_LIMIT = 77_935
 # every partial sum of the walk and T itself stay within b + 3 in size.
 # So |b T| <= b^2 + 3b, the mod-8 offset b^2 + 2 - mu - a_inv lies in
 # [b^2 - b - 3, b^2 + 2], and the mod-8 check b T - offset + a stays
-# within 2b^2 + 5b + 2. That is below 2^63 up to b = 2^31 - 2. The
-# inverse and the Jacobi walks only see values below b.
+# within 2b^2 + 5b + 2. That is below 2^63 up to b = 2^31 - 2. The power
+# a^(phi(b) - 1) mod b that gives a^-1 multiplies factors reduced mod b:
+# each product is below b^2 <= (2^31 - 2)^2 < 2^62. The Jacobi walk only
+# sees values below b.
 LIFT_WALK_LIMIT = 2_147_483_646
 
 

@@ -138,7 +138,9 @@ class _Batch:
 
     @functools.cached_property
     def a_inv(self) -> np.ndarray:
-        return _inverse_pairs(self.a, self.b)
+        """a^-1 mod b by Euler's theorem: each row is the phi(b) units mod b."""
+        sizes = np.array([end - start for _, start, end in self.spans], dtype=np.int64)
+        return _inverse_pairs(self.a, self.b, np.repeat(sizes, sizes))
 
     @functools.cached_property
     def mu(self) -> np.ndarray:

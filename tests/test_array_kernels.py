@@ -4,9 +4,12 @@ scalar kernels and the public predicates.
 Each array form must equal its scalar counterpart pair by pair:
 exhaustively for every b < 200 and every lift a in (-3b, 3b), and by
 Hypothesis for lifts in (-b, 2b) up to dedekind.LIFT_WALK_LIMIT, the
-bound that the lift scans refuse to pass.
+bound that the lift scans refuse to pass. The inverse kernel takes
+phi(b) from `totient` here, a trial division of its own, and is also
+compared with pow(a, -1, b) on every residue of every b <= 2000.
 """
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -28,11 +31,24 @@ from dedsum.congruence import (
     mu_original,
 )
 from dedsum.contfrac import _t_pairs, _t_walk
-from dedsum.dedekind import LIFT_WALK_LIMIT, bs_values
+from dedsum.dedekind import LIFT_WALK_LIMIT, bs_values, coprime_residues
 
 
 def as_arrays(a: list[int], b: list[int]):
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def totient(n: int) -> int:
+    """phi(n) by trial division."""
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 def check_against_scalar(a: list[int], b: list[int]) -> None:
@@ -40,7 +56,7 @@ def check_against_scalar(a: list[int], b: list[int]) -> None:
     xa, xb = as_arrays(a, b)
     assert _t_pairs(xa, xb).tolist() == [_t_walk(x, y) for x, y in zip(a, b)]
     inverses = [pow(x, -1, y) for x, y in zip(a, b)]
-    xinv = _inverse_pairs(xa, xb)
+    xinv = _inverse_pairs(xa, xb, np.array([totient(y) for y in b], dtype=np.int64))
     assert xinv.tolist() == inverses
     mus = _mu_pairs(xa, xb)
     assert mus.tolist() == [_mu(x, y) for x, y in zip(a, b)]
@@ -87,15 +103,47 @@ def test_jacobi_pairs_equal_scalar_on_every_numerator():
     assert _jacobi_pairs(*as_arrays(a, b)).tolist() == [_jacobi(x, y) for x, y in zip(a, b)]
 
 
+def test_inverse_pairs_equal_pow_on_every_residue():
+    # phi(b) is the length of b's row of residues, as the scans pass it.
+    rows = [(coprime_residues(b), b) for b in range(2, 2001)]
+    a = np.concatenate([row for row, _ in rows])
+    b = np.concatenate([np.full_like(row, y) for row, y in rows])
+    phi = np.concatenate([np.full_like(row, len(row)) for row, _ in rows])
+    assert _inverse_pairs(a, b, phi).tolist() == [pow(x, -1, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("b", [LIFT_WALK_LIMIT - 1, LIFT_WALK_LIMIT])
+def test_inverse_pairs_at_the_limit(b):
+    # Every product of the power is below b^2 < 2^62 here; the units among
+    # 1, 2, b - 2, b - 1 (both ends of the range, odd and even b). Their
+    # lifts by 2b give the same inverses: a and the self-check are reduced
+    # mod b before they multiply.
+    a = [x for x in (1, 2, b - 2, b - 1) if gcd(x, b) == 1]
+    xa, xb = as_arrays(a, [b] * len(a))
+    phi = np.full_like(xa, totient(b))
+    expected = [pow(x, -1, b) for x in a]
+    assert _inverse_pairs(xa, xb, phi).tolist() == expected
+    assert _inverse_pairs(xa + 2 * xb, xb, phi).tolist() == expected
+
+
 def test_inverse_pairs_reject_a_common_factor():
     with pytest.raises(ValueError, match="coprime"):
-        _inverse_pairs(*as_arrays([1, 2], [5, 4]))
+        _inverse_pairs(*as_arrays([1, 2], [5, 4]), np.array([4, 2], dtype=np.int64))
+
+
+def test_inverse_pairs_reject_a_wrong_exponent():
+    # With phi(b) + 1 the power is a^phi(b) == 1, not a^-1.
+    a, b = as_arrays([2, 3, 5], [7, 7, 7])
+    assert _inverse_pairs(a, b, np.full_like(a, 6)).tolist() == [4, 5, 3]
+    with pytest.raises(ValueError, match="phi"):
+        _inverse_pairs(a, b, np.full_like(a, 7))
 
 
 def test_empty_batches():
     empty = np.zeros(0, dtype=np.int64)
-    for kernel in (_t_pairs, _inverse_pairs, _jacobi_pairs, _mu_pairs):
+    for kernel in (_t_pairs, _jacobi_pairs, _mu_pairs):
         assert kernel(empty, empty).tolist() == []
+    assert _inverse_pairs(empty, empty, empty).tolist() == []
     values = bs_values(empty, empty)
     assert (values.dtype, values.shape) == (np.int64, (0,))
 

@@ -18,7 +18,7 @@ import dedsum.congruence
 import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
-from dedsum.arith import _inverse_pairs, mod_inverse
+from dedsum.arith import mod_inverse
 from dedsum.congruence import (
     MU_QUADRATIC_LIMIT,
     _mu_pairs,
@@ -216,13 +216,15 @@ def key_pairs(keys: np.ndarray) -> set[tuple[int, int]]:
 def test_pairs_that_share_no_key_meet_no_predicate():
     # The lemma behind theorem1's candidate pairs, on every pair: a pair
     # that shares neither a + a^-1 nor b S mod b has the condition and
-    # both memberships False.
+    # both memberships False. The inverses come from pow, not from the
+    # kernel whose keys select the pairs.
     for b in range(3, 200):
         a = coprime_residues(b)
         column = np.full_like(a, b)
         bs = dedsum.dedekind.bs_values(a, column)
         i, j = np.triu_indices(len(a), 1)
-        keys = [(a + _inverse_pairs(a, column)) % b, bs % b]
+        a_inv = np.array([pow(x, -1, b) for x in a.tolist()], dtype=np.int64)
+        keys = [(a + a_inv) % b, bs % b]
         shared = (keys[0][i] == keys[0][j]) | (keys[1][i] == keys[1][j])
         candidates = set().union(*(key_pairs(key) for key in keys))
         assert candidates == set(zip(i[shared].tolist(), j[shared].tolist())), b
@@ -256,6 +258,21 @@ def test_b_s_defect_off_the_inverse_key_equals_the_full_triangle(monkeypatch):
             if inverse_key(row["a1"], row["b"]) != inverse_key(row["a2"], row["b"])
         ]
         assert len(off_key) == 45, include_9div
+
+
+def test_a_wrong_inverse_hides_theorem1_rows_that_only_its_key_finds(monkeypatch):
+    # b S + a moves the b S key off a + a^-1, so the pairs that meet the
+    # condition are found through the inverse key alone. The planted +1
+    # shifts every inverse key alike and selects the same pairs; a doubled
+    # inverse does not, and theorem1 misses rows of the full triangle.
+    plant_in_row_kernel(monkeypatch, lambda a, b: a)
+    rows = assert_theorem1_equals_full_triangle(60, False)
+    real = dedsum.scans._inverse_pairs
+    plant_wrong_inverse(monkeypatch)
+    assert scan_theorem1(60, cap=10**6).violations == rows
+    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b, phi: real(a, b, phi) * 2 % b)
+    report = scan_theorem1(60, cap=10**6)
+    assert len(rows) == 580 and 0 < report.violations_total < len(rows)
 
 
 def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
@@ -346,7 +363,7 @@ def test_identity_scans_clean_small():
 
 def plant_wrong_inverse(monkeypatch):
     real = dedsum.scans._inverse_pairs
-    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b: real(a, b) + 1)
+    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda *args: real(*args) + 1)
 
 
 def plant_shifted_mu_original(monkeypatch):
@@ -432,8 +449,8 @@ def test_a_worker_tally_keeps_no_more_rows_than_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_each_process_returns_at_most_cap_rows_per_kind(jobs, monkeypatch):
-    # Batches of 16 residues give every process several pieces, and a
-    # wrong inverse gives rows in theorem1 and in every lift scan.
+    # Batches of 16 residues give every process several pieces; theorem1
+    # has its 9 | b rows, and a wrong inverse gives rows in every lift scan.
     plant_wrong_inverse(monkeypatch)
     monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
     real = dedsum.scans._shared
