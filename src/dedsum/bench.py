@@ -3,7 +3,9 @@
 The point of the benchmark is the growth law, not absolute speed: the
 direct summation scales linearly in b while the reciprocity recursion
 is logarithmic. Inputs are drawn deterministically from a seeded RNG
-and both evaluators must agree exactly on every sample.
+and both evaluators must agree exactly on every sample. One timed
+cross-check, compare_evaluators, serves the benchmark and
+`dedsum sum --method both`.
 """
 
 import random
@@ -36,8 +38,29 @@ def _random_coprime(rng: random.Random, b: int) -> int:
             return a
 
 
+def compare_evaluators(a: int, b: int) -> tuple:
+    """(S(a, b), naive_s, fast_s): the value both evaluators agree on,
+    the time of one naive call and the best time of _FAST_REPS fast
+    calls, in seconds.
+
+    Raises ArithmeticError if the evaluators disagree.
+    """
+    start = time.perf_counter()
+    slow_value = dedekind_naive(a, b)
+    naive_s = time.perf_counter() - start
+    fast_s = float("inf")
+    for _ in range(_FAST_REPS):
+        start = time.perf_counter()
+        value = dedekind_fast(a, b)
+        fast_s = min(fast_s, time.perf_counter() - start)
+    if slow_value != value:
+        raise ArithmeticError(f"evaluators disagree at a={a}, b={b}: {slow_value} vs {value}")
+    return value, naive_s, fast_s
+
+
 def run_benchmark(b_values: list[int], samples: int, seed: int = 0) -> list[BenchRow]:
-    """Time both evaluators at each b over `samples` random numerators.
+    """Time both evaluators by compare_evaluators at each b over
+    `samples` random numerators.
 
     Raises ValueError for b < 2 or samples < 0, and ArithmeticError if
     the evaluators ever disagree.
@@ -49,25 +72,9 @@ def run_benchmark(b_values: list[int], samples: int, seed: int = 0) -> list[Benc
         if b < 2:
             raise ValueError(f"benchmark denominators must be at least 2, got {b}")
         rng = random.Random(f"{seed}:{b}")
-        naive_times = []
-        fast_times = []
-        for _ in range(samples):
-            a = _random_coprime(rng, b)
-            start = time.perf_counter()
-            slow_value = dedekind_naive(a, b)
-            naive_times.append(time.perf_counter() - start)
-            best = float("inf")
-            for _ in range(_FAST_REPS):
-                start = time.perf_counter()
-                fast_value = dedekind_fast(a, b)
-                best = min(best, time.perf_counter() - start)
-            fast_times.append(best)
-            if slow_value != fast_value:
-                raise ArithmeticError(
-                    f"evaluators disagree at a={a}, b={b}: "
-                    f"{slow_value} vs {fast_value}"
-                )
+        times = [compare_evaluators(_random_coprime(rng, b), b)[1:] for _ in range(samples)]
         if samples:
+            naive_times, fast_times = zip(*times)
             rows.append(
                 BenchRow(
                     b=b,

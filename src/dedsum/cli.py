@@ -25,7 +25,7 @@ from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
 from dedsum.arith import jacobi
-from dedsum.bench import decade_values, growth_ratios, run_benchmark
+from dedsum.bench import compare_evaluators, decade_values, growth_ratios, run_benchmark
 from dedsum.congruence import family_example, mu
 from dedsum.contfrac import cf_expand, t_value
 from dedsum.dedekind import dedekind_fast, dedekind_naive
@@ -105,16 +105,7 @@ def _print_fraction(label: str, value: Fraction) -> None:
 
 def _cmd_sum(args) -> int:
     if args.method == "both":
-        start = time.perf_counter()
-        naive = dedekind_naive(args.a, args.b)
-        naive_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        value = dedekind_fast(args.a, args.b)
-        fast_elapsed = time.perf_counter() - start
-        if naive != value:
-            raise ArithmeticError(
-                f"evaluators disagree at a={args.a}, b={args.b}: {naive} vs {value}"
-            )
+        value, naive_elapsed, fast_elapsed = compare_evaluators(args.a, args.b)
         print(f"naive: {naive_elapsed:.6f} s", file=sys.stderr)
         print(f"fast:  {fast_elapsed:.6f} s", file=sys.stderr)
     elif args.method == "naive":

@@ -6,9 +6,8 @@ describing violating tuples are collected up to a cap; the counters in
 the report are never capped. Every scan is one entry of the check table
 _CHECKS, and one driver, _run, runs any list of them. A check decides a
 batch of tuples as int64 arrays and returns the batch's count of tuples
-and its violations as index-selected columns; _pass hands them to the
-kind's _Tally in one call per batch, and only the tally counts, caps
-and builds rows.
+and its violations as index-selected columns; _pass hands them to _add
+in one call per batch, and only _add counts, caps and builds rows.
 
 _pieces cuts the b range into pieces of consecutive b, about one batch
 of residues each, in ascending b. The calling process and a pool of up
@@ -17,16 +16,17 @@ a piece of its own, then claims the next unclaimed piece from a shared
 counter until none is left, so a process that runs slower on a busy
 host does less of the work. A process makes one pass (_pass): it builds
 each piece as one _Batch, runs every kind on it before the next, and
-keeps one _Tally per kind. The arrays that several kinds read are
+fills one ScanReport per kind. The arrays that several kinds read are
 computed at most once per batch, by the first kind that reads them.
 
-The tallies are merged in ascending b order, so the report content is
-identical for any job count. A report's elapsed time is its kind's
-longest time in one process, including the shared arrays that kind was
-the first to read. Building the rows and starting the pool count in no
-kind.
+_merge turns the processes' reports of one kind into the final report,
+rows in ascending b order, so the report content is identical for any
+job count. A report's elapsed time is its kind's longest time in one
+process, including the shared arrays that kind was the first to read.
+Building the rows and starting the pool count in no kind.
 """
 
+import dataclasses
 import functools
 import multiprocessing
 import time
@@ -62,48 +62,6 @@ SUITES = ("theorem1", "theorem2", "identities", "all")
 # many. One numpy call per short row costs more in call overhead than in
 # arithmetic; larger batches raise the peak memory.
 _BATCH = 2048
-
-
-class _Tally:
-    """One process's counters and first `cap` rows for one kind, over
-    all the pieces that the process runs, in ascending b.
-
-    It takes each batch's (tuples_checked, columns, masks) from the
-    kind's check: the violations of the batch as columns, one per name of
-    COLUMNS[kind], in row order, and the masks that say which counters
-    each violation moves.
-    """
-
-    def __init__(self, kind: str, counters: tuple[str, ...], cap: int):
-        self.names = [name for name, _ in COLUMNS[kind]]
-        self.cap = cap
-        self.tuples_checked = 0
-        self.violations_total = 0
-        self.violations: list[dict] = []
-        self.summary = dict.fromkeys(counters, 0)
-        self.elapsed = 0.0
-
-    def add(self, tuples_checked: int, columns: tuple, masks: dict | None = None) -> None:
-        """Count a batch's tuples and its violations, given as equal-length
-        columns, arrays or lists, and keep their rows up to the cap, as
-        plain Python values.
-
-        With masks None every violation moves every counter of the kind;
-        else masks maps each counter to a mask of the violations that it
-        counts.
-        """
-        if len(columns) != len(self.names) or len({len(c) for c in columns}) != 1:
-            raise ValueError(f"columns of lengths {[len(c) for c in columns]} for {self.names}")
-        self.tuples_checked += tuples_checked
-        count = len(columns[0])
-        if not count:
-            return
-        self.violations_total += count
-        for key in self.summary:
-            self.summary[key] += count if masks is None else int(np.count_nonzero(masks[key]))
-        room = self.cap - len(self.violations)
-        kept = [np.asarray(column[:room]).tolist() for column in columns]
-        self.violations.extend(dict(zip(self.names, row)) for row in zip(*kept))
 
 
 class _Batch:
@@ -395,18 +353,73 @@ _CHECKS = {
 IDENTITY_KINDS = tuple(kind for kind in _CHECKS if kind not in ("theorem1", "theorem2"))
 
 
-def _pass(kinds: list[str], pieces, cap: int, options: dict) -> list[_Tally]:
+def _add(report: ScanReport, tuples_checked: int, columns: tuple, masks: dict | None = None):
+    """Count a batch's tuples and its violations into one process's
+    report, and keep their rows up to the report's cap, as plain Python
+    values.
+
+    The violations come as equal-length columns, arrays or lists, one per
+    name of COLUMNS[kind], in row order. With masks None every violation
+    moves every counter of the kind; else masks maps each counter to a
+    mask of the violations that it counts.
+    """
+    names = [name for name, _ in COLUMNS[report.kind]]
+    if len(columns) != len(names) or len({len(c) for c in columns}) != 1:
+        raise ValueError(f"columns of lengths {[len(c) for c in columns]} for {names}")
+    report.tuples_checked += tuples_checked
+    count = len(columns[0])
+    if not count:
+        return
+    report.violations_total += count
+    for key in report.summary:
+        report.summary[key] += count if masks is None else int(np.count_nonzero(masks[key]))
+    room = report.parameters["cap"] - len(report.violations)
+    kept = [np.asarray(column[:room]).tolist() for column in columns]
+    report.violations.extend(dict(zip(names, row)) for row in zip(*kept))
+
+
+def _pass(kinds: list[str], pieces, b_max: int, cap: int, options: dict) -> list[ScanReport]:
     """One process's pass over its pieces, each one batch, every kind on
-    a batch before the next one is built: one tally per kind. Each
-    kind's time is the sum of its checks' times."""
-    tallies = [_Tally(kind, _CHECKS[kind][1], cap) for kind in kinds]
+    a batch before the next one is built: one report per kind, with the
+    process's counters and its first `cap` rows. Each kind's time is the
+    sum of its checks' times. The reports are built here, in the process
+    that fills them, never sent to a worker half filled.
+    """
+    reports = [
+        ScanReport(
+            kind=kind,
+            b_lo=1,
+            b_hi=b_max,
+            tuples_checked=0,
+            violations_total=0,
+            parameters=dict(sorted({"bmax": b_max, "cap": cap, **options.get(kind, {})}.items())),
+            summary=dict.fromkeys(sorted(_CHECKS[kind][1]), 0),
+        )
+        for kind in kinds
+    ]
     for piece in pieces:
         batch = _Batch(piece)
-        for kind, tally in zip(kinds, tallies):
+        for report in reports:
             start = time.perf_counter()
-            tally.add(*_CHECKS[kind][0](batch, **options.get(kind, {})))
-            tally.elapsed += time.perf_counter() - start
-    return tallies
+            _add(report, *_CHECKS[report.kind][0](batch, **options.get(report.kind, {})))
+            report.elapsed += time.perf_counter() - start
+    return reports
+
+
+def _merge(parts) -> ScanReport:
+    """One kind's report from the reports of the processes that shared
+    its range: counters and summaries summed, rows sorted stably by b and
+    cut to the cap, and the longest time of one process."""
+    first = parts[0]
+    rows = sorted((row for part in parts for row in part.violations), key=lambda row: row["b"])
+    return dataclasses.replace(
+        first,
+        tuples_checked=sum(part.tuples_checked for part in parts),
+        violations_total=sum(part.violations_total for part in parts),
+        violations=rows[: first.parameters["cap"]],
+        summary={key: sum(part.summary[key] for part in parts) for key in first.summary},
+        elapsed=max(part.elapsed for part in parts),
+    )
 
 
 def _row_sizes(b_max: int) -> np.ndarray:
@@ -501,10 +514,8 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
     Every kind's arguments are checked before any work, so a bound one
     kind cannot take fails at once, not after the others ran. The pieces
     of _pieces are shared by the caller and up to jobs - 1 workers
-    (_shared), and each process returns one tally per kind. Per kind, a
-    stable sort by b restores the sequential row order before the cap is
-    applied to the merged rows. A report's elapsed time is its kind's
-    longest time in one process, the caller included.
+    (_shared), and each process returns one report per kind (_pass).
+    _merge makes each kind's reports one, at every job count.
     """
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
@@ -519,28 +530,8 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
             raise ValueError(f"b_max={b_max} exceeds {bound}, the int64-exact limit of {what}")
     # The keyword arguments of each kind's check, also in its parameters.
     options = {"theorem1": {"include_9div": include_9div}}
-    work = functools.partial(_pass, kinds, cap=cap, options=options)
-    shares = _shared(work, _pieces(b_max, jobs), jobs)
-    reports = []
-    for k, kind in enumerate(kinds):
-        tallies = [share[k] for share in shares]
-        rows = sorted((row for t in tallies for row in t.violations), key=lambda row: row["b"])
-        parameters = {"bmax": b_max, "cap": cap, **options.get(kind, {})}
-        summary = {key: sum(t.summary[key] for t in tallies) for key in sorted(_CHECKS[kind][1])}
-        reports.append(
-            ScanReport(
-                kind=kind,
-                b_lo=1,
-                b_hi=b_max,
-                tuples_checked=sum(t.tuples_checked for t in tallies),
-                violations_total=sum(t.violations_total for t in tallies),
-                violations=rows[:cap],
-                parameters=dict(sorted(parameters.items())),
-                summary=summary,
-                elapsed=max(t.elapsed for t in tallies),
-            )
-        )
-    return reports
+    work = functools.partial(_pass, kinds, b_max=b_max, cap=cap, options=options)
+    return [_merge(parts) for parts in zip(*_shared(work, _pieces(b_max, jobs), jobs))]
 
 
 def scan_theorem1(

@@ -1,8 +1,12 @@
 """Tests for the benchmark helpers."""
 
+from fractions import Fraction
+
 import pytest
 
-from dedsum.bench import BenchRow, decade_values, growth_ratios, run_benchmark
+import dedsum.bench
+from dedsum.bench import BenchRow, compare_evaluators, decade_values, growth_ratios, run_benchmark
+from dedsum.dedekind import dedekind_fast
 
 
 def test_decade_values():
@@ -19,6 +23,25 @@ def test_run_benchmark_rows_are_deterministic_in_shape():
     assert [row.b for row in rows] == [10, 100]
     assert all(row.samples == 2 for row in rows)
     assert all(row.naive_median > 0 and row.fast_median > 0 for row in rows)
+
+
+def test_compare_evaluators_returns_the_value_and_both_times():
+    value, naive_s, fast_s = compare_evaluators(6, 25)
+    assert value == dedekind_fast(6, 25) == Fraction(-48, 25)
+    assert naive_s > 0 and fast_s > 0
+
+
+def test_compare_evaluators_refuses_a_disagreement(monkeypatch):
+    # The fast evaluator is off by one only at b = 25; both the timed
+    # cross-check and the benchmark that draws on it raise.
+    monkeypatch.setattr(
+        dedsum.bench, "dedekind_fast", lambda a, b: dedekind_fast(a, b) + (b == 25)
+    )
+    with pytest.raises(ArithmeticError, match=r"disagree at a=6, b=25: -48/25 vs -23/25"):
+        compare_evaluators(6, 25)
+    assert compare_evaluators(6, 19)[0] == dedekind_fast(6, 19)
+    with pytest.raises(ArithmeticError, match="b=25"):
+        run_benchmark([10, 25], samples=1)
 
 
 def test_run_benchmark_zero_samples():

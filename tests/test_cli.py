@@ -13,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import dedsum.bench
 import dedsum.cli
 import dedsum.scans
 from dedsum.cli import main
@@ -39,6 +40,15 @@ def test_sum_methods_agree(capsys):
     captured = capsys.readouterr()
     assert captured.out == naive_out
     assert "naive:" in captured.err and "fast:" in captured.err
+
+
+def test_sum_both_fails_when_the_evaluators_disagree(monkeypatch, capsys):
+    real = dedsum.bench.dedekind_fast
+    monkeypatch.setattr(dedsum.bench, "dedekind_fast", lambda a, b: real(a, b) + 1)
+    assert main(["sum", "6", "25", "--method", "both"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "evaluators disagree at a=6, b=25: -48/25 vs -23/25" in captured.err
 
 
 def test_cf_output(capsys):

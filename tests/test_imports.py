@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every package name that the README or a docstring or comment cites
-exists, and so do the private names that perfbench patches."""
+every private top-level name of the package is read in it, every
+package name that the README or a docstring or comment cites exists,
+and so do the private names that perfbench patches."""
 
 import ast
 import importlib
@@ -46,6 +47,45 @@ def test_a_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The private names, not dunders, that a top-level def, class or
+    assignment of one of sources binds and that no expression of any of
+    them reads, by name or as an attribute."""
+    bound, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(n for n in bound - read if n.startswith("_") and not n.endswith("__"))
+
+
+def test_the_check_sees_a_private_name_that_nothing_reads():
+    kernel = (
+        "__all__ = []\n_LIMIT = 3\n_SEEN: int = 4\n_a, _b = 1, 2\n_c = 0\n_c = 1\n"
+        "def _kernel(x):\n    return x + _a\n"
+        "def _dead():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "class _Row:\n    pass\n"
+        "def public(x):\n    return isinstance(x, _Row) and _kernel(_SEEN)\n"
+    )
+    caller = "import kernel\nkernel._LIMIT.bit_length()\n"
+    assert unread_private_names([kernel, caller]) == ["_Gone", "_b", "_c", "_dead"]
+    assert unread_private_names([kernel]) == ["_Gone", "_LIMIT", "_b", "_c", "_dead"]
+
+
+def test_the_package_reads_every_private_name_it_binds():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
 def docs_and_comments(source: str) -> str:
     """The docstrings and the comments of source, one after another."""
     nodes = (ast.Module, ast.ClassDef, ast.FunctionDef)
@@ -89,11 +129,11 @@ def resolves(obj, path: list[str]) -> bool:
 
 def test_the_check_sees_a_name_that_is_gone():
     text = (
-        "`_no_such_kernel`, `scans._Tally.flag`, `dedsum.scans._gone`, `dedekind`,"
-        " `scans._Tally.add`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_fast_parts`,"
+        "`_no_such_kernel`, `scans._Batch.flag`, `dedsum.scans._gone`, `dedekind`,"
+        " `scans._Batch.bt`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_fast_parts`,"
         " `fractions.Fraction`, `cap`"
     )
-    assert unresolved_names(text) == ["_no_such_kernel", "dedsum.scans._gone", "scans._Tally.flag"]
+    assert unresolved_names(text) == ["_no_such_kernel", "dedsum.scans._gone", "scans._Batch.flag"]
     source = '"""`_gone_from_docstring`"""\nx = "`_in_a_string`"  # `_gone_from_comment`\n'
     assert unresolved_names(docs_and_comments(source)) == ["_gone_from_comment", "_gone_from_docstring"]
 

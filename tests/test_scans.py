@@ -7,12 +7,15 @@ kernels show that each scan can fail, and under which counter.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dedsum.congruence
 import dedsum.contfrac
@@ -295,17 +298,17 @@ def test_a_row_of_the_wrong_length_is_refused():
     # The columns are checked on every call, also when no row is kept and
     # when the batch is clean.
     for cap in (0, 1):
-        tally = dedsum.scans._Tally("mu-mod8", ("mod8_mismatches",), cap=cap)
+        (report,) = dedsum.scans._pass(["mu-mod8"], [], 4, cap, {})
         for columns in (([2], [1], [0]), ([], [], []), ([2], [1], [0], [4, 0])):
             with pytest.raises(ValueError):
-                tally.add(1, columns)
-        tally.add(8, (np.array([2, 4]), [1, 3], [0, 4], [4, 0]))
-        tally.add(4, ([], [], [], []))
+                dedsum.scans._add(report, 1, columns)
+        dedsum.scans._add(report, 8, (np.array([2, 4]), [1, 3], [0, 4], [4, 0]))
+        dedsum.scans._add(report, 4, ([], [], [], []))
         rows = [{"b": 2, "a": 1, "mu_simple": 0, "mu_quadratic": 4}]
-        assert tally.violations == rows[:cap], cap
-        assert all(type(value) is int for row in tally.violations for value in row.values())
-        assert tally.tuples_checked == 12, cap
-        assert (tally.violations_total, tally.summary) == (2, {"mod8_mismatches": 2}), cap
+        assert report.violations == rows[:cap], cap
+        assert all(type(value) is int for row in report.violations for value in row.values())
+        assert report.tuples_checked == 12, cap
+        assert (report.violations_total, report.summary) == (2, {"mod8_mismatches": 2}), cap
 
 
 def test_theorem1_decides_the_pair_at_b_three(monkeypatch):
@@ -437,14 +440,15 @@ def test_cap_limits_rows_not_counters():
 
 
 def test_a_worker_tally_keeps_no_more_rows_than_the_cap(monkeypatch):
-    # Batches of 16 residues: bhk flags every lift of each, so the tally
-    # gets a column call per batch after its cap is reached.
+    # Batches of 16 residues: bhk flags every lift of each, so the
+    # process's report gets a column call per batch after its cap is
+    # reached.
     plant_wrong_inverse(monkeypatch)
     monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
-    (tally,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 3, {})
-    (full,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 10**6, {})
-    assert tally.violations == full.violations[:3]
-    assert tally.violations_total == full.violations_total == 831
+    (report,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 30, 3, {})
+    (full,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 30, 10**6, {})
+    assert report.violations == full.violations[:3]
+    assert report.violations_total == full.violations_total == 831
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -464,14 +468,43 @@ def test_each_process_returns_at_most_cap_rows_per_kind(jobs, monkeypatch):
     reports = run_suite("all", 60, include_9div=True, cap=3, jobs=jobs)
     assert len(shares) == jobs
     for share in shares:
-        assert [tally.names for tally in share] == [
+        assert [[name for name, _ in COLUMNS[part.kind]] for part in share] == [
             [name for name, _ in COLUMNS[report.kind]] for report in reports
         ]
-        assert all(len(tally.violations) <= 3 for tally in share)
+        assert all(len(part.violations) <= 3 for part in share)
     for k, report in enumerate(reports):
         assert report.violations_total == sum(share[k].violations_total for share in shares)
         assert len(report.violations) == min(3, report.violations_total)
     assert sum(report.violations_total > 3 for report in reports) >= 4
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 80), cap=st.sampled_from([0, 1, 3, 10**6]))
+def test_merged_shares_equal_one_pass(fault, data, n, cap):
+    # Any cut of the pieces into ascending shares, each run as one
+    # process's pass and merged in any order, equals one pass over all
+    # the pieces. theorem1 has its 9 | b rows; a wrong inverse gives the
+    # lift kinds rows too. Batches of 16 residues make several pieces.
+    kinds = ["theorem1", "theorem2", *IDENTITY_KINDS]
+    options = {"theorem1": {"include_9div": True}}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
+        if fault:
+            plant_wrong_inverse(monkeypatch)
+        pieces = list(dedsum.scans._pieces(n, 1))
+        count = data.draw(st.integers(1, 4), label="shares")
+        owner = st.integers(0, count - 1)
+        owners = data.draw(st.lists(owner, min_size=len(pieces), max_size=len(pieces)))
+        order = data.draw(st.permutations(range(count)), label="order")
+        shares = [[piece for piece, owner in zip(pieces, owners) if owner == s] for s in order]
+        parts = [dedsum.scans._pass(kinds, share, n, cap, options) for share in shares]
+        whole = dedsum.scans._pass(kinds, pieces, n, cap, options)
+    merged = [dedsum.scans._merge(reports) for reports in zip(*parts)]
+    assert [replace(r, elapsed=0.0) for r in merged] == [replace(r, elapsed=0.0) for r in whole]
+    assert [r.elapsed for r in merged] == [max(r.elapsed for r in kind) for kind in zip(*parts)]
+    if fault and n >= 2:
+        assert all(r.violations_total for r in whole if r.kind in ("theorem2", "bhk", "bt-mod8"))
 
 
 def test_cap_zero_keeps_counts_only():
