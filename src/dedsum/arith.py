@@ -6,14 +6,21 @@ results. Rational values elsewhere in the package are represented by
 checks its modulus and then runs `_jacobi`, the unchecked kernel that
 `congruence` builds on.
 
-`_inverse_pairs` and `_jacobi_pairs` are the array forms that the lift
-scans run on int64 arrays of pairs: the inverse a^(phi(b) - 1) mod b by
-Euler's theorem, with every product below b^2 < 2^62 up to
-`dedekind.LIFT_WALK_LIMIT`, and the binary walk of `_jacobi`.
+`_inverse_pairs` and `_jacobi_pairs` are the array forms that the scans
+run on int64 arrays of pairs. The inverse is a^(phi(b) - 1) mod b by
+Euler's theorem, through the square and multiply of `_power_pairs`,
+with every product below b^2 < 2^62 up to `dedekind.LIFT_WALK_LIMIT`.
+The Jacobi symbol is the product of the Legendre symbols of b's prime
+powers (`_prime_powers`, a trial division that
+`dedekind.coprime_residues` shares), each read from a table of the
+squares mod p, or for a large p by Euler's criterion through the same
+`_power_pairs`.
 """
 
+import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -71,55 +78,125 @@ def _jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The prime powers p^e that make up n >= 1, as (p, e) pairs with p
+    ascending, by trial division; [] for n = 1."""
+    powers = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            powers.append((p, e))
+        p += 1
+    if n > 1:
+        powers.append((n, 1))
+    return powers
+
+
+def _power_pairs(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod `mod` elementwise over int64 arrays, exp >= 0 and
+    mod >= 2: square and multiply over factors reduced mod `mod`, one
+    round per bit of the largest exponent. Every product is below mod^2,
+    so the result is exact while mod^2 < 2^63."""
+    base = base % mod
+    out = np.ones_like(base)
+    for _ in range(int(exp.max(initial=0)).bit_length()):
+        out = out * np.where(exp & 1, base, 1) % mod
+        base = base * base % mod
+        exp = exp >> 1
+    return out
+
+
 def _inverse_pairs(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """a^-1 mod b in 1..b-1 for int64 arrays of pairs, b >= 2, phi = phi(b).
 
-    a^(phi - 1) mod b by square and multiply over factors reduced mod b,
-    one round per bit of the largest exponent. Raises ValueError where
+    a^(phi - 1) mod b by `_power_pairs`. Raises ValueError where
     a a^-1 != 1 (mod b): a pair that is not coprime, or a wrong phi.
     """
-    base = a % b
-    exp = phi - 1
-    out = np.ones_like(base)
-    for _ in range(int(exp.max(initial=0)).bit_length()):
-        out = out * np.where(exp & 1, base, 1) % b
-        base = base * base % b
-        exp >>= 1
+    out = _power_pairs(a, phi - 1, b)
     if (out * (a % b) % b != 1).any():
         raise ValueError("the inverse kernel needs coprime pairs and their phi(b)")
     return out
 
 
-# Bits 1, 3, 5, ... of an int64. A power of two 2^k has one of them set
-# exactly when k is odd.
-_ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA
+# The largest modulus of `_jacobi_pairs`. Its Euler powers multiply
+# residues mod a prime p <= b, each product below b^2 < 2^62.
+JACOBI_PAIRS_LIMIT = 2**31 - 1
+
+# `_jacobi_pairs` reads (a|p) for an odd prime p up to this bound from a
+# segment of p entries, and takes Euler's criterion for larger p. There
+# are at most two segments per such prime, one per parity of its
+# exponent, and the odd primes below 4096 sum to 1,070,089. So a call's
+# flat table, and the cache of `_legendre_segment` in a process, hold at
+# most 2 * 1,070,089 + 1 int8 entries, about 2.1 MB. An odd
+# b <= JACOBI_PAIRS_LIMIT has at most eight prime factors
+# (3 * 5 * ... * 29 > 2^31), so a pair takes at most eight gathers, and
+# at most two of its primes exceed this bound (4099^3 > 2^31).
+_LEGENDRE_TABLE_LIMIT = 4096
+
+
+@functools.cache
+def _legendre_segment(p: int, odd: int) -> np.ndarray:
+    """(x|p)^e for x = 0..p-1, p an odd prime, e of the parity `odd`, as
+    a read-only int8 array: 0 at 0; on the units, 1 when e is even, and
+    when e is odd 1 on the squares mod p and -1 on the rest."""
+    segment = np.full(p, -1 if odd else 1, dtype=np.int8)
+    segment[np.arange(1, p) ** 2 % p] = 1
+    segment[0] = 0
+    segment.flags.writeable = False
+    return segment
 
 
 def _jacobi_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a|b) of `_jacobi` for int64 arrays of pairs; every b odd, positive.
+    """(a|b) of `_jacobi` for int64 arrays of pairs; every b odd and
+    0 < b <= JACOBI_PAIRS_LIMIT, a of any sign.
 
-    The same binary walk on all pairs at once, with masks for the sign
-    flips. A run of k factors 2 is the lowest set bit 2^k = a & -a, shifted
-    out by one exact division; it flips the sign when k is odd and
-    b == 3, 5 (mod 8). A pair leaves the walk when its a reaches 0.
+    (a|b) is the product of the Legendre symbols (a|p)^e over the prime
+    powers p^e of b (Ireland & Rosen, ch. 5), which are 0 where p | a.
+    Each distinct b is factored once by `_prime_powers`, and its k-th
+    prime is slot k. A prime up to _LEGENDRE_TABLE_LIMIT gives its
+    symbols by one gather from a flat table of the call's segments
+    (`_legendre_segment`), a larger one by Euler's criterion
+    (a|p) == a^((p - 1)/2) (mod p), through `_power_pairs`.
     """
-    out = np.empty(len(a), dtype=np.int64)
-    idx = np.arange(len(a))
-    a = a % b
-    sign = np.ones_like(out)
-    while len(idx):
-        done = a == 0
-        if done.any():
-            out[idx[done]] = np.where(b[done] == 1, sign[done], 0)
-            live = ~done
-            idx, a, b, sign = idx[live], a[live], b[live], sign[live]
-        low = a & -a
-        a = a // low
-        b8 = b & 7
-        flip = ((low & _ODD_BITS) != 0) & ((b8 == 3) | (b8 == 5))
-        flip ^= (a & b & 2) != 0
-        sign[flip] *= -1
-        a, b = b % a, a
+    if len(b) and b.max() > JACOBI_PAIRS_LIMIT:
+        raise ValueError(f"b={int(b.max())} exceeds the int64-exact limit {JACOBI_PAIRS_LIMIT}")
+    moduli = np.sort(b)
+    moduli = moduli[np.diff(moduli, prepend=0) != 0]
+    row = np.searchsorted(moduli, b)
+    # Per modulus, (p, start of its segment) of each prime up to the
+    # bound and (p, e mod 2) of the larger ones. The table starts with
+    # the entry 1, which a slot past the last prime of its modulus reads
+    # as p = 1 and start 0.
+    segments, starts, size = [np.ones(1, dtype=np.int8)], {}, 1
+    tabled, large = [], []
+    for n in moduli.tolist():
+        tabled.append([])
+        large.append([])
+        for p, e in _prime_powers(n):
+            if p > _LEGENDRE_TABLE_LIMIT:
+                large[-1].append((p, e & 1))
+                continue
+            if (p, e & 1) not in starts:
+                starts[p, e & 1] = size
+                segments.append(_legendre_segment(p, e & 1))
+                size += p
+            tabled[-1].append((p, starts[p, e & 1]))
+    table = np.concatenate(segments)
+    out = np.ones(len(a), dtype=np.int64)
+    for slot in zip_longest(*tabled, fillvalue=(1, 0)):
+        p, start = np.array(slot).T
+        out *= table[start[row] + a % p[row]]
+    for slot in zip_longest(*large, fillvalue=(1, 1)):
+        p, odd = np.array(slot).T
+        pairs = np.flatnonzero(p[row] > 1)
+        q = p[row[pairs]]
+        power = _power_pairs(a[pairs], (q - 1) // 2, q)
+        symbol = np.where(power > 1, -1, power)
+        out[pairs] *= np.where(odd[row[pairs]], symbol, symbol * symbol)
     return out
 
 

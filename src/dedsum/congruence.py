@@ -22,8 +22,12 @@ of a residue class. `_mu_pairs` (on top of `_jacobi_pairs`),
 and of the predictions of `bt_residue` and `bt_congruence_mod8`, and
 those predicates are the tests' reference for them. The lift scans
 compute them once per residue for whole batches, one mu for both.
-`_mu_quadratic_pairs` is the array form of `mu_original`, for the
-mu-mod8 scan; it stays independent of `_mu_pairs`.
+`_mu_swapped_pairs` is theorem1's mu(b, a), whose Jacobi modulus is the
+residue a: by quadratic reciprocity it reads (a|c) instead, c the odd
+part of b, so its moduli are a batch's few rows, not its residues; the
+tests compare it with the scalar `_mu`. `_mu_quadratic_pairs` is the
+array form of `mu_original`, for the mu-mod8 scan; it stays
+independent of `_mu_pairs`.
 """
 
 from dataclasses import dataclass
@@ -60,6 +64,34 @@ def _mu_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = np.where((b & 3 == 0) & (a & 3 == 3), 4, 0)
     odd = (b & 1) == 1
     m[odd] = 2 - 2 * _jacobi_pairs(a[odd], b[odd])
+    return m
+
+
+# Bits 1, 3, 5, ... of an int64. A power of two 2^v has one of them set
+# exactly when v is odd.
+_ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA
+
+
+def _mu_swapped_pairs(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """mu(b, a) of `_mu` elementwise over int64 arrays of coprime pairs,
+    a >= 1 and b >= 1: the residue a is the modulus.
+
+    With b = 2^v c, c odd, an odd a has (b|a) = (2|a)^v (c|a), where
+    (2|a) = -1 iff a == 3, 5 (mod 8), and by quadratic reciprocity
+    (c|a) = (a|c) (-1)^((a - 1)/2 (c - 1)/2). So the Jacobi moduli are
+    the odd parts of the b, not the a: over the rows of a batch, a few
+    distinct moduli, not one per residue. An even a is coprime only to
+    an odd b, and mu(b, a) = 4 iff a == 0 (mod 4) and b == 3 (mod 4).
+    """
+    m = np.where((a & 3 == 0) & (b & 3 == 3), 4, 0)
+    odd = (a & 1) == 1
+    a, b = a[odd], b[odd]
+    low = b & -b
+    c = b // low
+    a8 = a & 7
+    flip = ((low & _ODD_BITS) != 0) & ((a8 == 3) | (a8 == 5))
+    flip ^= (a & c & 2) != 0
+    m[odd] = 2 - 2 * np.where(flip, -1, 1) * _jacobi_pairs(a, c)
     return m
 
 

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from dedsum.arith import require_coprime
+from dedsum.arith import _prime_powers, require_coprime
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
 # row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
@@ -70,8 +70,11 @@ THEOREM1_ROW_LIMIT = 77_935
 # [b^2 - b - 3, b^2 + 2], and the mod-8 check b T - offset + a stays
 # within 2b^2 + 5b + 2. That is below 2^63 up to b = 2^31 - 2. The power
 # a^(phi(b) - 1) mod b that gives a^-1 multiplies factors reduced mod b:
-# each product is below b^2 <= (2^31 - 2)^2 < 2^62. The Jacobi walk only
-# sees values below b.
+# each product is below b^2 <= (2^31 - 2)^2 < 2^62. The Jacobi symbol in
+# mu reads, for each prime p | b up to 4096, a table of p entries, each
+# 0 or +-1, at a mod p; for a larger p, the Euler power a^((p - 1)/2)
+# mod p, each product below p^2 <= b^2 < 2^62 (arith.JACOBI_PAIRS_LIMIT,
+# 2^31 - 1, is above this limit).
 LIFT_WALK_LIMIT = 2_147_483_646
 
 
@@ -162,19 +165,12 @@ def coprime_residues(b: int) -> np.ndarray:
     """The residues a in 1..b-1 with gcd(a, b) == 1, as an int64 array.
 
     Sieves 1..b-1: clears the multiples of each prime factor of b, found
-    by trial division.
+    by `_prime_powers`.
     """
     keep = np.ones(max(b, 1), dtype=bool)
     keep[0] = False
-    n, p = b, 2
-    while p * p <= n:
-        if n % p == 0:
-            keep[::p] = False
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        keep[::n] = False
+    for p, _ in _prime_powers(b):
+        keep[::p] = False
     return np.flatnonzero(keep).astype(np.int64, copy=False)
 
 

@@ -43,6 +43,7 @@ from dedsum.congruence import (
     _mod8_offset_pairs,
     _mu_pairs,
     _mu_quadratic_pairs,
+    _mu_swapped_pairs,
 )
 from dedsum.contfrac import _t_pairs
 from dedsum.dedekind import (
@@ -102,7 +103,7 @@ class _Batch:
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
-        """mu(a, b) of each residue: one Jacobi walk for the batch."""
+        """mu(a, b) of each residue: one Jacobi kernel call for the batch."""
         return _mu_pairs(self.a, self.b)
 
     @functools.cached_property
@@ -171,6 +172,9 @@ def _same_key_pairs(keys: np.ndarray) -> np.ndarray:
 # pair that shares neither key has all three False: it is checked, and no
 # violation. No Dedekind-sum theorem is used, and the b S key is read
 # from the values the memberships read, so a wrong b S hides no pair.
+# Where the two keys agree on every residue of a batch, as they do when
+# b S == a + a^-1 (mod b) holds, the pairs that share one share the
+# other, so the pairs of one key are all the candidates.
 def _theorem1_rows(batch: _Batch, include_9div: bool = False):
     """Pairing condition vs. membership of S(a1,b)-S(a2,b) in 8Z and 24Z.
 
@@ -183,11 +187,13 @@ def _theorem1_rows(batch: _Batch, include_9div: bool = False):
     a, b, bs = batch.a, batch.b, batch.bs
     # b^2 + key is unique to the row of b, since 0 <= key < b.
     keys = (b * b + (a + batch.a_inv) % b, b * b + bs % b)
+    if np.array_equal(*keys):
+        keys = keys[:1]
     codes = np.sort(np.concatenate([_same_key_pairs(key) for key in keys]))
     i, j = np.divmod(codes[np.diff(codes, prepend=-1) != 0], len(a))
     kept = (b[i] >= 3) & (include_9div | (b[i] % 9 != 0))
     i, j, pb = i[kept], j[kept], b[i[kept]]
-    mus = _mu_pairs(b, a)  # mu(b, a): the residue is the modulus.
+    mus = _mu_swapped_pairs(b, a)
     cond = _pair_condition(pb, a[i], mus[i], a[j], mus[j])
     d = bs[i] - bs[j]
     in8, in24 = d % (8 * pb) == 0, d % (24 * pb) == 0

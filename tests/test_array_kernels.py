@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dedsum.arith import _inverse_pairs, _jacobi, _jacobi_pairs
+from dedsum.arith import _LEGENDRE_TABLE_LIMIT, JACOBI_PAIRS_LIMIT, _inverse_pairs, _jacobi, _jacobi_pairs
 from dedsum.congruence import (
     BT_CASES,
     MU_QUADRATIC_LIMIT,
@@ -26,12 +26,13 @@ from dedsum.congruence import (
     _mu,
     _mu_pairs,
     _mu_quadratic_pairs,
+    _mu_swapped_pairs,
     bt_residue,
     mu,
     mu_original,
 )
 from dedsum.contfrac import _t_pairs, _t_walk
-from dedsum.dedekind import LIFT_WALK_LIMIT, bs_values, coprime_residues
+from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT, bs_values, coprime_residues
 
 
 def as_arrays(a: list[int], b: list[int]):
@@ -100,7 +101,37 @@ def test_jacobi_pairs_equal_scalar_on_every_numerator():
         for x in range(-3 * y + 1, 3 * y):
             a.append(x)
             b.append(y)
+    # Moduli with primes above the table bound, which take Euler's
+    # criterion, one of them squared; p^2 | b with p | a, where (a|p)^2
+    # is 0; 5 * 19 * 22,605,091, primes on both sides of the bound; and
+    # the largest modulus, the prime 2^31 - 1. The numerators are small
+    # ones of both signs, multiples of the primes, and lifts.
+    p, q = 4099, 4111
+    assert 19 < _LEGENDRE_TABLE_LIMIT < p < q
+    moduli = [p, 3 * p, 9 * p, p * p, 5 * p * p, p * q, 45 * q, 2_147_483_645, JACOBI_PAIRS_LIMIT]
+    for y in moduli:
+        for x in (*range(-40, 41), p, 3 * p, p * p, q, 9 * q, 5 * 19, y - 1, y + 2, 2 * y - 1, -y - 3):
+            a.append(x)
+            b.append(y)
     assert _jacobi_pairs(*as_arrays(a, b)).tolist() == [_jacobi(x, y) for x, y in zip(a, b)]
+
+
+def test_jacobi_pairs_refuse_a_modulus_above_the_limit():
+    # Its Euler powers would leave int64.
+    with pytest.raises(ValueError, match="limit"):
+        _jacobi_pairs(*as_arrays([1, 2], [3, JACOBI_PAIRS_LIMIT + 2]))
+
+
+def test_mu_swapped_pairs_equal_scalar_mu_on_every_residue():
+    # theorem1's mu(b, a) by reciprocity against the scalar mu(b, a), whose
+    # modulus is the residue: every residue of every b <= 2000, and the rows
+    # at the theorem1 limit, the primes below it and 2^16 (odd part 1).
+    rows = [*range(1, 2001), 2**16, 77_929, 77_933, THEOREM1_ROW_LIMIT - 1, THEOREM1_ROW_LIMIT]
+    residues = [coprime_residues(y) for y in rows]
+    a = np.concatenate(residues)
+    b = np.concatenate([np.full_like(row, y) for row, y in zip(residues, rows)])
+    expected = [_mu(y, x) for x, y in zip(a.tolist(), b.tolist())]
+    assert _mu_swapped_pairs(b, a).tolist() == expected
 
 
 def test_inverse_pairs_equal_pow_on_every_residue():
@@ -141,7 +172,7 @@ def test_inverse_pairs_reject_a_wrong_exponent():
 
 def test_empty_batches():
     empty = np.zeros(0, dtype=np.int64)
-    for kernel in (_t_pairs, _jacobi_pairs, _mu_pairs):
+    for kernel in (_t_pairs, _jacobi_pairs, _mu_pairs, _mu_swapped_pairs):
         assert kernel(empty, empty).tolist() == []
     assert _inverse_pairs(empty, empty, empty).tolist() == []
     values = bs_values(empty, empty)

@@ -66,6 +66,16 @@ def test_json_roundtrip_scan():
     assert parse_json(render_json([report])) == [report]
 
 
+def test_fresh_reports_keep_the_key_order_of_a_round_trip():
+    # The writers sort parameters and summary, and a scan builds them
+    # sorted, so a report reads back with its keys in the same order.
+    for report in run_suite("all", 12, include_9div=True):
+        for parse, write in ((parse_json, render_json), (parse_csv, render_csv)):
+            (back,) = parse(write([report]))
+            assert list(back.parameters) == list(report.parameters), report.kind
+            assert list(back.summary) == list(report.summary), report.kind
+
+
 def test_json_roundtrip_table():
     report = sample_table()
     assert parse_json(render_json([report])) == [report]

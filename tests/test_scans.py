@@ -166,8 +166,9 @@ THEOREM1_COUNTERS = ("mod24_mismatches_9div", "mod24_mismatches_9ndiv", "mod8_mi
 def full_triangle(b_max: int, include_9div: bool):
     """theorem1's (tuples_checked, rows, summary) from the whole pair
     triangle of every b: the pairing condition and both memberships on
-    every pair i < j, in (a1, a2) order. It reads b S and mu from the
-    same kernels as the scan, so a defect planted there reaches both."""
+    every pair i < j, in (a1, a2) order. It reads b S from the same
+    kernel as the scan, so a defect planted there reaches both, and
+    mu(b, a) from `_mu_pairs`, apart from the scan's own mu kernel."""
     tuples, rows, summary = 0, [], dict.fromkeys(THEOREM1_COUNTERS, 0)
     for b in range(3, b_max + 1):
         if not (include_9div or b % 9):
@@ -292,6 +293,33 @@ def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
     phi = totients(300)
     assert report.tuples_checked == sum(p * (p - 1) // 2 for p in phi[3:])
     assert 0 < sum(evaluated) <= 2 * sum(phi[3:])
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_theorem1_sorts_one_key_when_the_keys_agree(planted, monkeypatch):
+    # On correct code b S == a + a^-1 (mod b), so the keys are equal and
+    # one sort serves both. b S(1, b) + 8 moves the b S key off in every
+    # batch at bmax 150, and both keys are sorted; the rows are the full
+    # triangle's either way.
+    calls, batches = [], []
+    real = dedsum.scans._same_key_pairs
+
+    def counted(keys):
+        calls.append(len(keys))
+        return real(keys)
+
+    class CountedBatch(dedsum.scans._Batch):
+        def __init__(self, piece):
+            batches.append(piece)
+            super().__init__(piece)
+
+    monkeypatch.setattr(dedsum.scans, "_same_key_pairs", counted)
+    monkeypatch.setattr(dedsum.scans, "_Batch", CountedBatch)
+    if planted:
+        plant_in_row_kernel(monkeypatch, lambda a, b: np.where(a == 1, 8, 0))
+    rows = assert_theorem1_equals_full_triangle(150, True)
+    assert bool(rows) and len(batches) > 1
+    assert len(calls) == (2 if planted else 1) * len(batches)
 
 
 def test_a_row_of_the_wrong_length_is_refused():
@@ -992,14 +1020,14 @@ def test_parameters_do_not_include_jobs():
 
 
 def test_flipped_mu_fails_theorem1_mod8(monkeypatch):
-    real = dedsum.scans._mu_pairs
+    real = dedsum.scans._mu_swapped_pairs
 
     def flipped(top, modulus):
         # theorem1 reads mu(b, a): flip the class a == 1 (mod 4).
         m = real(top, modulus)
         return np.where(modulus % 4 == 1, 4 - m, m)
 
-    monkeypatch.setattr(dedsum.scans, "_mu_pairs", flipped)
+    monkeypatch.setattr(dedsum.scans, "_mu_swapped_pairs", flipped)
     assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] == 18
 
 
