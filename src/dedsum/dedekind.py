@@ -10,7 +10,11 @@ O(log b) recursion driven by the reciprocity law. Both return exact
 rationals and must agree everywhere; the scan suite checks that they do.
 The recursion has a scalar form, `_fast_parts`, which walks the Euclid
 remainders forward on one Python integer, and a row form, `bs_values`,
-which solves them backward in int64 for whole arrays of pairs.
+which solves them backward in int64 for whole arrays of pairs. Both walk
+nearest-integer remainders: the sawtooth is odd, so
+S(y, x) = -S(x - y, x), and where 2y > x a level takes x - y in place of
+y and flips the sign of its term. Each remainder is then at most half the
+one before, so a walk takes at most floor(log2 b) levels.
 """
 
 from fractions import Fraction
@@ -29,21 +33,23 @@ from dedsum.arith import _prime_powers, require_coprime
 # b^2 too, so |H| < b^3 / 2. The row's value b S(a, b) = 6H / b has 6H
 # below 3b^3.
 #
-# The same bound covers the reciprocity row kernel `_bs_pairs`. With the
-# Euclid remainders r_0 = b > r_1 = a > r_2 > ... and V_k =
-# r_k S(r_{k+1}, r_k), each backward step solves
+# The same bound covers the reciprocity row kernel `_bs_pairs`. It walks
+# the nearest-integer remainders r_0 = b, r_1 = min(a, b - a), ...: with
+# s = r_{k-1} mod r_k, r_{k+1} = min(s, r_k - s) <= r_k / 2. With
+# V_k = r_k S(r_{k+1}, r_k), each backward step solves
 #     r_{k+1} V_k + r_k V_{k+1} = r_k^2 + r_{k+1}^2 + 1 - 3 r_k r_{k+1}
-# for V_k. |S(a, c)| <= (c - 1)(c - 2)/c < c gives |V_{k+1}| < r_{k+1}^2,
-# so r_k |V_{k+1}| < b^3 and the right side stays below 5b^2 + 1. The
+# for V_k and keeps V_k or -V_k, the value of the level's own remainder.
+# |S(a, c)| <= (c - 1)(c - 2)/c < c gives |V_{k+1}| < r_{k+1}^2 <= r_k^2 / 4,
+# so r_k |V_{k+1}| < b^3 / 4 and the right side stays below 5b^2 + 1. The
 # reciprocity scan adds a b S(a, b) + b a S(b mod a, a), below 2b^3. Every
 # step and every such sum stays below 2b^3 + 5b^2 < 2^63 for
 # b <= NAIVE_ROW_LIMIT.
 NAIVE_ROW_LIMIT = 1_400_000
 
 # Pairs per call of the row kernel; `bs_values` solves longer arrays in
-# slices of this size. The remainder levels of one call keep 24 bytes per
-# pair and level: about 0.5 MB for b <= 500 (5.3 levels on average), at most
-# 2.9 MB below NAIVE_ROW_LIMIT (29 levels). Calls of 8192 pairs are no
+# slices of this size. The remainder levels of one call keep 25 bytes per
+# pair and level: about 0.4 MB for b <= 500 (3.7 levels on average), at most
+# 2.0 MB below NAIVE_ROW_LIMIT (20 levels, see `_bs_pairs`). Calls of 8192 pairs are no
 # faster and double that memory.
 _ROW_BATCH = 4096
 
@@ -109,28 +115,40 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
 
     Walks the reciprocity law
         S(y, x) = (x^2 + y^2 + 1 - 3xy) / (xy) - S(x mod y, y)
-    forward along the Euclid remainders x = b, y = a mod b, ... on one
-    integer, with one exact division per level, and reduces b S(a, b)
-    over b once at the end. Python ints keep it exact for every b.
+    forward along the nearest-integer Euclid remainders x = b,
+    y = min(a mod b, b - a mod b), ... on one integer, with one exact
+    division per level, and reduces b S(a, b) over b once at the end.
+    Python ints keep it exact for every b.
     Raises ArithmeticError if a step does not divide exactly.
     """
-    # With the remainders x_0 = b, x_1 = a mod b, ..., level k has
-    # x = x_k, y = x_{k+1} and sb = (-1)^k b. The law gives
-    #     S(a, b) = P_k + (-1)^k S(y, x),
-    # P_k the sum of the terms (-1)^j (x_j^2 + x_{j+1}^2 + 1 - 3 x_j x_{j+1})
-    # / (x_j x_{j+1}) of the levels j < k. The walk keeps n = b x P_k:
-    #     n = x (b S(a, b)) - (-1)^k b (x S(y, x)),
+    # Level k has x = x_k, a remainder y and sb = e_k b with e_k = +-1; the
+    # first level has x_0 = b, y = a mod b and e_0 = 1. The law gives
+    #     S(a, b) = P_k + e_k S(y, x),
+    # P_k the sum of the terms e_j (x_j^2 + y_j^2 + 1 - 3 x_j y_j)
+    # / (x_j y_j) of the levels j < k. The walk keeps n = b x P_k:
+    #     n = x (b S(a, b)) - sb (x S(y, x)),
     # and c S(d, c) is an integer for every c >= 1 and d coprime to c
     # (Rademacher and Grosswald, Dedekind Sums, ch. 3), so n is an integer
     # at every level.
+    # The sawtooth is odd, so S(y, x) = -S(x - y, x). Where 2y > x the level
+    # takes y = x - y and flips the sign of sb: e_k S(y, x) and n stay the
+    # same. So y <= x / 2, and the next level has x_{k+1} = y: x at least
+    # halves at each level, and a walk takes at most floor(log2 b) levels.
+    # The longest walks for their size (checked for every b < 3000) start
+    # at consecutive Pell numbers (b, a) = (5, 2), (12, 5), (29, 12), ...,
+    # whose levels never flip; consecutive Fibonacci numbers, the longest
+    # plain Euclid walks, flip at every level.
     # The step computes t = y n + sb (x^2 + y^2 + 1 - 3xy), which is x times
-    # the next level's n = b y P_{k+1}; so t / x is exact. The last level
-    # has y = 1: its step adds sb (x - 1)(x - 2), as S(1, x) = (x - 1)(x - 2)
-    # / x, and leaves n = b P_{k+1} = b S(a, b), as S(0, 1) = 0. For b = 1
-    # the walk never starts and b S(a, b) = n = 0.
+    # the next level's n = b y P_{k+1}, with sb negated for that level; so
+    # t / x is exact. The last level has y = 1: its step adds
+    # sb (x - 1)(x - 2), as S(1, x) = (x - 1)(x - 2) / x, and leaves
+    # n = b P_{k+1} = b S(a, b), as S(0, 1) = 0. For b = 1 the walk never
+    # starts and b S(a, b) = n = 0.
     x, y = b, a % b
     n, sb = 0, b
     while y:
+        if 2 * y > x:
+            y, sb = x - y, -sb
         t = n * y + sb * ((x - y) ** 2 - x * y + 1)
         n = t // x
         if n * x != t:
@@ -182,29 +200,39 @@ def _reciprocity_rhs(x, y):
 def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b * S(a, b) for int64 arrays of coprime pairs 0 < a < b.
 
-    Steps the Euclid remainders forward, keeping at each level only the
-    pairs whose remainder has not reached 1, then solves the reciprocity
-    law for V_k = r_k S(r_{k+1}, r_k) backward from the deepest level.
-    Where r_{k+1} = 1 the next term r_{k+1} S(0, 1) is 0, so the step
-    gives V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with the same formula.
+    Steps the nearest-integer Euclid remainders forward, keeping at each
+    level only the pairs whose remainder has not reached 1, then solves
+    the reciprocity law for V_k = r_k S(r_{k+1}, r_k) backward from the
+    deepest level. Where a remainder y has 2y > r_k, the level takes
+    r_{k+1} = r_k - y and stores a flip, and its backward step keeps
+    -V_k, as S(y, r_k) = -S(r_k - y, r_k) for the odd sawtooth. So
+    r_{k+1} <= r_k / 2 and a walk takes at most floor(log2 b) levels; the
+    longest for their size start at consecutive Pell numbers (b, a) =
+    (5, 2), (12, 5), .... Where r_{k+1} = 1 the next term r_{k+1} S(0, 1)
+    is 0, so the step gives V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with
+    the same formula.
     Exact for b <= NAIVE_ROW_LIMIT (see there); `bs_values` checks that
-    bound. Raises ArithmeticError if a step does not divide exactly.
+    bound. Raises ValueError where a remainder falls below 1, which a
+    pair outside 0 < a < b or not coprime does at some level, and
+    ArithmeticError if a step does not divide exactly.
     """
     levels = []
     idx = np.arange(len(a))
     x, y = b, a
     while len(idx):
-        levels.append((idx, x, y))
+        flip = 2 * y > x
+        y = np.where(flip, x - y, y)
+        if y.min() < 1:
+            raise ValueError("the row kernel needs coprime pairs 0 < a < b")
+        levels.append((idx, x, y, flip))
         more = y > 1
         idx, x, y = idx[more], y[more], x[more] % y[more]
-        if not y.all():
-            raise ValueError("the row kernel needs coprime pairs 0 < a < b")
     v = np.zeros(len(a), dtype=np.int64)
-    for idx, x, y in reversed(levels):
+    for idx, x, y, flip in reversed(levels):
         step, rem = np.divmod(_reciprocity_rhs(x, y) - x * v[idx], y)
         if rem.any():
             raise ArithmeticError("a reciprocity step of the row kernel came out non-integral")
-        v[idx] = step
+        v[idx] = np.where(flip, -step, step)
     return v
 
 

@@ -266,8 +266,12 @@ def _reciprocity_rows(batch: _Batch):
     """ab S(a,b) + ab S(b,a) == a^2 + b^2 + 1 - 3ab for coprime a <= b.
 
     Checked as a (b S(a, b)) + b (a S(b mod a, a)) == rhs over the whole
-    batch; both terms come from the row kernel. The tuple a = b = 1 is
-    checked too: S(1, 1) = 0 on both sides, and rhs = 0.
+    batch; both terms come from the row kernel. For a < b/2 the walk of
+    a S(b mod a, a) is the tail of that of b S(a, b), so the check compares
+    one walk with itself; for a > b/2 the walk of b S(a, b) starts at
+    (b, b - a) and that of a S(b mod a, a) at (a, b mod a), two different
+    walks. The tuple a = b = 1 is checked too: S(1, 1) = 0 on both sides,
+    and rhs = 0.
     """
     a, b = batch.a, batch.b
     residual = a * batch.bs + b * batch.mirror - (a * a + b * b + 1 - 3 * a * b)

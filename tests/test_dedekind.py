@@ -137,10 +137,24 @@ def test_fast_parts_match_naive_to_300():
         assert s_fast(a, b) == dedekind_naive(a, b), (a, b)
 
 
-# Consecutive Fibonacci numbers, the longest Euclid walk for their size.
+# Consecutive Fibonacci numbers, the longest plain Euclid walk for their
+# size; the nearest-integer walk flips at every level of it.
 FIB_A, FIB_B = 1, 2
 while FIB_B < 10**60:
     FIB_A, FIB_B = FIB_B, FIB_A + FIB_B
+
+
+def pell_pairs(limit: int) -> list[tuple[int, int]]:
+    """Consecutive Pell numbers (a, b) = (1, 2), (2, 5), (5, 12), ... with
+    b <= limit: the longest nearest-integer walks for their size."""
+    a, b, pairs = 1, 2, []
+    while b <= limit:
+        pairs.append((a, b))
+        a, b = b, 2 * b + a
+    return pairs
+
+
+PELL_A, PELL_B = pell_pairs(10**60)[-1]
 
 
 @settings(max_examples=200)
@@ -149,6 +163,7 @@ while FIB_B < 10**60:
 @example(b=1, a=-7, k=-3)
 @example(b=2, a=-1, k=10**60)
 @example(b=FIB_B, a=FIB_A, k=-1)
+@example(b=PELL_B, a=PELL_A, k=1)
 @example(b=10**60 - 1, a=2 * 10**60 + 1, k=1)
 def test_fast_parts_identities_at_large_b(b, a, k):
     # Identities that hold for every coprime pair and need no second
@@ -273,13 +288,35 @@ def test_bs_values_match_b_times_s_at_large_b(b):
 
 
 def test_row_kernel_on_long_euclid_walks():
-    # Consecutive Fibonacci numbers give the longest walks below the limit.
+    # Consecutive Fibonacci numbers give the longest plain Euclid walks
+    # below the limit; the nearest-integer walk flips at every level.
     fib = [1, 2]
     while fib[-1] + fib[-2] <= NAIVE_ROW_LIMIT:
         fib.append(fib[-1] + fib[-2])
     a = np.array(fib[:-1], dtype=np.int64)
     b = np.array(fib[1:], dtype=np.int64)
     assert _bs_pairs(a, b).tolist() == [b_times_s(x, y) for x, y in zip(fib, fib[1:])]
+
+
+@pytest.fixture(scope="module")
+def pell_walks():
+    """The Pell pairs up to NAIVE_ROW_LIMIT and their mirrors (b - a, b),
+    whose first level flips, with b S(a, b) by direct summation, which
+    shares no code with either walk."""
+    pairs = pell_pairs(NAIVE_ROW_LIMIT)
+    naive = [b * dedekind_naive(a, b) for a, b in pairs]
+    return pairs + [(b - a, b) for a, b in pairs], naive + [-value for value in naive]
+
+
+def test_row_kernel_on_pell_walks(pell_walks):
+    pairs, naive = pell_walks
+    a, b = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    assert _bs_pairs(a, b).tolist() == naive
+
+
+def test_fast_parts_on_pell_walks(pell_walks):
+    pairs, naive = pell_walks
+    assert [b * s_fast(a, b) for a, b in pairs] == naive
 
 
 def test_non_integral_step_raises(monkeypatch):
@@ -295,5 +332,7 @@ def test_non_integral_step_raises(monkeypatch):
 def test_row_kernel_rejects_bad_input():
     with pytest.raises(ValueError, match="int64-exact"):
         bs_values(np.array([1], dtype=np.int64), np.array([NAIVE_ROW_LIMIT + 1], dtype=np.int64))
-    with pytest.raises(ValueError, match="coprime"):
-        _bs_pairs(np.array([2], dtype=np.int64), np.array([4], dtype=np.int64))
+    # Outside 0 < a < b the first remainder, a or b - a, is below 1.
+    for a, b in [(2, 4), (6, 6), (0, 5), (-1, 5), (7, 5)]:
+        with pytest.raises(ValueError, match="coprime"):
+            _bs_pairs(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))

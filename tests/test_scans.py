@@ -1102,6 +1102,52 @@ def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
     assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == 0
 
 
+def flip_sign(a: int, b: int) -> int:
+    """-1 where a walk that takes b - a for a > b/2 must flip the sign."""
+    return -1 if 2 * a > b else 1
+
+
+def nonzero_flipped_pairs() -> int:
+    """The pairs 0 < a < b <= BMAX_PLANTED with 2a > b and S(a, b) != 0:
+    those whose value a walk that forgets the flip's sign gets wrong."""
+    return sum(
+        2 * a > b and dedekind_naive(a, b) != 0
+        for b in range(2, BMAX_PLANTED + 1)
+        for a in residues_of(b)
+    )
+
+
+def test_wrong_flip_sign_in_row_kernel_fails_oracle_and_reciprocity(monkeypatch):
+    # A kernel that forgot to negate its first level where it replaced a
+    # by b - a would return b S(b - a, b) = -b S(a, b) there.
+    real = dedsum.dedekind._bs_pairs
+    monkeypatch.setattr(
+        dedsum.dedekind, "_bs_pairs", lambda a, b: np.where(2 * a > b, -real(a, b), real(a, b))
+    )
+    oracle = scan_oracle_equivalence(BMAX_PLANTED)
+    assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
+    # Both terms of the reciprocity check read the wrong kernel.
+    expected = 0
+    for b in range(2, BMAX_PLANTED + 1):
+        for a in residues_of(b):
+            bs = flip_sign(a, b) * b * dedekind_naive(a, b)
+            mirror = flip_sign(b % a, a) * a * dedekind_naive(b % a, a) if a > 1 else 0
+            expected += a * bs + b * mirror != a * a + b * b + 1 - 3 * a * b
+    assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == expected > 0
+
+
+def test_wrong_flip_sign_in_fast_parts_fails_oracle(monkeypatch):
+    real = dedsum.scans._fast_parts
+
+    def wrong(a, b):
+        num, den = real(a, b)
+        return flip_sign(a, b) * num, den
+
+    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    oracle = scan_oracle_equivalence(BMAX_PLANTED)
+    assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
+
+
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
     # The rows are those of a plain loop over a in 1..4b, in that order.
     plant_shifted_mu_original(monkeypatch)
