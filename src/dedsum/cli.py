@@ -7,7 +7,6 @@ Subcommands:
   jacobi    the Jacobi symbol (a | b)
   check     run exhaustive verification scans, emit a report
   examples  generate the two-parameter family of sum differences
-  bench     compare evaluator timings across decades of b
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
 2 usage or validation error, 3 runtime failure (an I/O error, an
@@ -22,10 +21,8 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from fractions import Fraction
 
 from dedsum.arith import jacobi
-from dedsum.bench import compare_evaluators, decade_values, growth_ratios, run_benchmark
 from dedsum.congruence import family_example, mu
 from dedsum.contfrac import cf_expand, t_value
 from dedsum.dedekind import dedekind_fast, dedekind_naive
@@ -91,30 +88,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=9, help="largest odd d")
     _add_output(p)
 
-    p = sub.add_parser("bench", help="time both evaluators across decades")
-    p.add_argument("--bmax", type=int, default=100_000, help="largest decade of b")
-    p.add_argument("--samples", type=int, default=3, help="numerators per decade")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for numerators")
-
     return parser
 
 
-def _print_fraction(label: str, value: Fraction) -> None:
-    print(f"{label} = {value}")
+# Best-of repetitions for the fast evaluator, whose single-call time is
+# near the clock resolution.
+_FAST_REPS = 7
 
 
 def _cmd_sum(args) -> int:
+    a, b = args.a, args.b
     if args.method == "both":
-        value, naive_elapsed, fast_elapsed = compare_evaluators(args.a, args.b)
-        print(f"naive: {naive_elapsed:.6f} s", file=sys.stderr)
-        print(f"fast:  {fast_elapsed:.6f} s", file=sys.stderr)
+        start = time.perf_counter()
+        slow = dedekind_naive(a, b)
+        naive_s = time.perf_counter() - start
+        fast_s = float("inf")
+        for _ in range(_FAST_REPS):
+            start = time.perf_counter()
+            value = dedekind_fast(a, b)
+            fast_s = min(fast_s, time.perf_counter() - start)
+        if slow != value:
+            raise ArithmeticError(f"evaluators disagree at a={a}, b={b}: {slow} vs {value}")
+        print(f"naive: {naive_s:.6f} s", file=sys.stderr)
+        print(f"fast:  {fast_s:.6f} s", file=sys.stderr)
     elif args.method == "naive":
-        value = dedekind_naive(args.a, args.b)
+        value = dedekind_naive(a, b)
     else:
-        value = dedekind_fast(args.a, args.b)
-    _print_fraction("S", value)
-    _print_fraction("s", value / 12)
-    _print_fraction("bS", value * args.b)
+        value = dedekind_fast(a, b)
+    print(f"S = {value}")
+    print(f"s = {value / 12}")
+    print(f"bS = {value * b}")
     return 0
 
 
@@ -215,22 +218,6 @@ def _cmd_examples(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rows = run_benchmark(decade_values(args.bmax), args.samples, seed=args.seed)
-    if not rows:
-        print("no samples requested", file=sys.stderr)
-        return 0
-    print(f"{'b':>10}  {'naive_s':>12}  {'fast_s':>12}")
-    for row in rows:
-        print(f"{row.b:>10}  {row.naive_median:>12.6f}  {row.fast_median:>12.6f}")
-    if len(rows) > 1:
-        naive = ", ".join(f"{r:.1f}x" for r in growth_ratios(rows, "naive_median"))
-        fast = ", ".join(f"{r:.1f}x" for r in growth_ratios(rows, "fast_median"))
-        print(f"naive growth per decade: {naive}")
-        print(f"fast growth per decade:  {fast}")
-    return 0
-
-
 _COMMANDS = {
     "sum": _cmd_sum,
     "cf": _cmd_cf,
@@ -238,7 +225,6 @@ _COMMANDS = {
     "jacobi": _cmd_jacobi,
     "check": _cmd_check,
     "examples": _cmd_examples,
-    "bench": _cmd_bench,
 }
 
 
@@ -268,4 +254,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    entry()

@@ -6,10 +6,15 @@ budgets refer to the scan wall time recorded in each report, not to
 fixture reuse.
 """
 
+import random
+import statistics
+import time
+from math import gcd
+
 import pytest
 
-from dedsum.bench import run_benchmark
 from dedsum.congruence import family_example
+from dedsum.dedekind import dedekind_fast, dedekind_naive
 from dedsum.scans import (
     scan_bhk,
     scan_bs_congruences,
@@ -202,15 +207,36 @@ def test_c8_family_divisibility_grid():
     )
 
 
+def _median_times(b: int) -> tuple[float, float]:
+    """Median time of one naive call and of the best of 7 fast calls, over
+    3 numerators coprime to b drawn by a seeded RNG. The evaluators must
+    agree exactly on each."""
+    rng = random.Random(f"0:{b}")
+    naive_times, fast_times = [], []
+    for _ in range(3):
+        a = rng.randrange(1, b)
+        while gcd(a, b) != 1:
+            a = rng.randrange(1, b)
+        start = time.perf_counter()
+        slow = dedekind_naive(a, b)
+        naive_times.append(time.perf_counter() - start)
+        fast_s = float("inf")
+        for _ in range(7):
+            start = time.perf_counter()
+            fast = dedekind_fast(a, b)
+            fast_s = min(fast_s, time.perf_counter() - start)
+        fast_times.append(fast_s)
+        assert slow == fast, f"evaluators disagree at a={a}, b={b}: {slow} vs {fast}"
+    return statistics.median(naive_times), statistics.median(fast_times)
+
+
 def test_c9_evaluator_scaling():
-    rows = run_benchmark([10**3, 10**4, 10**5, 10**6], samples=3, seed=0)
-    naive_growth = rows[-1].naive_median / rows[0].naive_median
-    fast_growth = rows[-1].fast_median / rows[0].fast_median
-    ok = (
-        naive_growth > 50.0
-        and fast_growth < 50.0
-        and rows[-1].fast_median < rows[-1].naive_median / 10.0
-    )
+    (naive_lo, fast_lo), *_, (naive_hi, fast_hi) = [
+        _median_times(b) for b in (10**3, 10**4, 10**5, 10**6)
+    ]
+    naive_growth = naive_hi / naive_lo
+    fast_growth = fast_hi / fast_lo
+    ok = naive_growth > 50.0 and fast_growth < 50.0 and fast_hi < naive_hi / 10.0
     verdict(
         "criterion 9, direct summation scales roughly linearly while "
         "the recursion stays near-logarithmic from b=10^3 to 10^6, "
@@ -218,5 +244,5 @@ def test_c9_evaluator_scaling():
         ok,
         f"naive grew {naive_growth:.0f}x (must exceed 50x), fast grew "
         f"{fast_growth:.1f}x (must stay under 50x), fast is "
-        f"{rows[-1].naive_median / rows[-1].fast_median:.0f}x faster at 10^6",
+        f"{naive_hi / fast_hi:.0f}x faster at 10^6",
     )

@@ -7,13 +7,13 @@ import pathlib
 import re
 import shutil
 import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-import dedsum.bench
 import dedsum.cli
 import dedsum.scans
 from dedsum.cli import main
@@ -39,12 +39,17 @@ def test_sum_methods_agree(capsys):
     assert main(["sum", "6", "25", "--method", "both"]) == 0
     captured = capsys.readouterr()
     assert captured.out == naive_out
-    assert "naive:" in captured.err and "fast:" in captured.err
+    assert naive_out.startswith("S = -48/25\n")
+    times = re.fullmatch(r"naive: (\d+\.\d{6}) s\nfast:  (\d+\.\d{6}) s\n", captured.err)
+    assert times and float(times[1]) > 0 and float(times[2]) > 0
 
 
 def test_sum_both_fails_when_the_evaluators_disagree(monkeypatch, capsys):
-    real = dedsum.bench.dedekind_fast
-    monkeypatch.setattr(dedsum.bench, "dedekind_fast", lambda a, b: real(a, b) + 1)
+    # The fast evaluator is off by one only at b = 25.
+    real = dedsum.cli.dedekind_fast
+    monkeypatch.setattr(dedsum.cli, "dedekind_fast", lambda a, b: real(a, b) + (b == 25))
+    assert main(["sum", "6", "19", "--method", "both"]) == 0
+    capsys.readouterr()
     assert main(["sum", "6", "25", "--method", "both"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -281,11 +286,35 @@ def test_examples_json_roundtrip(capsys):
     assert all(row["div8"] for row in report.rows)
 
 
-def test_bench_small_run(capsys):
-    assert main(["bench", "--bmax", "100", "--samples", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "naive_s" in out and "fast_s" in out
-    assert "growth per decade" in out
+def test_the_bench_subcommand_is_gone(capsys):
+    assert main(["bench"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_the_docstring_lists_exactly_the_subcommands():
+    doc = dedsum.cli.__doc__
+    listed = doc[doc.index("Subcommands:\n") :].split("\n\n")[0].splitlines()[1:]
+    assert [line.split()[0] for line in listed] == list(dedsum.cli._COMMANDS)
+
+
+def test_the_entry_point_runs_without_an_install():
+    root = pathlib.Path(__file__).parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert '[project.scripts]\ndedsum = "dedsum.cli:entry"\n' in pyproject
+    script = (
+        "import sys; from dedsum.cli import entry; "
+        "sys.argv = ['dedsum', 'sum', '1', '3']; entry()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "S = 2/3"
 
 
 def test_console_script_is_installed():
