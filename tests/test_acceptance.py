@@ -208,9 +208,7 @@ def test_c8_family_divisibility_grid():
 
 
 def _median_times(b: int) -> tuple[float, float]:
-    """Median time of one naive call and of the best of 7 fast calls, over
-    3 numerators coprime to b drawn by a seeded RNG. The evaluators must
-    agree exactly on each."""
+    """Median times of one naive call and of the best of 7 fast calls, over 3 seeded draws of a."""
     rng = random.Random(f"0:{b}")
     naive_times, fast_times = [], []
     for _ in range(3):
