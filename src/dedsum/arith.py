@@ -96,6 +96,15 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return powers
 
 
+def _walk_bound(b_max: int, c: int) -> int:
+    """How many of u_2 = 2, u_3, ... with u_{k+1} = c u_k + u_{k-1}, u_1 = 1, are
+    at most b_max: Pell numbers for c = 2, Fibonacci numbers for c = 1."""
+    count, u, v = 0, 1, 2
+    while v <= b_max:
+        count, u, v = count + 1, v, c * v + u
+    return count
+
+
 def _power_pairs(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod `mod` elementwise over int64 arrays, exp >= 0 and
     mod >= 2: square and multiply over factors reduced mod `mod`, one

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dedsum.arith import require_coprime
+from dedsum.arith import _walk_bound, require_coprime
 
 
 def _raw_quotients(a: int, b: int) -> list[int]:
@@ -118,11 +118,20 @@ def _t_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     division floors, as in `_t_walk`. The callers keep |T| and the
     partial sums inside int64 (see dedekind.LIFT_WALK_LIMIT).
     """
+    # Lamé (Knuth, TAOCP vol. 2, 4.5.3): Euclid's walk on u > v > 0 in n steps
+    # has u >= F_{n+2}, F = 1, 1, 2, 3, .... The first step floors a over b, a
+    # negative lift too, and leaves Euclid's walk on (b, a mod b): at most 1 + n
+    # steps, n the count of F_3 = 2, F_4 = 3, ... up to b (`arith._walk_bound`),
+    # all taken from consecutive Fibonacci numbers a < b. Past them it raises.
     out = np.empty(len(a), dtype=np.int64)
     idx = np.arange(len(a))
     t = np.zeros_like(out)
     x, y, sign = a, b, -1
+    steps = 1 + _walk_bound(int(b.max(initial=0)), 1)
     while len(idx):
+        if not steps:
+            raise ArithmeticError("the lift walk took more steps than Lamé's bound")
+        steps -= 1
         q, r = np.divmod(x, y)
         t += sign * q
         done = r == 0

@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from dedsum.arith import _prime_powers, require_coprime
+from dedsum.arith import _prime_powers, _walk_bound, require_coprime
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
 # row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
@@ -40,7 +40,8 @@ from dedsum.arith import _prime_powers, require_coprime
 #     r_{k+1} V_k + r_k V_{k+1} = r_k^2 + r_{k+1}^2 + 1 - 3 r_k r_{k+1}
 # for V_k and keeps V_k or -V_k, the value of the level's own remainder.
 # |S(a, c)| <= (c - 1)(c - 2)/c < c gives |V_{k+1}| < r_{k+1}^2 <= r_k^2 / 4,
-# so r_k |V_{k+1}| < b^3 / 4 and the right side stays below 5b^2 + 1. The
+# so r_k |V_{k+1}| < b^3 / 4; the right side, computed as (r_k - r_{k+1})^2
+# - r_k r_{k+1} + 1 (`_reciprocity_rhs`), has terms below b^2. The
 # reciprocity scan adds a b S(a, b) + b a S(b mod a, a), below 2b^3. Every
 # step and every such sum stays below 2b^3 + 5b^2 < 2^63 for
 # b <= NAIVE_ROW_LIMIT.
@@ -49,8 +50,8 @@ NAIVE_ROW_LIMIT = 1_400_000
 # Pairs per call of the row kernel; `bs_values` solves longer arrays in
 # slices of this size. The remainder levels of one call keep 25 bytes per
 # pair and level: about 0.4 MB for b <= 500 (3.7 levels on average), at most
-# 2.0 MB below NAIVE_ROW_LIMIT (20 levels, see `_bs_pairs`). Calls of 8192 pairs are no
-# faster and double that memory.
+# 1.6 MB below NAIVE_ROW_LIMIT (16 levels, see `_bs_pairs`). Calls of 8192
+# pairs are no faster and double that memory.
 _ROW_BATCH = 4096
 
 # The theorem1 scan evaluates the pairing condition
@@ -130,32 +131,28 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
     # and c S(d, c) is an integer for every c >= 1 and d coprime to c
     # (Rademacher and Grosswald, Dedekind Sums, ch. 3), so n is an integer
     # at every level.
-    # The sawtooth is odd, so S(y, x) = -S(x - y, x). Where 2y > x the level
-    # takes y = x - y and flips the sign of sb: e_k S(y, x) and n stay the
-    # same. So y <= x / 2, and the next level has x_{k+1} = y: x at least
-    # halves at each level, and a walk takes at most floor(log2 b) levels.
-    # The longest walks for their size (checked for every b < 3000) start
-    # at consecutive Pell numbers (b, a) = (5, 2), (12, 5), (29, 12), ...,
-    # whose levels never flip; consecutive Fibonacci numbers, the longest
-    # plain Euclid walks, flip at every level.
-    # The step computes t = y n + sb (x^2 + y^2 + 1 - 3xy), which is x times
+    # The sawtooth is odd, so S(y, x) = -S(x - y, x): where d = x - y < y the
+    # level swaps y and d and flips the sign of sb, and e_k S(y, x) and n
+    # stay the same. So x_{k+1} = y <= x / 2, and `_bs_pairs` bounds the
+    # levels. The step computes t = y n + sb (d^2 - xy + 1), which is x times
     # the next level's n = b y P_{k+1}, with sb negated for that level; so
-    # t / x is exact. The last level has y = 1: its step adds
-    # sb (x - 1)(x - 2), as S(1, x) = (x - 1)(x - 2) / x, and leaves
-    # n = b P_{k+1} = b S(a, b), as S(0, 1) = 0. For b = 1 the walk never
-    # starts and b S(a, b) = n = 0.
+    # t / x is exact. As x = y + d, the next remainder x mod y is d mod y.
+    # The last level has y = 1: its step adds sb (x - 1)(x - 2), as
+    # S(1, x) = (x - 1)(x - 2) / x, and leaves n = b P_{k+1} = b S(a, b),
+    # as S(0, 1) = 0. For b = 1 the walk never starts and b S(a, b) = n = 0.
     x, y = b, a % b
     n, sb = 0, b
     while y:
-        if 2 * y > x:
-            y, sb = x - y, -sb
-        t = n * y + sb * ((x - y) ** 2 - x * y + 1)
+        d = x - y
+        if d < y:
+            y, d, sb = d, y, -sb
+        t = n * y + sb * (d * d - x * y + 1)
         n = t // x
         if n * x != t:
             raise ArithmeticError(
                 f"a reciprocity step of the scalar kernel came out non-integral: S({a}, {b})"
             )
-        x, y, sb = y, x % y, -sb
+        x, y, sb = y, d % y, -sb
     g = gcd(n, b)
     return n // g, b // g
 
@@ -189,12 +186,12 @@ def coprime_residues(b: int) -> np.ndarray:
     keep[0] = False
     for p, _ in _prime_powers(b):
         keep[::p] = False
-    return np.flatnonzero(keep).astype(np.int64, copy=False)
+    return keep.nonzero()[0].astype(np.int64, copy=False)
 
 
 def _reciprocity_rhs(x, y):
-    """x^2 + y^2 + 1 - 3xy, which is xy (S(x, y) + S(y, x))."""
-    return x * x + y * y + 1 - 3 * x * y
+    """(x - y)^2 - xy + 1 = x^2 + y^2 + 1 - 3xy, which is xy (S(x, y) + S(y, x))."""
+    return (x - y) ** 2 - x * y + 1
 
 
 def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,27 +203,34 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     deepest level. Where a remainder y has 2y > r_k, the level takes
     r_{k+1} = r_k - y and stores a flip, and its backward step keeps
     -V_k, as S(y, r_k) = -S(r_k - y, r_k) for the odd sawtooth. So
-    r_{k+1} <= r_k / 2 and a walk takes at most floor(log2 b) levels; the
-    longest for their size start at consecutive Pell numbers (b, a) =
-    (5, 2), (12, 5), .... Where r_{k+1} = 1 the next term r_{k+1} S(0, 1)
-    is 0, so the step gives V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with
-    the same formula.
+    r_{k+1} <= r_k / 2 and r_{k-1} >= 2 r_k + r_{k+1} (r_{k-1} = q r_k + s,
+    q >= 2, and r_{k+1} = s or r_k - s <= s): a walk from b takes at most
+    as many levels as there are Pell numbers 2, 5, 12, ... up to b
+    (`arith._walk_bound`, at most floor(log2 b)), and one from consecutive
+    Pell numbers (b, a) = (5, 2), (12, 5), ... takes them all. Where
+    r_{k+1} = 1 the next term r_{k+1} S(0, 1) is 0, so the step gives
+    V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with the same formula.
     Exact for b <= NAIVE_ROW_LIMIT (see there); `bs_values` checks that
     bound. Raises ValueError where a remainder falls below 1, which a
     pair outside 0 < a < b or not coprime does at some level, and
-    ArithmeticError if a step does not divide exactly.
+    ArithmeticError past the level bound or where a step does not divide.
     """
     levels = []
     idx = np.arange(len(a))
     x, y = b, a
+    depth = _walk_bound(int(b.max(initial=0)), 2)
     while len(idx):
-        flip = 2 * y > x
-        y = np.where(flip, x - y, y)
+        d = x - y
+        flip = d < y
+        y = np.minimum(y, d)
         if y.min() < 1:
             raise ValueError("the row kernel needs coprime pairs 0 < a < b")
+        if len(levels) == depth:
+            raise ArithmeticError(f"the row kernel walked past its bound of {depth} levels")
         levels.append((idx, x, y, flip))
-        more = y > 1
-        idx, x, y = idx[more], y[more], x[more] % y[more]
+        more = (y > 1).nonzero()[0]
+        idx, x, y = idx[more], y[more], x[more]
+        y %= x  # the next level: (y, x mod y) of the pairs with y > 1
     v = np.zeros(len(a), dtype=np.int64)
     for idx, x, y, flip in reversed(levels):
         step, rem = np.divmod(_reciprocity_rhs(x, y) - x * v[idx], y)
@@ -276,11 +280,12 @@ _NAIVE_BLOCK = 2**17
 def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     """b * S(a, b) by direct summation for every a in 1..b-1 coprime to b.
 
-    Returns (residues, values) as int64 arrays. This is the bulk oracle
-    used by the equivalence scan; it never touches the recursion. Each
-    row sums the terms k < b/2 of the defining sum, which equal those of
-    b - k, in int32 blocks up to NAIVE_INT32_LIMIT and int64 blocks above
-    it. Raises ValueError when b exceeds the exactness bound for int64.
+    Returns (residues, values) as int64 arrays: the bulk oracle, which
+    never touches the recursion. The equivalence scan runs its
+    `_naive_row_values` on the residues of its batches. Each row sums the
+    terms k < b/2 of the defining sum, which equal those of b - k, in int32
+    blocks up to NAIVE_INT32_LIMIT and int64 blocks above it. Raises
+    ValueError when b exceeds the exactness bound for int64.
     """
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")

@@ -17,7 +17,8 @@ counter until none is left, so a process that runs slower on a busy
 host does less of the work. A process makes one pass (_pass): it builds
 each piece as one _Batch, runs every kind on it before the next, and
 fills one ScanReport per kind. The arrays that several kinds read are
-computed at most once per batch, by the first kind that reads them.
+computed at most once per batch, by the first kind that reads them, and
+every check reads the batch's residues: none builds a row of them again.
 
 _merge turns the processes' reports of one kind into the final report,
 rows in ascending b order, so the report content is identical for any
@@ -31,6 +32,7 @@ import functools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -51,9 +53,9 @@ from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
     _fast_parts,
+    _naive_row_values,
     bs_values,
     coprime_residues,
-    naive_bs_row,
 )
 from dedsum.report import COLUMNS, ScanReport
 
@@ -243,22 +245,27 @@ def _theorem2_rows(batch: _Batch):
 def _oracle_rows(batch: _Batch):
     """Both reciprocity evaluators against the definitional summation.
 
-    The row kernel is compared with the batch's naive rows as one array,
-    and the scalar `_fast_parts` pair by pair in Python ints, where a
-    pair (n, d) agrees when n b == naive d, by its value alone. A pair
-    counts once if either disagrees; its row shows the kernel's value
-    when the kernel is wrong, else the scalar's.
+    The naive rows are summed over the batch's own residues. The row
+    kernel and the scalar `_fast_parts`, called pair by pair, are compared
+    with them as arrays; the scalar's pairs (n, d) are read into int64
+    (OverflowError if one does not fit), and one agrees when n b == naive
+    d, by its value alone. A pair counts once if either disagrees; its row
+    shows the kernel's value when the kernel is wrong, else the scalar's.
     """
     a, b, bs = batch.a, batch.b, batch.bs
-    rows = (naive_bs_row(row_b)[1] for row_b, _, _ in batch.spans if row_b > 1)
+    rows = (_naive_row_values(a[lo:hi], row_b) for row_b, lo, hi in batch.spans if row_b > 1)
     naive = np.concatenate([a[:0], *rows])
-    b_list = b.tolist()
-    parts = list(map(_fast_parts, a.tolist(), b_list))
-    scalar_bad = [n * y != z * d for (n, d), y, z in zip(parts, b_list, naive.tolist())]
+    parts = chain.from_iterable(map(_fast_parts, a.tolist(), b.tolist()))
+    num, den = np.fromiter(parts, np.int64, 2 * len(a)).reshape(-1, 2).T
+    # A right pair is reduced (|n| < b^2, 0 < d <= b) and |naive| < 3b^2: both
+    # products stay below 3b^3 < 2^63. Python ints decide pairs that may wrap.
+    near = (den > 0) & (den <= b) & (num < b * b) & (num > -b * b)
+    scalar_bad = ~near | (num * b != naive * den)
+    for i in np.flatnonzero(~near).tolist():
+        scalar_bad[i] = int(num[i]) * int(b[i]) != int(naive[i]) * int(den[i])
     kernel_bad = bs != naive
-    bad = np.flatnonzero(kernel_bad | np.array(scalar_bad, dtype=bool))
-    scalar = np.array([parts[i] for i in bad.tolist()], dtype=np.int64).reshape(-1, 2).T
-    fast = np.where(kernel_bad[bad], _reduced(bs[bad], b[bad]), scalar)
+    bad = np.flatnonzero(kernel_bad | scalar_bad)
+    fast = np.where(kernel_bad[bad], _reduced(bs[bad], b[bad]), (num[bad], den[bad]))
     return len(a), (b[bad], a[bad], *fast, *_reduced(naive[bad], b[bad])), None
 
 

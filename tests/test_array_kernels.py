@@ -17,6 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dedsum.arith
+import dedsum.contfrac
 from dedsum.arith import _LEGENDRE_TABLE_LIMIT, JACOBI_PAIRS_LIMIT, _inverse_pairs, _jacobi, _jacobi_pairs
 from dedsum.congruence import (
     BT_CASES,
@@ -92,6 +94,27 @@ def test_walk_at_b_one():
     # T(a, 1) = -a + 2: one quotient, then the +2 of the normalization.
     a = list(range(-5, 6))
     assert _t_pairs(*as_arrays(a, [1] * len(a))).tolist() == [_t_walk(x, 1) for x in a]
+
+
+def test_fibonacci_walks_reach_lames_bound(monkeypatch):
+    # Consecutive Fibonacci numbers a < b up to the lift limit, through the
+    # lifts a, a - b and a + b, whose first floor step leaves the same
+    # pair (b, a). Each walk alone takes every step that Lamé's bound
+    # allows for its b, so it fails once the bound is one less.
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= LIFT_WALK_LIMIT:
+        fib.append(fib[-1] + fib[-2])
+    singles = [
+        as_arrays([a + lift * b], [b]) for a, b in zip(fib, fib[1:]) for lift in (0, -1, 1)
+    ]
+    assert [_t_pairs(a, b).tolist() for a, b in singles] == [
+        [_t_walk(int(a[0]), int(b[0]))] for a, b in singles
+    ]
+    real = dedsum.arith._walk_bound
+    monkeypatch.setattr(dedsum.contfrac, "_walk_bound", lambda b_max, c: real(b_max, c) - 1)
+    for a, b in singles:
+        with pytest.raises(ArithmeticError, match="Lam"):
+            _t_pairs(a, b)
 
 
 def test_jacobi_pairs_equal_scalar_on_every_numerator():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dedsum.arith
 import dedsum.dedekind
 import dedsum.scans
 from dedsum.dedekind import (
@@ -317,6 +318,19 @@ def test_row_kernel_on_pell_walks(pell_walks):
 def test_fast_parts_on_pell_walks(pell_walks):
     pairs, naive = pell_walks
     assert [b * s_fast(a, b) for a, b in pairs] == naive
+
+
+def test_pell_walks_reach_the_level_bound_of_the_row_kernel(pell_walks, monkeypatch):
+    # Each walk alone: its b sets the bound, and the walk takes every
+    # level of it, so the same walk fails once the bound is one less.
+    pairs, naive = pell_walks
+    singles = [tuple(np.array([x], dtype=np.int64) for x in pair) for pair in pairs]
+    assert [_bs_pairs(a, b).tolist() for a, b in singles] == [[value] for value in naive]
+    real = dedsum.arith._walk_bound
+    monkeypatch.setattr(dedsum.dedekind, "_walk_bound", lambda b_max, c: real(b_max, c) - 1)
+    for a, b in singles:
+        with pytest.raises(ArithmeticError, match="bound"):
+            _bs_pairs(a, b)
 
 
 def test_non_integral_step_raises(monkeypatch):

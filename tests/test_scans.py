@@ -22,6 +22,7 @@ import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
 from dedsum.arith import mod_inverse
+from dedsum.cli import main
 from dedsum.congruence import (
     MU_QUADRATIC_LIMIT,
     _mu_pairs,
@@ -1207,6 +1208,58 @@ def test_oracle_rows_follow_a_plain_loop(monkeypatch):
     assert min(row[2] for row in expected) < 0 and any(row[2] == 0 for row in expected)
     assert any(1 < row[3] < row[0] for row in expected)
     assert_rows_equal_plain_loop(scan_oracle_equivalence, "value_mismatches", expected)
+
+
+def test_a_wrong_naive_row_fails_the_oracle_alone(monkeypatch):
+    # The reference is wrong by 1 on every residue of b = 12 and right
+    # elsewhere. Both evaluators are right, so the row shows the kernel's
+    # value; the reciprocity scan reads no naive row.
+    real = dedsum.scans._naive_row_values
+    monkeypatch.setattr(
+        dedsum.scans, "_naive_row_values", lambda residues, b: real(residues, b) + (b == 12)
+    )
+    expected = []
+    for a in residues_of(12):
+        fast, naive = dedekind_naive(a, 12), dedekind_naive(a, 12) + Fraction(1, 12)
+        expected.append((12, a, fast.numerator, fast.denominator, naive.numerator, naive.denominator))
+    assert len(expected) == totients(12)[12]
+    assert_rows_equal_plain_loop(scan_oracle_equivalence, "value_mismatches", expected)
+    assert scan_reciprocity(BMAX_PLANTED).violations_total == 0
+
+
+def plant_in_fast_parts(monkeypatch, wrong):
+    """Let the scalar evaluator return wrong(a, b, (num, den)) in place of
+    its reduced pair (num, den)."""
+    real = dedsum.dedekind._fast_parts
+    monkeypatch.setattr(dedsum.scans, "_fast_parts", lambda a, b: wrong(a, b, real(a, b)))
+
+
+def test_an_unreduced_scalar_pair_of_the_right_value_is_no_violation(monkeypatch):
+    # By its value alone: k = 3 keeps the pair in the int64 range that is
+    # compared as an array, k = 2**20 takes it out of that range.
+    for k in (3, 2**20):
+        plant_in_fast_parts(monkeypatch, lambda a, b, pair, k=k: (k * pair[0], k * pair[1]))
+        assert scan_oracle_equivalence(BMAX_PLANTED).violations_total == 0, k
+
+
+def test_a_huge_scalar_value_is_a_mismatch_and_never_wraps(monkeypatch):
+    # S(1, 8) = 21/4. (21 + 2**61) * 8 wraps in int64 to 21 * 8, which is
+    # naive * den = 42 * 4; 2**62 * 7 wraps too. Each row shows the value
+    # that came back.
+    planted = {(1, 8): (21 + 2**61, 4), (2, 7): (2**62, 1)}
+    plant_in_fast_parts(monkeypatch, lambda a, b, pair: planted.get((a, b), pair))
+    report = scan_oracle_equivalence(BMAX_PLANTED)
+    assert report.summary == {"value_mismatches": 2}
+    rows = [(row["a"], row["b"], row["fast_num"], row["fast_den"]) for row in report.violations]
+    assert rows == [(2, 7, 2**62, 1), (1, 8, 21 + 2**61, 4)]
+
+
+def test_a_scalar_value_beyond_int64_raises(monkeypatch, capsys):
+    plant_in_fast_parts(monkeypatch, lambda a, b, pair: (2**64, 1) if (a, b) == (2, 7) else pair)
+    with pytest.raises(ArithmeticError):
+        scan_oracle_equivalence(BMAX_PLANTED)
+    assert main(["check", "--suite", "identities", "--bmax", str(BMAX_PLANTED)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reciprocity_rows_follow_a_plain_loop(monkeypatch):
