@@ -8,13 +8,13 @@ and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Two
 independent evaluators are provided: a definitional O(b) loop and an
 O(log b) recursion driven by the reciprocity law. Both return exact
 rationals and must agree everywhere; the scan suite checks that they do.
-The recursion has a scalar form, `_fast_parts`, which walks the Euclid
-remainders forward on one Python integer, and a row form, `bs_values`,
-which solves them backward in int64 for whole arrays of pairs. Both walk
-nearest-integer remainders: the sawtooth is odd, so
-S(y, x) = -S(x - y, x), and where 2y > x a level takes x - y in place of
-y and flips the sign of its term. Each remainder is then at most half the
-one before, so a walk takes at most floor(log2 b) levels.
+The recursion has a scalar form, `_bs_walk`, which walks the Euclid
+remainders forward on one Python integer to the integer b S(a, b), and a
+row form, `bs_values`, which solves them backward in int64 for whole
+arrays of pairs. Both walk nearest-integer remainders: the sawtooth is
+odd, so S(y, x) = -S(x - y, x), and where 2y > x a level takes x - y in
+place of y and flips the sign of its term. Each remainder is then at
+most half the one before, so a walk takes at most floor(log2 b) levels.
 """
 
 from fractions import Fraction
@@ -26,9 +26,10 @@ from dedsum.arith import _prime_powers, _walk_bound, require_coprime
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
 # row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
-# h < b/2 terms (2k - b)(ak mod b) is below b^2 in size, so every partial
-# sum of them stays below b^3 / 2. Twice that sum, plus the correction
-# b h (b - 1 - h) <= b^3 / 4, gives the half sum
+# h < b/2 terms (2k - b)(ak mod b) is below b^2 in size, so their sum is
+# below b^3 / 2, and no intermediate of the contraction that computes it
+# is larger than b^3 / 2 + b^2 (see NAIVE_SUM32_LIMIT). Twice that sum,
+# plus the correction b h (b - 1 - h) <= b^3 / 4, gives the half sum
 # H = sum_{k < b/2} (2k - b)(2 (ak mod b) - b), whose h terms are below
 # b^2 too, so |H| < b^3 / 2. The row's value b S(a, b) = 6H / b has 6H
 # below 3b^3.
@@ -110,16 +111,14 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     return Fraction(3 * total, b * b)
 
 
-def _fast_parts(a: int, b: int) -> tuple[int, int]:
-    """S(a, b) as a reduced pair (numerator, denominator), b >= 1 and
-    a coprime to b.
+def _bs_walk(a: int, b: int) -> int:
+    """The integer b S(a, b), for b >= 1 and a coprime to b.
 
     Walks the reciprocity law
         S(y, x) = (x^2 + y^2 + 1 - 3xy) / (xy) - S(x mod y, y)
     forward along the nearest-integer Euclid remainders x = b,
     y = min(a mod b, b - a mod b), ... on one integer, with one exact
-    division per level, and reduces b S(a, b) over b once at the end.
-    Python ints keep it exact for every b.
+    division per level. Python ints keep it exact for every b.
     Raises ArithmeticError if a step does not divide exactly.
     """
     # Level k has x = x_k, a remainder y and sb = e_k b with e_k = +-1; the
@@ -153,6 +152,12 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
                 f"a reciprocity step of the scalar kernel came out non-integral: S({a}, {b})"
             )
         x, y, sb = y, d % y, -sb
+    return n
+
+
+def _fast_parts(a: int, b: int) -> tuple[int, int]:
+    """S(a, b) as a reduced pair (numerator, denominator), den > 0: `_bs_walk` over b."""
+    n = _bs_walk(a, b)
     g = gcd(n, b)
     return n // g, b // g
 
@@ -160,20 +165,14 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
 def dedekind_fast(a: int, b: int) -> Fraction:
     """Normalized Dedekind sum S(a, b) via reciprocity, O(log b) time."""
     _validate(a, b)
-    num, den = _fast_parts(a, b)
-    return Fraction(num, den)
+    return Fraction(_bs_walk(a, b), b)
 
 
 def b_times_s(a: int, b: int) -> int:
-    """The integer b * S(a, b).
-
-    `_fast_parts` reduces b S(a, b) over b, so its denominator divides b.
-    It raises ArithmeticError if a step of its walk does not divide
-    exactly, which would indicate a bug rather than bad input.
-    """
+    """The integer b * S(a, b) from `_bs_walk`, whose ArithmeticError for a
+    step that does not divide exactly would indicate a bug, not bad input."""
     _validate(a, b)
-    num, den = _fast_parts(a, b)
-    return num * (b // den)
+    return _bs_walk(a, b)
 
 
 def coprime_residues(b: int) -> np.ndarray:
@@ -267,11 +266,21 @@ def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sum that `dedekind_naive` runs in full.
 #
 # With h = floor((b - 1) / 2) terms, H = 2 sum_k (2k - b) r_k - b W for
-# the constant W = sum_{k=1}^{h} (2k - b) = -h (b - 1 - h). The blocks
-# hold a k < b^2 / 2 and then (2k - b) r_k, below b^2 in size; both fit
-# int32 while b^2 <= 2^31 - 1, that is for b <= NAIVE_INT32_LIMIT.
-# Larger b run the same blocks in int64. The sums over k are int64.
+# the constant W = sum_{k=1}^{h} (2k - b) = -h (b - 1 - h). As
+# r_k = ak - b q_k, q_k = floor(ak / b), the row's sum is a C - b s with
+# C = sum_k (2k - b) k and the contraction s = sum_k (2k - b) q_k. The
+# blocks hold a k < b^2 / 2 and then, in place, q_k < k: int32 while
+# b^2 <= 2^31 - 1 (b <= NAIVE_INT32_LIMIT), int64 above. For 0 < a < b,
+# 0 <= q_k <= k - 1 and 2k - b < 0, so every partial sum of s is at most
+# sum_k (b - 2k)(k - 1) in size: below 2^31 for b <= NAIVE_SUM32_LIMIT,
+# where s is contracted in int32, and below b^3 / 24 above. |C| < b^3 / 24
+# too, but a C may reach b^4 / 24: with C = b C1 + C0, 0 <= C0 < b, the
+# sum is a C0 + b (a C1 - s), where a C0 < b^2, |a C1| < b^3 / 24 + b and
+# the second term is the sum, below h b^2 < b^3 / 2, less a C0. No
+# intermediate reaches 3b^3 (see NAIVE_ROW_LIMIT). As b s drops out mod b,
+# the remainder check of the row sees an int64 wrap, not a wrong quotient.
 NAIVE_INT32_LIMIT = 46_340
+NAIVE_SUM32_LIMIT = 3_723
 
 # The number of elements in a block of the naive row.
 _NAIVE_BLOCK = 2**17
@@ -283,8 +292,8 @@ def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (residues, values) as int64 arrays: the bulk oracle, which
     never touches the recursion. The equivalence scan runs its
     `_naive_row_values` on the residues of its batches. Each row sums the
-    terms k < b/2 of the defining sum, which equal those of b - k, in int32
-    blocks up to NAIVE_INT32_LIMIT and int64 blocks above it. Raises
+    terms k < b/2 of the defining sum, which equal those of b - k, as one
+    contraction of blocks of floor(ak / b) (see NAIVE_SUM32_LIMIT). Raises
     ValueError when b exceeds the exactness bound for int64.
     """
     if b < 2:
@@ -296,32 +305,27 @@ def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _naive_row_values(residues: np.ndarray, b: int) -> np.ndarray:
-    """6H / b for each of the residues, H the half sum above."""
+    """6H / b for each of the residues 0 < a < b, H the half sum above."""
     dtype = np.int32 if b <= NAIVE_INT32_LIMIT else np.int64
     h = (b - 1) // 2
     k = np.arange(1, h + 1, dtype=dtype)
-    wk = 2 * k - b
-    sums = np.zeros(len(residues), dtype=np.int64)
+    wk = (2 * k - b).astype(np.int32 if b <= NAIVE_SUM32_LIMIT else np.int64)
+    s = np.empty(len(residues), dtype=np.int64)
     # Blocks of about _NAIVE_BLOCK elements, _NAIVE_BLOCK // h rows of
-    # h < b/2 terms, one for the products and one for the quotients: at
-    # most 512 KB each in int32 and 1 MB each in int64, or one row each
-    # once a row alone is longer (b > 262,146). Two fresh blocks of the
-    # whole row would cost more in first touches of their pages than in
-    # arithmetic at b near 2000. A row with b <= 513 is one block.
+    # h < b/2 terms: at most 512 KB in int32 and 1 MB in int64, or one row
+    # once a row alone is longer (b > 262,146). A fresh block of the whole
+    # row would cost more in first touches of its pages than in arithmetic
+    # at b near 2000. A row with b <= 513 is one block.
     chunk = max(1, _NAIVE_BLOCK // max(h, 1))
     block = np.empty((min(chunk, len(residues)), h), dtype=dtype)
-    quot = np.empty_like(block)
     for lo in range(0, len(residues), chunk):
         part = residues[lo : lo + chunk].astype(dtype, copy=False)
-        buf, q = block[: len(part)], quot[: len(part)]
-        np.multiply(part[:, None], k, out=buf)
-        # r = ak - b floor(ak / b): numpy divides by a scalar in vector
-        # loops, about three times faster than its remainder.
-        np.floor_divide(buf, b, out=q)
-        q *= b
-        buf -= q
-        buf *= wk
-        sums[lo : lo + chunk] = buf.sum(axis=1, dtype=np.int64)
+        q = block[: len(part)]
+        np.multiply(part[:, None], k, out=q)
+        np.floor_divide(q, b, out=q)
+        s[lo : lo + chunk] = np.einsum("ij,j->i", q, wk)
+    c1, c0 = divmod(h * (h + 1) * (2 * h + 1) // 3 - b * h * (h + 1) // 2, b)
+    sums = residues * c0 + b * (residues * c1 - s)
     bs, rem = np.divmod(6 * (2 * sums + b * h * (b - 1 - h)), b)
     if rem.any():
         raise ArithmeticError(f"non-integral b*S value in row b={b}")

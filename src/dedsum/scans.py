@@ -32,7 +32,6 @@ import functools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -52,7 +51,7 @@ from dedsum.dedekind import (
     LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
     THEOREM1_ROW_LIMIT,
-    _fast_parts,
+    _bs_walk,
     _naive_row_values,
     bs_values,
     coprime_residues,
@@ -246,27 +245,20 @@ def _oracle_rows(batch: _Batch):
     """Both reciprocity evaluators against the definitional summation.
 
     The naive rows are summed over the batch's own residues. The row
-    kernel and the scalar `_fast_parts`, called pair by pair, are compared
-    with them as arrays; the scalar's pairs (n, d) are read into int64
-    (OverflowError if one does not fit), and one agrees when n b == naive
-    d, by its value alone. A pair counts once if either disagrees; its row
-    shows the kernel's value when the kernel is wrong, else the scalar's.
+    kernel and the scalar `_bs_walk`, called pair by pair, are compared
+    with them as int64 arrays of b S(a, b); a scalar value that does not
+    fit in int64 raises OverflowError. A pair counts once if either
+    disagrees; its row shows the kernel's value when the kernel is wrong,
+    else the scalar's.
     """
     a, b, bs = batch.a, batch.b, batch.bs
     rows = (_naive_row_values(a[lo:hi], row_b) for row_b, lo, hi in batch.spans if row_b > 1)
     naive = np.concatenate([a[:0], *rows])
-    parts = chain.from_iterable(map(_fast_parts, a.tolist(), b.tolist()))
-    num, den = np.fromiter(parts, np.int64, 2 * len(a)).reshape(-1, 2).T
-    # A right pair is reduced (|n| < b^2, 0 < d <= b) and |naive| < 3b^2: both
-    # products stay below 3b^3 < 2^63. Python ints decide pairs that may wrap.
-    near = (den > 0) & (den <= b) & (num < b * b) & (num > -b * b)
-    scalar_bad = ~near | (num * b != naive * den)
-    for i in np.flatnonzero(~near).tolist():
-        scalar_bad[i] = int(num[i]) * int(b[i]) != int(naive[i]) * int(den[i])
+    scalar = np.fromiter(map(_bs_walk, a.tolist(), b.tolist()), np.int64, len(a))
     kernel_bad = bs != naive
-    bad = np.flatnonzero(kernel_bad | scalar_bad)
-    fast = np.where(kernel_bad[bad], _reduced(bs[bad], b[bad]), (num[bad], den[bad]))
-    return len(a), (b[bad], a[bad], *fast, *_reduced(naive[bad], b[bad])), None
+    bad = np.flatnonzero(kernel_bad | (scalar != naive))
+    fast = np.where(kernel_bad[bad], bs[bad], scalar[bad])
+    return len(a), (b[bad], a[bad], *_reduced(fast, b[bad]), *_reduced(naive[bad], b[bad])), None
 
 
 def _reciprocity_rows(batch: _Batch):

@@ -22,7 +22,9 @@ import dedsum.scans
 from dedsum.dedekind import (
     NAIVE_INT32_LIMIT,
     NAIVE_ROW_LIMIT,
+    NAIVE_SUM32_LIMIT,
     _bs_pairs,
+    _bs_walk,
     _fast_parts,
     _naive_row_values,
     b_times_s,
@@ -134,8 +136,18 @@ def s_fast(a: int, b: int) -> Fraction:
 
 
 def test_fast_parts_match_naive_to_300():
+    # The raw walk on the lifts a - b <= 0 and a + b >= b of each class too.
     for a, b in coprime_pairs(300):
-        assert s_fast(a, b) == dedekind_naive(a, b), (a, b)
+        value = dedekind_naive(a, b)
+        assert s_fast(a, b) == value, (a, b)
+        assert [_bs_walk(a + j * b, b) for j in (-1, 0, 1)] == [b * value] * 3, (a, b)
+
+
+def test_public_evaluators_read_the_raw_walk():
+    for a, b in coprime_pairs(300):
+        n = _bs_walk(a, b)
+        assert b_times_s(a, b) == n and dedekind_fast(a, b) == Fraction(n, b), (a, b)
+        assert Fraction(*_fast_parts(a, b)) == Fraction(n, b), (a, b)
 
 
 # Consecutive Fibonacci numbers, the longest plain Euclid walk for their
@@ -232,6 +244,30 @@ def test_naive_rows_agree_at_the_int32_switch(monkeypatch):
         _naive_row_values(sample, b)
 
 
+def test_naive_rows_agree_at_the_contraction_switch(monkeypatch):
+    # The worst partial sum of the int32 contraction, at a = b - 1, is
+    # sum_k (b - 2k)(k - 1) over k < b/2: below 2^31 up to the bound.
+    def worst(b):
+        return sum((b - 2 * k) * (k - 1) for k in range(1, (b - 1) // 2 + 1))
+
+    assert worst(NAIVE_SUM32_LIMIT) < 2**31 <= worst(NAIVE_SUM32_LIMIT + 1)
+    rng = random.Random(NAIVE_SUM32_LIMIT)
+    for b in [NAIVE_SUM32_LIMIT, NAIVE_SUM32_LIMIT + 1]:
+        residues = coprime_residues(b)
+        sample = residues[[0, 1, -2, -1, *rng.sample(range(len(residues)), 8)]]
+        values = _naive_row_values(sample, b)
+        assert values.tolist() == [b * dedekind_naive(a, b) for a in sample.tolist()], b
+    # The switch matters: an int32 contraction at twice the bound wraps,
+    # by multiples of 2^32 that the row's division cannot see.
+    b = 2 * NAIVE_SUM32_LIMIT + 1
+    sample = np.array([1, b // 3, b - 2, b - 1], dtype=np.int64)
+    values = [b * dedekind_naive(a, b) for a in sample.tolist()]
+    assert _naive_row_values(sample, b).tolist() == values
+    monkeypatch.setattr(dedsum.dedekind, "NAIVE_SUM32_LIMIT", b)
+    wrapped = _naive_row_values(sample, b).tolist()
+    assert wrapped[0] == values[0] and wrapped[-1] != values[-1]
+
+
 @pytest.mark.parametrize("b", [521, 1009, 2003])
 def test_naive_row_split_over_blocks_matches_scalar_naive(b):
     # 521 is the least b whose row takes more than one block; each of
@@ -318,6 +354,7 @@ def test_row_kernel_on_pell_walks(pell_walks):
 def test_fast_parts_on_pell_walks(pell_walks):
     pairs, naive = pell_walks
     assert [b * s_fast(a, b) for a, b in pairs] == naive
+    assert [_bs_walk(a, b) for a, b in pairs] == naive
 
 
 def test_pell_walks_reach_the_level_bound_of_the_row_kernel(pell_walks, monkeypatch):

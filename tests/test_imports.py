@@ -82,8 +82,10 @@ def test_the_check_sees_a_private_name_that_nothing_reads():
 
 
 def test_the_package_reads_every_private_name_it_binds():
+    # `_fast_parts` is kept for perfbench's probes, which call it by name
+    # (see test_the_scalar_kernel_perfbench_patches_exists).
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    assert unread_private_names(sources) == []
+    assert unread_private_names(sources) == ["_fast_parts"]
 
 
 def docs_and_comments(source: str) -> str:
@@ -148,9 +150,10 @@ def test_docstrings_and_comments_cite_only_names_that_exist(path):
 
 
 def test_the_scalar_kernel_perfbench_patches_exists():
-    # perfbench's tracer, probes and tests patch or call `_fast_parts`
-    # under both modules and read its reduced pair (num, den), den > 0; a
-    # rename would break them, not these tests.
-    assert dedsum.scans._fast_parts is dedsum.dedekind._fast_parts
+    # perfbench's tracer, probes and tests patch or call `_fast_parts` and
+    # read its reduced pair (num, den), den > 0; the oracle scan reads the
+    # raw walk `_bs_walk` it reduces. A rename would break them, not these
+    # tests.
+    assert dedsum.scans._bs_walk is dedsum.dedekind._bs_walk
     for (a, b), pair in {(5, 12): (-1, 6), (1, 1): (0, 1), (-4, 9): (16, 9)}.items():
         assert dedsum.dedekind._fast_parts(a, b) == pair

@@ -1085,15 +1085,14 @@ def test_asymmetric_kernel_defect_fails_reciprocity(monkeypatch):
 def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
     # The kernel is right; the scalar evaluator is still checked on every
     # pair, and its wrong value is the one the row shows.
-    real = dedsum.scans._fast_parts
+    real = dedsum.scans._bs_walk
     calls = []
 
     def wrong(a, b):
         calls.append((a, b))
-        num, den = real(a, b)
-        return (num + den, den) if a == 2 else (num, den)
+        return real(a, b) + b * (a == 2)
 
-    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    monkeypatch.setattr(dedsum.scans, "_bs_walk", wrong)
     report = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
     assert len(calls) == len(set(calls)) == report.tuples_checked
     # a = 2 is a residue of every odd b in 3..30.
@@ -1138,13 +1137,8 @@ def test_wrong_flip_sign_in_row_kernel_fails_oracle_and_reciprocity(monkeypatch)
 
 
 def test_wrong_flip_sign_in_fast_parts_fails_oracle(monkeypatch):
-    real = dedsum.scans._fast_parts
-
-    def wrong(a, b):
-        num, den = real(a, b)
-        return flip_sign(a, b) * num, den
-
-    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    real = dedsum.scans._bs_walk
+    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: flip_sign(a, b) * real(a, b))
     oracle = scan_oracle_equivalence(BMAX_PLANTED)
     assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
 
@@ -1189,13 +1183,8 @@ def test_oracle_rows_follow_a_plain_loop(monkeypatch):
     # The row kernel is wrong at a == 2 (mod 3) and the scalar evaluator
     # at a = b - 1; a pair wrong in both shows the kernel's value.
     plant_in_row_kernel(monkeypatch, kernel_delta)
-    real = dedsum.scans._fast_parts
-
-    def wrong(a, b):
-        num, den = real(a, b)
-        return (num + den, den) if a == b - 1 else (num, den)
-
-    monkeypatch.setattr(dedsum.scans, "_fast_parts", wrong)
+    real = dedsum.scans._bs_walk
+    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: real(a, b) + b * (a == b - 1))
     expected = []
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
@@ -1227,36 +1216,28 @@ def test_a_wrong_naive_row_fails_the_oracle_alone(monkeypatch):
     assert scan_reciprocity(BMAX_PLANTED).violations_total == 0
 
 
-def plant_in_fast_parts(monkeypatch, wrong):
-    """Let the scalar evaluator return wrong(a, b, (num, den)) in place of
-    its reduced pair (num, den)."""
-    real = dedsum.dedekind._fast_parts
-    monkeypatch.setattr(dedsum.scans, "_fast_parts", lambda a, b: wrong(a, b, real(a, b)))
-
-
-def test_an_unreduced_scalar_pair_of_the_right_value_is_no_violation(monkeypatch):
-    # By its value alone: k = 3 keeps the pair in the int64 range that is
-    # compared as an array, k = 2**20 takes it out of that range.
-    for k in (3, 2**20):
-        plant_in_fast_parts(monkeypatch, lambda a, b, pair, k=k: (k * pair[0], k * pair[1]))
-        assert scan_oracle_equivalence(BMAX_PLANTED).violations_total == 0, k
+def plant_in_bs_walk(monkeypatch, wrong):
+    """Let the scalar evaluator return wrong(a, b, n) in place of its
+    value n = b S(a, b)."""
+    real = dedsum.dedekind._bs_walk
+    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: wrong(a, b, real(a, b)))
 
 
 def test_a_huge_scalar_value_is_a_mismatch_and_never_wraps(monkeypatch):
-    # S(1, 8) = 21/4. (21 + 2**61) * 8 wraps in int64 to 21 * 8, which is
-    # naive * den = 42 * 4; 2**62 * 7 wraps too. Each row shows the value
-    # that came back.
-    planted = {(1, 8): (21 + 2**61, 4), (2, 7): (2**62, 1)}
-    plant_in_fast_parts(monkeypatch, lambda a, b, pair: planted.get((a, b), pair))
+    # 8 S(1, 8) = 42. The scan compares b S as int64 and multiplies no
+    # value, so values at the top of the int64 range are mismatches like
+    # any other. Each row shows the value that came back, over b.
+    planted = {(1, 8): 42 + 2**62, (2, 7): 2**63 - 1}
+    plant_in_bs_walk(monkeypatch, lambda a, b, n: planted.get((a, b), n))
     report = scan_oracle_equivalence(BMAX_PLANTED)
     assert report.summary == {"value_mismatches": 2}
     rows = [(row["a"], row["b"], row["fast_num"], row["fast_den"]) for row in report.violations]
-    assert rows == [(2, 7, 2**62, 1), (1, 8, 21 + 2**61, 4)]
+    assert rows == [(2, 7, (2**63 - 1) // 7, 1), (1, 8, 21 + 2**61, 4)]
 
 
 def test_a_scalar_value_beyond_int64_raises(monkeypatch, capsys):
-    plant_in_fast_parts(monkeypatch, lambda a, b, pair: (2**64, 1) if (a, b) == (2, 7) else pair)
-    with pytest.raises(ArithmeticError):
+    plant_in_bs_walk(monkeypatch, lambda a, b, n: 2**63 if (a, b) == (2, 7) else n)
+    with pytest.raises(OverflowError):
         scan_oracle_equivalence(BMAX_PLANTED)
     assert main(["check", "--suite", "identities", "--bmax", str(BMAX_PLANTED)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
