@@ -12,10 +12,11 @@ so that the final quotient always enters with a plus sign.
 `_t_walk` is the raw kernel: one floor-division Euclid walk over plain
 ints that sums the quotients as it goes, builds no list and checks
 nothing. `t_value` is the public form; it checks b >= 1 and
-gcd(a, b) = 1, then runs the walk. `_t_pairs` is the same walk on int64
-arrays of pairs, which the lift scans run on whole batches of lifts.
-`cf_expand` builds the expansion itself by a separate path and serves as
-the reference for the walks.
+gcd(a, b) = 1, then runs the walk, and `dedekind._bs_walk` reads
+b S(a, b) from it. `_t_pairs` is the same walk on int64 arrays of pairs,
+which the lift scans run on whole batches of lifts. `cf_expand` builds
+the expansion itself by a separate path and serves as the reference for
+the walks.
 """
 
 from dataclasses import dataclass

@@ -4,17 +4,19 @@ The normalized sum here is S(a, b) = 12 s(a, b), where
 
     s(a, b) = sum_{k=1}^{b} ((k/b)) ((ak/b))
 
-and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Two
-independent evaluators are provided: a definitional O(b) loop and an
-O(log b) recursion driven by the reciprocity law. Both return exact
-rationals and must agree everywhere; the scan suite checks that they do.
-The recursion has a scalar form, `_bs_walk`, which walks the Euclid
-remainders forward on one Python integer to the integer b S(a, b), and a
-row form, `bs_values`, which solves them backward in int64 for whole
-arrays of pairs. Both walk nearest-integer remainders: the sawtooth is
-odd, so S(y, x) = -S(x - y, x), and where 2y > x a level takes x - y in
-place of y and flips the sign of its term. Each remainder is then at
-most half the one before, so a walk takes at most floor(log2 b) levels.
+and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Three
+evaluators are provided, and they share no code: a definitional O(b)
+loop (`dedekind_naive`, and its row form `naive_bs_row`); an O(log b)
+scalar, `_bs_walk` behind `dedekind_fast` and `b_times_s`, which reads
+the integer b S(a, b) from the Barkan-Hickerson-Knuth identity over the
+Euclid walk of T(a, b) in `contfrac`; and the reciprocity law solved
+backward in int64 for whole arrays of pairs (`bs_values`). All return
+exact values and must agree everywhere; the scan suite checks that they
+do. The reciprocity kernel walks nearest-integer remainders: the
+sawtooth is odd, so S(y, x) = -S(x - y, x), and where 2y > x a level
+takes x - y in place of y and flips the sign of its term. Each remainder
+is then at most half the one before, so a walk takes at most
+floor(log2 b) levels.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from math import gcd
 import numpy as np
 
 from dedsum.arith import _prime_powers, _walk_bound, require_coprime
+from dedsum.contfrac import _t_walk
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
 # row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
@@ -112,47 +115,15 @@ def dedekind_naive(a: int, b: int) -> Fraction:
 
 
 def _bs_walk(a: int, b: int) -> int:
-    """The integer b S(a, b), for b >= 1 and a coprime to b.
+    """The integer b S(a, b), for b >= 1 and a coprime to b, exact in Python ints.
 
-    Walks the reciprocity law
-        S(y, x) = (x^2 + y^2 + 1 - 3xy) / (xy) - S(x mod y, y)
-    forward along the nearest-integer Euclid remainders x = b,
-    y = min(a mod b, b - a mod b), ... on one integer, with one exact
-    division per level. Python ints keep it exact for every b.
-    Raises ArithmeticError if a step does not divide exactly.
+    The Barkan-Hickerson-Knuth identity S(a, b) = T(a, b) + (a + a^-1)/b - 3,
+    0 < a^-1 < b (Knuth, "Notes on generalized Dedekind sums", Acta Arith. 33,
+    1977), over the Euclid walk of `contfrac._t_walk`; b = 1 gives 0.
     """
-    # Level k has x = x_k, a remainder y and sb = e_k b with e_k = +-1; the
-    # first level has x_0 = b, y = a mod b and e_0 = 1. The law gives
-    #     S(a, b) = P_k + e_k S(y, x),
-    # P_k the sum of the terms e_j (x_j^2 + y_j^2 + 1 - 3 x_j y_j)
-    # / (x_j y_j) of the levels j < k. The walk keeps n = b x P_k:
-    #     n = x (b S(a, b)) - sb (x S(y, x)),
-    # and c S(d, c) is an integer for every c >= 1 and d coprime to c
-    # (Rademacher and Grosswald, Dedekind Sums, ch. 3), so n is an integer
-    # at every level.
-    # The sawtooth is odd, so S(y, x) = -S(x - y, x): where d = x - y < y the
-    # level swaps y and d and flips the sign of sb, and e_k S(y, x) and n
-    # stay the same. So x_{k+1} = y <= x / 2, and `_bs_pairs` bounds the
-    # levels. The step computes t = y n + sb (d^2 - xy + 1), which is x times
-    # the next level's n = b y P_{k+1}, with sb negated for that level; so
-    # t / x is exact. As x = y + d, the next remainder x mod y is d mod y.
-    # The last level has y = 1: its step adds sb (x - 1)(x - 2), as
-    # S(1, x) = (x - 1)(x - 2) / x, and leaves n = b P_{k+1} = b S(a, b),
-    # as S(0, 1) = 0. For b = 1 the walk never starts and b S(a, b) = n = 0.
-    x, y = b, a % b
-    n, sb = 0, b
-    while y:
-        d = x - y
-        if d < y:
-            y, d, sb = d, y, -sb
-        t = n * y + sb * (d * d - x * y + 1)
-        n = t // x
-        if n * x != t:
-            raise ArithmeticError(
-                f"a reciprocity step of the scalar kernel came out non-integral: S({a}, {b})"
-            )
-        x, y, sb = y, d % y, -sb
-    return n
+    if b == 1:
+        return 0
+    return b * _t_walk(a, b) + a + pow(a, -1, b) - 3 * b
 
 
 def _fast_parts(a: int, b: int) -> tuple[int, int]:
@@ -163,14 +134,13 @@ def _fast_parts(a: int, b: int) -> tuple[int, int]:
 
 
 def dedekind_fast(a: int, b: int) -> Fraction:
-    """Normalized Dedekind sum S(a, b) via reciprocity, O(log b) time."""
+    """Normalized Dedekind sum S(a, b) from `_bs_walk`, O(log b) time."""
     _validate(a, b)
     return Fraction(_bs_walk(a, b), b)
 
 
 def b_times_s(a: int, b: int) -> int:
-    """The integer b * S(a, b) from `_bs_walk`, whose ArithmeticError for a
-    step that does not divide exactly would indicate a bug, not bad input."""
+    """The integer b * S(a, b) from `_bs_walk`."""
     _validate(a, b)
     return _bs_walk(a, b)
 
@@ -278,7 +248,8 @@ def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sum is a C0 + b (a C1 - s), where a C0 < b^2, |a C1| < b^3 / 24 + b and
 # the second term is the sum, below h b^2 < b^3 / 2, less a C0. No
 # intermediate reaches 3b^3 (see NAIVE_ROW_LIMIT). As b s drops out mod b,
-# the remainder check of the row sees an int64 wrap, not a wrong quotient.
+# the remainder check sees only an int64 wrap; a wrapped contraction breaks
+# the range check |b S(a, b)| <= (b - 1)(b - 2), tight at a = b - 1.
 NAIVE_INT32_LIMIT = 46_340
 NAIVE_SUM32_LIMIT = 3_723
 
@@ -327,6 +298,6 @@ def _naive_row_values(residues: np.ndarray, b: int) -> np.ndarray:
     c1, c0 = divmod(h * (h + 1) * (2 * h + 1) // 3 - b * h * (h + 1) // 2, b)
     sums = residues * c0 + b * (residues * c1 - s)
     bs, rem = np.divmod(6 * (2 * sums + b * h * (b - 1 - h)), b)
-    if rem.any():
-        raise ArithmeticError(f"non-integral b*S value in row b={b}")
+    if rem.any() or np.abs(bs).max(initial=0) > (b - 1) * (b - 2):
+        raise ArithmeticError(f"non-integral or out-of-range b*S value in row b={b}")
     return bs

@@ -115,13 +115,8 @@ class _Batch:
     @functools.cached_property
     def bt(self) -> np.ndarray:
         """b T of every lift. T is sensitive to the lift even though S is
-        not, so every lift gets its own walk.
-
-        Raises ValueError when a b exceeds LIFT_WALK_LIMIT, before any walk.
-        """
-        top = self.spans[-1][0]
-        if top > LIFT_WALK_LIMIT:
-            raise ValueError(f"b={top} exceeds the int64-exact limit {LIFT_WALK_LIMIT}")
+        not, so every lift gets its own walk. `_run` refuses a b above
+        LIFT_WALK_LIMIT before any walk."""
         t = _t_pairs(self.lifts.ravel(), np.repeat(self.b, 3))
         return self.b[:, None] * t.reshape(self.lifts.shape)
 
@@ -242,14 +237,14 @@ def _theorem2_rows(batch: _Batch):
 
 
 def _oracle_rows(batch: _Batch):
-    """Both reciprocity evaluators against the definitional summation.
+    """Both fast evaluators against the definitional summation.
 
-    The naive rows are summed over the batch's own residues. The row
-    kernel and the scalar `_bs_walk`, called pair by pair, are compared
-    with them as int64 arrays of b S(a, b); a scalar value that does not
-    fit in int64 raises OverflowError. A pair counts once if either
-    disagrees; its row shows the kernel's value when the kernel is wrong,
-    else the scalar's.
+    The naive rows are summed over the batch's own residues. The
+    reciprocity row kernel and the scalar `_bs_walk` (the BHK identity over
+    the T walk), called pair by pair, are compared with them as int64
+    arrays of b S(a, b); a scalar value that does not fit in int64 raises
+    OverflowError. A pair counts once if either disagrees; its row shows
+    the kernel's value when the kernel is wrong, else the scalar's.
     """
     a, b, bs = batch.a, batch.b, batch.bs
     rows = (_naive_row_values(a[lo:hi], row_b) for row_b, lo, hi in batch.spans if row_b > 1)

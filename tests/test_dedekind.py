@@ -143,6 +143,11 @@ def test_fast_parts_match_naive_to_300():
         assert [_bs_walk(a + j * b, b) for j in (-1, 0, 1)] == [b * value] * 3, (a, b)
 
 
+def test_raw_walk_is_zero_at_b_1():
+    # The identity over T would give -1 at b = 1, where S(a, 1) = 0.
+    assert [_bs_walk(a, 1) for a in range(-3, 4)] == [0] * 7
+
+
 def test_public_evaluators_read_the_raw_walk():
     for a, b in coprime_pairs(300):
         n = _bs_walk(a, b)
@@ -151,7 +156,7 @@ def test_public_evaluators_read_the_raw_walk():
 
 
 # Consecutive Fibonacci numbers, the longest plain Euclid walk for their
-# size; the nearest-integer walk flips at every level of it.
+# size: the walk of T that the scalar evaluator reads.
 FIB_A, FIB_B = 1, 2
 while FIB_B < 10**60:
     FIB_A, FIB_B = FIB_B, FIB_A + FIB_B
@@ -258,14 +263,31 @@ def test_naive_rows_agree_at_the_contraction_switch(monkeypatch):
         values = _naive_row_values(sample, b)
         assert values.tolist() == [b * dedekind_naive(a, b) for a in sample.tolist()], b
     # The switch matters: an int32 contraction at twice the bound wraps,
-    # by multiples of 2^32 that the row's division cannot see.
+    # by multiples of 2^32 that the row's division cannot see, and the
+    # range check raises. The row of a = 1 does not wrap.
     b = 2 * NAIVE_SUM32_LIMIT + 1
     sample = np.array([1, b // 3, b - 2, b - 1], dtype=np.int64)
     values = [b * dedekind_naive(a, b) for a in sample.tolist()]
     assert _naive_row_values(sample, b).tolist() == values
     monkeypatch.setattr(dedsum.dedekind, "NAIVE_SUM32_LIMIT", b)
-    wrapped = _naive_row_values(sample, b).tolist()
-    assert wrapped[0] == values[0] and wrapped[-1] != values[-1]
+    assert _naive_row_values(sample[:1], b).tolist() == values[:1]
+    with pytest.raises(ArithmeticError, match="out-of-range"):
+        _naive_row_values(sample, b)
+
+
+def test_a_wrapped_contraction_raises_on_every_residue(monkeypatch):
+    # |b S(a, b)| <= (b - 1)(b - 2), with equality at a = 1 and b - 1.
+    b = 8009
+    ends = np.array([1, b - 1], dtype=np.int64)
+    assert _naive_row_values(ends, b).tolist() == [(b - 1) * (b - 2), -(b - 1) * (b - 2)]
+    # An int32 contraction far past its bound wraps for every a above about
+    # b / 10 (b is prime), by a multiple of b that the remainder check
+    # cannot see; each such value lies outside that range, so each residue
+    # raises alone.
+    monkeypatch.setattr(dedsum.dedekind, "NAIVE_SUM32_LIMIT", 10**5)
+    for a in random.Random(b).sample(range(b // 10, b), 50):
+        with pytest.raises(ArithmeticError, match="out-of-range"):
+            _naive_row_values(np.array([a], dtype=np.int64), b)
 
 
 @pytest.mark.parametrize("b", [521, 1009, 2003])
@@ -352,6 +374,8 @@ def test_row_kernel_on_pell_walks(pell_walks):
 
 
 def test_fast_parts_on_pell_walks(pell_walks):
+    # The longest walks of the row kernel; the scalar evaluator reads the
+    # same values from the T walk.
     pairs, naive = pell_walks
     assert [b * s_fast(a, b) for a, b in pairs] == naive
     assert [_bs_walk(a, b) for a, b in pairs] == naive

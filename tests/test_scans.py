@@ -978,13 +978,6 @@ def one_residue_rows(monkeypatch, *residues):
     monkeypatch.setattr(dedsum.scans, "coprime_residues", lambda b: row)
 
 
-def test_a_batch_refuses_to_walk_above_the_limit(monkeypatch):
-    one_residue_rows(monkeypatch, 1)
-    batch = dedsum.scans._Batch([LIFT_WALK_LIMIT + 1])
-    with pytest.raises(ValueError, match="int64-exact limit"):
-        batch.bt
-
-
 def test_a_batch_walks_the_lifts_at_the_limit(monkeypatch):
     b = LIFT_WALK_LIMIT
     one_residue_rows(monkeypatch, 1, 2)
@@ -1137,10 +1130,32 @@ def test_wrong_flip_sign_in_row_kernel_fails_oracle_and_reciprocity(monkeypatch)
 
 
 def test_wrong_flip_sign_in_fast_parts_fails_oracle(monkeypatch):
+    # The scalar evaluator walks no nearest-integer remainders, but the
+    # oracle must still see the same sign defect in it: -b S(a, b) on
+    # every a > b/2.
     real = dedsum.scans._bs_walk
     monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: flip_sign(a, b) * real(a, b))
     oracle = scan_oracle_equivalence(BMAX_PLANTED)
     assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
+
+
+def test_a_defect_in_the_scalar_t_walk_fails_the_oracle_alone(monkeypatch):
+    # The scalar evaluator reads T through dedekind's own binding of the
+    # walk: T + 1 makes S one too large on exactly the planted pairs. The
+    # scans that read the row kernel and the lift walks stay clean.
+    real = dedsum.contfrac._t_walk
+    planted = {
+        (a, b) for b in range(2, BMAX_PLANTED + 1) for a in residues_of(b) if (a * a + b) % 5 == 0
+    }
+    monkeypatch.setattr(dedsum.dedekind, "_t_walk", lambda a, b: real(a, b) + ((a, b) in planted))
+    report = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
+    assert report.violations_total == len(report.violations) == len(planted) > 0
+    for row in report.violations:
+        assert (row["a"], row["b"]) in planted
+        fast = Fraction(row["fast_num"], row["fast_den"])
+        assert fast == Fraction(row["naive_num"], row["naive_den"]) + 1, row
+    for scan in (scan_reciprocity, scan_bs_congruences, scan_bhk):
+        assert scan(BMAX_PLANTED).violations_total == 0, scan
 
 
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
