@@ -7,14 +7,17 @@ checks its modulus and then runs `_jacobi`, the unchecked kernel that
 `congruence` builds on.
 
 `_inverse_pairs` and `_jacobi_pairs` are the array forms that the scans
-run on int64 arrays of pairs. The inverse is a^(phi(b) - 1) mod b by
-Euler's theorem, through the square and multiply of `_power_pairs`,
-with every product below b^2 < 2^62 up to `dedekind.LIFT_WALK_LIMIT`.
-The Jacobi symbol is the product of the Legendre symbols of b's prime
-powers (`_prime_powers`, a trial division that
-`dedekind.coprime_residues` shares), each read from a table of the
-squares mod p, or for a large p by Euler's criterion through the same
-`_power_pairs`.
+run on int64 arrays of pairs, and they return int64. The inverse is
+a^(phi(b) - 1) mod b by Euler's theorem, through the square and
+multiply of `_power_pairs`, with every product below b^2 < 2^62 up to
+`dedekind.LIFT_WALK_LIMIT`. The power multiplies in int32 while every
+modulus of the call is at most POWER_INT32_LIMIT (46,341), where each
+product of two residues stays below 2^31, and in int64 above; the
+inverse checks a a^-1 == 1 (mod b) in int64 on every pair. The Jacobi
+symbol is the product of the Legendre symbols of b's prime powers
+(`_prime_powers`, a trial division that `dedekind.coprime_residues`
+shares), each read from a table of the squares mod p, or for a large p
+by Euler's criterion through the same `_power_pairs`.
 """
 
 import functools
@@ -105,18 +108,30 @@ def _walk_bound(b_max: int, c: int) -> int:
     return count
 
 
+# `_power_pairs` runs in int32 when every modulus of the call is at most
+# this bound: the factors are residues up to 46,340, and
+# 46,340^2 = 2,147,395,600 < 2^31 <= 46,341^2 (the bound of
+# `dedekind.NAIVE_INT32_LIMIT`, one modulus higher).
+POWER_INT32_LIMIT = 46_341
+
+
 def _power_pairs(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod `mod` elementwise over int64 arrays, exp >= 0 and
-    mod >= 2: square and multiply over factors reduced mod `mod`, one
-    round per bit of the largest exponent. Every product is below mod^2,
-    so the result is exact while mod^2 < 2^63."""
-    base = base % mod
+    mod >= 2, as int64: square and multiply over factors reduced mod
+    `mod`, one round per bit of the largest exponent. Every product is
+    below mod^2: the rounds run in int32 while every mod is at most
+    POWER_INT32_LIMIT and every exp below 2^31, and in int64 otherwise,
+    exact while mod^2 < 2^63."""
+    rounds = int(exp.max(initial=0)).bit_length()
+    dtype = np.int32 if int(mod.max(initial=0)) <= POWER_INT32_LIMIT and rounds < 32 else np.int64
+    base = (base % mod).astype(dtype)
+    exp, mod = exp.astype(dtype), mod.astype(dtype)
     out = np.ones_like(base)
-    for _ in range(int(exp.max(initial=0)).bit_length()):
+    for _ in range(rounds):
         out = out * np.where(exp & 1, base, 1) % mod
         base = base * base % mod
         exp = exp >> 1
-    return out
+    return out.astype(np.int64)
 
 
 def _inverse_pairs(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:

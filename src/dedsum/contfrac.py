@@ -14,7 +14,9 @@ ints that sums the quotients as it goes, builds no list and checks
 nothing. `t_value` is the public form; it checks b >= 1 and
 gcd(a, b) = 1, then runs the walk, and `dedekind._bs_walk` reads
 b S(a, b) from it. `_t_pairs` is the same walk on int64 arrays of pairs,
-which the lift scans run on whole batches of lifts. `cf_expand` builds
+which the lift scans run on whole batches of lifts: in int32 while the
+call's max |a| + max b is at most T_PAIRS_INT32_LIMIT (2^31), in int64
+above, with an int64 result either way. `cf_expand` builds
 the expansion itself by a separate path and serves as the reference for
 the walks.
 """
@@ -109,36 +111,60 @@ def _t_walk(a: int, b: int) -> int:
             return t
 
 
+# `_t_pairs` walks in int32 while the call's max |a| + max b is at most this
+# bound, and in int64 above it. The walk holds a, b and remainders below b.
+# Every partial sum of T is at most |a| + b - 1 in size, but 3 at
+# (a, b) = (-1, 2):
+#   - b = 1: the walk is the one quotient q0 = a.
+#   - b >= 2: the later quotients, those of Euclid's walk on (b, a mod b),
+#     sum to at most b (q1 + r1 <= q1 r1 + 1 <= b while r2 > 0, by
+#     induction), and |q0| <= ceil(|a| / 2), which is at most |a| - 1 for
+#     |a| >= 2 and 0 for a = 1. a = -1 takes q0 = -1 and then the quotients
+#     of (b, b - 1): 2 for b = 2, and 1, b - 1 for b >= 3. Its partial sums
+#     are 1, 3 and 1, 2, 3 - b.
+# The +2 of an odd quotient count is added in int64. So every value fits
+# int32 up to the bound, and b = 1 reaches it: T(a, 1) walks -a first, and
+# a = -2^31 is the first to wrap.
+T_PAIRS_INT32_LIMIT = 2**31
+
+
 def _t_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """T(a, b) of `_t_walk` for int64 arrays of coprime pairs, b >= 1.
+    """T(a, b) of `_t_walk` for int64 arrays of pairs, b >= 1, as int64.
 
     Every pair steps in lockstep: at step k the quotient enters with the
-    sign (-1)^(k+1), the same for all pairs still walking. A pair leaves
-    the walk when its remainder hits 0, with +2 when that happens on a
-    minus step (an odd quotient count). a may be negative; the first
-    division floors, as in `_t_walk`. The callers keep |T| and the
-    partial sums inside int64 (see dedekind.LIFT_WALK_LIMIT).
+    sign (-1)^(k+1), the same for all pairs. a may be negative; the first
+    division floors, as in `_t_walk`. The walk runs in int32 while the
+    call's max |a| + max b is at most T_PAIRS_INT32_LIMIT, else in int64.
+    No pair leaves the arrays: a pair whose remainder has hit 0 holds
+    (gcd, 0) and then (0, 0), divides by 1 in place of y = 0 and adds 0.
+    Each step flips the parity of the quotient count of the pairs still
+    walking, and an odd count gets its +2 once, at the end. The loop ends
+    when every remainder is 0. The callers keep |T| inside int64 (see
+    dedekind.LIFT_WALK_LIMIT).
     """
     # Lamé (Knuth, TAOCP vol. 2, 4.5.3): Euclid's walk on u > v > 0 in n steps
     # has u >= F_{n+2}, F = 1, 1, 2, 3, .... The first step floors a over b, a
     # negative lift too, and leaves Euclid's walk on (b, a mod b): at most 1 + n
     # steps, n the count of F_3 = 2, F_4 = 3, ... up to b (`arith._walk_bound`),
     # all taken from consecutive Fibonacci numbers a < b. Past them it raises.
-    out = np.empty(len(a), dtype=np.int64)
-    idx = np.arange(len(a))
-    t = np.zeros_like(out)
-    x, y, sign = a, b, -1
-    steps = 1 + _walk_bound(int(b.max(initial=0)), 1)
-    while len(idx):
+    b_max = int(b.max(initial=0))
+    a_max = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    dtype = np.int32 if a_max + b_max <= T_PAIRS_INT32_LIMIT else np.int64
+    x, y = a.astype(dtype), b.astype(dtype)
+    t = np.zeros_like(x)
+    odd = np.zeros(len(x), dtype=bool)
+    sign = -1
+    steps = 1 + _walk_bound(b_max, 1)
+    while (live := y != 0).any():
         if not steps:
             raise ArithmeticError("the lift walk took more steps than Lamé's bound")
         steps -= 1
-        q, r = np.divmod(x, y)
-        t += sign * q
-        done = r == 0
-        if done.any():
-            out[idx[done]] = t[done] + (1 - sign)
-            live = ~done
-            idx, t, y, r = idx[live], t[live], y[live], r[live]
+        odd ^= live
+        q, r = np.divmod(x, y | ~live)
+        q *= live
+        if sign < 0:
+            t -= q
+        else:
+            t += q
         x, y, sign = y, r, -sign
-    return out
+    return t + 2 * odd.astype(np.int64)

@@ -72,20 +72,24 @@ _ROW_BATCH = 4096
 # b^2 + (a + a^-1) mod b and b^2 + b S mod b that select the candidates.
 THEOREM1_ROW_LIMIT = 77_935
 
-# The lift scans theorem2 and bt-mod8 walk T(a, b) in int64 for the lifts
-# a, a - b, a + b of each residue 0 < a < b, so -b < a < 2b. The first
-# quotient floor(a/b) is -1, 0 or 1 and the rest are those of a mod b
-# over b, whose sum is at most b; with the +2 of an odd quotient count,
-# every partial sum of the walk and T itself stay within b + 3 in size.
-# So |b T| <= b^2 + 3b, the mod-8 offset b^2 + 2 - mu - a_inv lies in
-# [b^2 - b - 3, b^2 + 2], and the mod-8 check b T - offset + a stays
-# within 2b^2 + 5b + 2. That is below 2^63 up to b = 2^31 - 2. The power
-# a^(phi(b) - 1) mod b that gives a^-1 multiplies factors reduced mod b:
-# each product is below b^2 <= (2^31 - 2)^2 < 2^62. The Jacobi symbol in
-# mu reads, for each prime p | b up to 4096, a table of p entries, each
-# 0 or +-1, at a mod p; for a larger p, the Euler power a^((p - 1)/2)
-# mod p, each product below p^2 <= b^2 < 2^62 (arith.JACOBI_PAIRS_LIMIT,
-# 2^31 - 1, is above this limit).
+# The lift scans theorem2 and bt-mod8 walk T(a, b) for the lifts a, a - b,
+# a + b of each residue 0 < a < b, so -b < a < 2b. The first quotient
+# floor(a/b) is -1, 0 or 1 and the rest are those of a mod b over b, whose
+# sum is at most b; with the +2 of an odd quotient count, every partial sum
+# of the walk and T itself stay within b + 3 in size. The walk runs in
+# int32 while max |a| + max b = 3b - 1 is at most
+# contfrac.T_PAIRS_INT32_LIMIT (2^31), that is up to b = 715,827,883, and
+# in int64 above; T comes back as int64 either way. So |b T| <= b^2 + 3b,
+# the mod-8 offset b^2 + 2 - mu - a_inv lies in [b^2 - b - 3, b^2 + 2],
+# and the mod-8 check b T - offset + a stays within 2b^2 + 5b + 2. That is
+# below 2^63 up to b = 2^31 - 2. The power a^(phi(b) - 1) mod b that gives
+# a^-1 multiplies factors reduced mod b: each product is below
+# b^2 <= (2^31 - 2)^2 < 2^62, and below 2^31 in its int32 rounds, up to
+# b = arith.POWER_INT32_LIMIT (46,341); the inverse is int64 either way.
+# The Jacobi symbol in mu reads, for each prime p | b up to 4096, a table
+# of p entries, each 0 or +-1, at a mod p; for a larger p, the Euler power
+# a^((p - 1)/2) mod p, each product below p^2 <= b^2 < 2^62
+# (arith.JACOBI_PAIRS_LIMIT, 2^31 - 1, is above this limit).
 LIFT_WALK_LIMIT = 2_147_483_646
 
 
@@ -250,6 +254,8 @@ def bs_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # intermediate reaches 3b^3 (see NAIVE_ROW_LIMIT). As b s drops out mod b,
 # the remainder check sees only an int64 wrap; a wrapped contraction breaks
 # the range check |b S(a, b)| <= (b - 1)(b - 2), tight at a = b - 1.
+# The power behind the inverses multiplies residues below its modulus, so
+# its int32 bound, arith.POWER_INT32_LIMIT, is one modulus higher: 46,341.
 NAIVE_INT32_LIMIT = 46_340
 NAIVE_SUM32_LIMIT = 3_723
 

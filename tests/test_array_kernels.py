@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 import dedsum.arith
 import dedsum.contfrac
-from dedsum.arith import _LEGENDRE_TABLE_LIMIT, JACOBI_PAIRS_LIMIT, _inverse_pairs, _jacobi, _jacobi_pairs
+from dedsum.arith import (
+    _LEGENDRE_TABLE_LIMIT,
+    JACOBI_PAIRS_LIMIT,
+    POWER_INT32_LIMIT,
+    _inverse_pairs,
+    _jacobi,
+    _jacobi_pairs,
+    _power_pairs,
+)
 from dedsum.congruence import (
     BT_CASES,
     MU_QUADRATIC_LIMIT,
@@ -33,7 +41,7 @@ from dedsum.congruence import (
     mu,
     mu_original,
 )
-from dedsum.contfrac import _t_pairs, _t_walk
+from dedsum.contfrac import T_PAIRS_INT32_LIMIT, _raw_quotients, _t_pairs, _t_walk
 from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT, bs_values, coprime_residues
 
 
@@ -117,6 +125,48 @@ def test_fibonacci_walks_reach_lames_bound(monkeypatch):
             _t_pairs(a, b)
 
 
+def test_t_pairs_at_the_int32_switch(monkeypatch):
+    # Every partial sum of a walk is at most max |a| + max b - 1 (or 3), so
+    # int32 holds up to the switch; b = 1 walks -a first, and -a = 2^31
+    # wraps. Just below: b = 1 lanes at the extremes of a, and the prime
+    # b = 2^31 - 1 with a = +-1. Just above: a = -2^31 at b = 1.
+    limit = T_PAIRS_INT32_LIMIT
+    assert limit == 2**31
+    below = [
+        as_arrays([-(limit - 1), limit - 1, -2, 0, 3], [1] * 5),
+        as_arrays([1, -1], [limit - 1] * 2),
+    ]
+    above = as_arrays([-limit, 5, -3], [1, 1, 1])
+    for a, b in [*below, above]:
+        expected = [_t_walk(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert _t_pairs(a, b).tolist() == expected
+    assert [int(abs(a).max() + b.max()) for a, b in [*below, above]] == [limit, limit, limit + 1]
+    # One step too high, the int32 walk of -a at b = 1 wraps.
+    monkeypatch.setattr(dedsum.contfrac, "T_PAIRS_INT32_LIMIT", limit + 1)
+    assert _t_pairs(*above).tolist()[0] != _t_walk(-limit, 1)
+
+
+@pytest.mark.parametrize("limit", [T_PAIRS_INT32_LIMIT, 0])
+def test_t_pairs_finished_lanes_add_nothing(monkeypatch, limit):
+    # One call mixes walks that end at different steps: b = 1 lanes, which
+    # end at the first step; walks ending on a plus step (an even quotient
+    # count) and on a minus step (an odd count, +2); and the lifts of the
+    # longest Fibonacci walk below the int32 switch, F_44 / F_45. Every
+    # lane must equal its own walk, in int32 and, with the switch at 0, in
+    # int64.
+    monkeypatch.setattr(dedsum.contfrac, "T_PAIRS_INT32_LIMIT", limit)
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= T_PAIRS_INT32_LIMIT:
+        fib.append(fib[-1] + fib[-2])
+    f, g = fib[-3], fib[-2]
+    assert 2 * g + f > T_PAIRS_INT32_LIMIT >= g + f
+    a = [-3, -1, 0, 1, 2, 1, 3, 2, 5, 3, 7, f, f - g]
+    b = [1, 1, 1, 1, 1, 2, 4, 5, 7, 8, 9, g, g]
+    counts = [len(_raw_quotients(x, y)) % 2 for x, y in zip(a, b) if y > 1]
+    assert 0 in counts and 1 in counts
+    assert _t_pairs(*as_arrays(a, b)).tolist() == [_t_walk(x, y) for x, y in zip(a, b)]
+
+
 def test_jacobi_pairs_equal_scalar_on_every_numerator():
     # Including the numerators that share a factor with b, where (a|b) = 0.
     a, b = [], []
@@ -180,6 +230,24 @@ def test_inverse_pairs_at_the_limit(b):
     assert _inverse_pairs(xa + 2 * xb, xb, phi).tolist() == expected
 
 
+@pytest.mark.parametrize("b", [POWER_INT32_LIMIT, POWER_INT32_LIMIT + 1])
+def test_inverse_pairs_at_the_int32_switch(monkeypatch, b):
+    # The power multiplies residues below the modulus: int32 up to the
+    # switch, where (b - 1)^2 < 2^31 <= b^2. The units among 1, 2, b - 2,
+    # b - 1 on both sides, as test_inverse_pairs_at_the_limit picks them.
+    assert (POWER_INT32_LIMIT - 1) ** 2 < 2**31 <= POWER_INT32_LIMIT**2
+    a = [x for x in (1, 2, b - 2, b - 1) if gcd(x, b) == 1]
+    xa, xb = as_arrays(a, [b] * len(a))
+    phi = np.full_like(xa, totient(b))
+    assert _inverse_pairs(xa, xb, phi).tolist() == [pow(x, -1, b) for x in a]
+    if b > POWER_INT32_LIMIT:
+        # One step too high, (b - 1)^2 wraps in int32 and the self-check
+        # a a^-1 == 1 (mod b) refuses the result.
+        monkeypatch.setattr(dedsum.arith, "POWER_INT32_LIMIT", b)
+        with pytest.raises(ValueError, match="coprime"):
+            _inverse_pairs(xa, xb, phi)
+
+
 def test_inverse_pairs_reject_a_common_factor():
     with pytest.raises(ValueError, match="coprime"):
         _inverse_pairs(*as_arrays([1, 2], [5, 4]), np.array([4, 2], dtype=np.int64))
@@ -195,11 +263,28 @@ def test_inverse_pairs_reject_a_wrong_exponent():
 
 def test_empty_batches():
     empty = np.zeros(0, dtype=np.int64)
-    for kernel in (_t_pairs, _jacobi_pairs, _mu_pairs, _mu_swapped_pairs):
-        assert kernel(empty, empty).tolist() == []
-    assert _inverse_pairs(empty, empty, empty).tolist() == []
-    values = bs_values(empty, empty)
-    assert (values.dtype, values.shape) == (np.int64, (0,))
+    for kernel in (_t_pairs, _jacobi_pairs, _mu_pairs, _mu_swapped_pairs, bs_values):
+        values = kernel(empty, empty)
+        assert (values.dtype, values.shape) == (np.int64, (0,))
+    for values in (_inverse_pairs(empty, empty, empty), _power_pairs(empty, empty, empty)):
+        assert (values.dtype, values.shape) == (np.int64, (0,))
+    # On both sides of each int32 switch the kernels return int64, so that
+    # no int32 value reaches the scans' arithmetic. T at the walk's switch;
+    # the powers at the primes 46,337 and 46,349 around theirs, where the
+    # Jacobi kernel takes Euler's criterion (p > _LEGENDRE_TABLE_LIMIT).
+    for a, b in (([1 - T_PAIRS_INT32_LIMIT], [1]), ([-T_PAIRS_INT32_LIMIT], [1])):
+        assert _t_pairs(*as_arrays(a, b)).dtype == np.int64
+    assert _LEGENDRE_TABLE_LIMIT < 46_337 <= POWER_INT32_LIMIT < 46_349
+    for p in (46_337, 46_349):
+        a, b = as_arrays([2, 3, p - 1], [p] * 3)
+        for values in (
+            _power_pairs(a, b - 2, b),
+            _inverse_pairs(a, b, b - 1),
+            _jacobi_pairs(a, b),
+            _mu_pairs(a, b),
+            bs_values(a, b),
+        ):
+            assert values.dtype == np.int64
 
 
 def test_mu_quadratic_pairs_equal_mu_original():
