@@ -11,12 +11,14 @@ scalar, `_bs_walk` behind `dedekind_fast` and `b_times_s`, which reads
 the integer b S(a, b) from the Barkan-Hickerson-Knuth identity over the
 Euclid walk of T(a, b) in `contfrac`; and the reciprocity law solved
 backward in int64 for whole arrays of pairs (`bs_values`). All return
-exact values and must agree everywhere; the scan suite checks that they
-do. The reciprocity kernel walks nearest-integer remainders: the
-sawtooth is odd, so S(y, x) = -S(x - y, x), and where 2y > x a level
-takes x - y in place of y and flips the sign of its term. Each remainder
-is then at most half the one before, so a walk takes at most
-floor(log2 b) levels.
+exact values and must agree everywhere. The oracle-equivalence scan
+checks the reciprocity kernel against the definitional rows on every
+pair, the bhk scan checks it against the T walk through the BHK
+identity, and tests check the scalar. The reciprocity kernel walks
+nearest-integer remainders: the sawtooth is odd, so S(y, x) =
+-S(x - y, x), and where 2y > x a level takes x - y in place of y and
+flips the sign of its term. Each remainder is then at most half the one
+before, so a walk takes at most floor(log2 b) levels.
 """
 
 from fractions import Fraction

@@ -143,6 +143,17 @@ def test_fast_parts_match_naive_to_300():
         assert [_bs_walk(a + j * b, b) for j in (-1, 0, 1)] == [b * value] * 3, (a, b)
 
 
+def test_raw_walk_matches_the_naive_rows_to_500():
+    # No scan runs the scalar: the oracle compares the naive rows with the
+    # row kernel. This covers the 76,115 pairs of the oracle at b <= 500.
+    pairs = 0
+    for b in range(2, 501):
+        residues, values = naive_bs_row(b)
+        assert [_bs_walk(a, b) for a in residues.tolist()] == values.tolist(), b
+        pairs += len(residues)
+    assert pairs == 76115
+
+
 def test_raw_walk_is_zero_at_b_1():
     # The identity over T would give -1 at b = 1, where S(a, 1) = 0.
     assert [_bs_walk(a, 1) for a in range(-3, 4)] == [0] * 7

@@ -22,7 +22,6 @@ import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
 from dedsum.arith import mod_inverse
-from dedsum.cli import main
 from dedsum.congruence import (
     MU_QUADRATIC_LIMIT,
     _mu_pairs,
@@ -35,10 +34,10 @@ from dedsum.contfrac import _t_walk, t_value
 from dedsum.dedekind import (
     LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
+    NAIVE_SUM32_LIMIT,
     THEOREM1_ROW_LIMIT,
     b_times_s,
     coprime_residues,
-    dedekind_fast,
     dedekind_naive,
 )
 from dedsum.report import COLUMNS
@@ -759,8 +758,9 @@ def test_perturbed_inverse_fails_bhk(monkeypatch):
     }
 
 
-def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
-    # Clean scans build no violation row, so no scalar kernel may run.
+def test_scans_make_no_scalar_kernel_calls(monkeypatch):
+    # Clean scans build no violation row, so no scalar kernel may run, and
+    # the oracle reads the row kernel, not the scalar b S walk.
     def scalar(*args):
         raise AssertionError("a scalar kernel ran")
 
@@ -771,10 +771,14 @@ def test_lift_scans_make_no_scalar_kernel_calls(monkeypatch):
         (dedsum.congruence, "_jacobi"),
         (dedsum.congruence, "_t_walk"),
         (dedsum.contfrac, "_t_walk"),
+        (dedsum.dedekind, "_bs_walk"),
+        (dedsum.dedekind, "_t_walk"),
     ]:
         monkeypatch.setattr(module, name, scalar)
     summary = lift_scans()
     assert all(not any(counts.values()) for counts in summary.values()), summary
+    for report in run_suite("all", BMAX_PLANTED):
+        assert report.violations_total == 0, report.kind
 
 
 def test_theorem2_takes_its_case_tags_from_the_array_kernel(monkeypatch):
@@ -980,9 +984,29 @@ def one_residue_rows(monkeypatch, *residues):
 
 def test_a_batch_walks_the_lifts_at_the_limit(monkeypatch):
     b = LIFT_WALK_LIMIT
-    one_residue_rows(monkeypatch, 1, 2)
+    # 1 and b - 1 are units of every b; 2 is none of this even b.
+    one_residue_rows(monkeypatch, 1, b - 1)
     batch = dedsum.scans._Batch([b])
-    assert batch.bt.tolist() == [[b * _t_walk(x, b) for x in (a, a - b, a + b)] for a in (1, 2)]
+    assert batch.bt.tolist() == [[b * _t_walk(x, b) for x in (a, a - b, a + b)] for a in (1, b - 1)]
+
+
+def test_the_oracle_scans_a_window_across_the_int32_sum_switch(monkeypatch):
+    # The rows b = 3,722..3,725 straddle NAIVE_SUM32_LIMIT = 3,723, above
+    # which the naive rows contract in int64. The whole scan path runs on
+    # them as one piece; with the limit one too high, b = 3,724 contracts
+    # in int32, wraps, and the range check of its row raises.
+    window = range(NAIVE_SUM32_LIMIT - 1, NAIVE_SUM32_LIMIT + 3)
+
+    def oracle():
+        return dedsum.scans._pass(["oracle-equivalence"], [window], window[-1], 100, {})[0]
+
+    report = oracle()
+    phi = totients(window[-1])
+    assert report.tuples_checked == sum(phi[b] for b in window) == 8636
+    assert report.violations_total == 0
+    monkeypatch.setattr(dedsum.dedekind, "NAIVE_SUM32_LIMIT", NAIVE_SUM32_LIMIT + 1)
+    with pytest.raises(ArithmeticError):
+        oracle()
 
 
 def test_lift_walk_limit_is_the_largest_exact_bound():
@@ -1059,7 +1083,7 @@ def test_wrong_kernel_entry_fails_every_scan_that_reads_it(monkeypatch):
     assert oracle.summary["value_mismatches"] == 19
     row = oracle.violations[0]
     assert (row["b"], row["a"]) == (2, 1)
-    # The row shows the kernel's value, S(1, 2) + 1 = 1, not the scalar's 0.
+    # The row shows the kernel's value, S(1, 2) + 1 = 1, not the naive 0.
     assert (row["fast_num"], row["fast_den"], row["naive_num"]) == (1, 1, 0)
     assert scan_bs_congruences(BMAX_PLANTED).summary["congruence_failures"] == 19
     assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
@@ -1073,26 +1097,6 @@ def test_asymmetric_kernel_defect_fails_reciprocity(monkeypatch):
     report = scan_reciprocity(BMAX_PLANTED, cap=10**6)
     assert report.summary["residual_nonzero"] > 0
     assert any(row["b"] >= 15 for row in report.violations)
-
-
-def test_wrong_fast_parts_alone_fails_oracle(monkeypatch):
-    # The kernel is right; the scalar evaluator is still checked on every
-    # pair, and its wrong value is the one the row shows.
-    real = dedsum.scans._bs_walk
-    calls = []
-
-    def wrong(a, b):
-        calls.append((a, b))
-        return real(a, b) + b * (a == 2)
-
-    monkeypatch.setattr(dedsum.scans, "_bs_walk", wrong)
-    report = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
-    assert len(calls) == len(set(calls)) == report.tuples_checked
-    # a = 2 is a residue of every odd b in 3..30.
-    assert report.summary["value_mismatches"] == 14
-    row = report.violations[0]
-    assert (row["b"], row["a"], row["fast_num"], row["fast_den"]) == (3, 2, 1, 3)
-    assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == 0
 
 
 def flip_sign(a: int, b: int) -> int:
@@ -1127,35 +1131,6 @@ def test_wrong_flip_sign_in_row_kernel_fails_oracle_and_reciprocity(monkeypatch)
             mirror = flip_sign(b % a, a) * a * dedekind_naive(b % a, a) if a > 1 else 0
             expected += a * bs + b * mirror != a * a + b * b + 1 - 3 * a * b
     assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == expected > 0
-
-
-def test_wrong_flip_sign_in_fast_parts_fails_oracle(monkeypatch):
-    # The scalar evaluator walks no nearest-integer remainders, but the
-    # oracle must still see the same sign defect in it: -b S(a, b) on
-    # every a > b/2.
-    real = dedsum.scans._bs_walk
-    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: flip_sign(a, b) * real(a, b))
-    oracle = scan_oracle_equivalence(BMAX_PLANTED)
-    assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
-
-
-def test_a_defect_in_the_scalar_t_walk_fails_the_oracle_alone(monkeypatch):
-    # The scalar evaluator reads T through dedekind's own binding of the
-    # walk: T + 1 makes S one too large on exactly the planted pairs. The
-    # scans that read the row kernel and the lift walks stay clean.
-    real = dedsum.contfrac._t_walk
-    planted = {
-        (a, b) for b in range(2, BMAX_PLANTED + 1) for a in residues_of(b) if (a * a + b) % 5 == 0
-    }
-    monkeypatch.setattr(dedsum.dedekind, "_t_walk", lambda a, b: real(a, b) + ((a, b) in planted))
-    report = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
-    assert report.violations_total == len(report.violations) == len(planted) > 0
-    for row in report.violations:
-        assert (row["a"], row["b"]) in planted
-        fast = Fraction(row["fast_num"], row["fast_den"])
-        assert fast == Fraction(row["naive_num"], row["naive_den"]) + 1, row
-    for scan in (scan_reciprocity, scan_bs_congruences, scan_bhk):
-        assert scan(BMAX_PLANTED).violations_total == 0, scan
 
 
 def test_shifted_mu_original_fails_mu_mod8(monkeypatch):
@@ -1195,19 +1170,14 @@ def kernel_delta(a, b):
 
 
 def test_oracle_rows_follow_a_plain_loop(monkeypatch):
-    # The row kernel is wrong at a == 2 (mod 3) and the scalar evaluator
-    # at a = b - 1; a pair wrong in both shows the kernel's value.
+    # The row kernel is wrong at a == 2 (mod 3), and each row shows its value.
     plant_in_row_kernel(monkeypatch, kernel_delta)
-    real = dedsum.scans._bs_walk
-    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: real(a, b) + b * (a == b - 1))
     expected = []
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
             naive = dedekind_naive(a, b)
-            kernel = Fraction(b_times_s(a, b) + kernel_delta(a, b), b)
-            scalar = dedekind_fast(a, b) + (a == b - 1)
-            if kernel != naive or scalar != naive:
-                fast = kernel if kernel != naive else scalar
+            fast = Fraction(b_times_s(a, b) + kernel_delta(a, b), b)
+            if fast != naive:
                 expected.append((b, a, fast.numerator, fast.denominator, naive.numerator, naive.denominator))
     assert min(row[2] for row in expected) < 0 and any(row[2] == 0 for row in expected)
     assert any(1 < row[3] < row[0] for row in expected)
@@ -1216,8 +1186,8 @@ def test_oracle_rows_follow_a_plain_loop(monkeypatch):
 
 def test_a_wrong_naive_row_fails_the_oracle_alone(monkeypatch):
     # The reference is wrong by 1 on every residue of b = 12 and right
-    # elsewhere. Both evaluators are right, so the row shows the kernel's
-    # value; the reciprocity scan reads no naive row.
+    # elsewhere. The row kernel is right, and the row shows its value;
+    # the reciprocity scan reads no naive row.
     real = dedsum.scans._naive_row_values
     monkeypatch.setattr(
         dedsum.scans, "_naive_row_values", lambda residues, b: real(residues, b) + (b == 12)
@@ -1231,31 +1201,24 @@ def test_a_wrong_naive_row_fails_the_oracle_alone(monkeypatch):
     assert scan_reciprocity(BMAX_PLANTED).violations_total == 0
 
 
-def plant_in_bs_walk(monkeypatch, wrong):
-    """Let the scalar evaluator return wrong(a, b, n) in place of its
-    value n = b S(a, b)."""
-    real = dedsum.dedekind._bs_walk
-    monkeypatch.setattr(dedsum.scans, "_bs_walk", lambda a, b: wrong(a, b, real(a, b)))
-
-
 def test_a_huge_scalar_value_is_a_mismatch_and_never_wraps(monkeypatch):
     # 8 S(1, 8) = 42. The scan compares b S as int64 and multiplies no
     # value, so values at the top of the int64 range are mismatches like
     # any other. Each row shows the value that came back, over b.
     planted = {(1, 8): 42 + 2**62, (2, 7): 2**63 - 1}
-    plant_in_bs_walk(monkeypatch, lambda a, b, n: planted.get((a, b), n))
+    real = dedsum.scans.bs_values
+
+    def huge(a, b):
+        values = real(a, b)
+        for (pa, pb), value in planted.items():
+            values[(a == pa) & (b == pb)] = value
+        return values
+
+    monkeypatch.setattr(dedsum.scans, "bs_values", huge)
     report = scan_oracle_equivalence(BMAX_PLANTED)
     assert report.summary == {"value_mismatches": 2}
     rows = [(row["a"], row["b"], row["fast_num"], row["fast_den"]) for row in report.violations]
     assert rows == [(2, 7, (2**63 - 1) // 7, 1), (1, 8, 21 + 2**61, 4)]
-
-
-def test_a_scalar_value_beyond_int64_raises(monkeypatch, capsys):
-    plant_in_bs_walk(monkeypatch, lambda a, b, n: 2**63 if (a, b) == (2, 7) else n)
-    with pytest.raises(OverflowError):
-        scan_oracle_equivalence(BMAX_PLANTED)
-    assert main(["check", "--suite", "identities", "--bmax", str(BMAX_PLANTED)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reciprocity_rows_follow_a_plain_loop(monkeypatch):
