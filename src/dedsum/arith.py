@@ -36,6 +36,13 @@ def require_coprime(a: int, b: int) -> None:
         raise ValueError(f"arguments must be coprime, gcd({a}, {b}) != 1")
 
 
+def _require_pair(a: int, b: int) -> None:
+    """Raise ValueError unless b >= 1 and gcd(a, b) == 1."""
+    if b < 1:
+        raise ValueError(f"lower argument must be positive, got {b}")
+    require_coprime(a, b)
+
+
 def mod_inverse(a: int, b: int) -> int:
     """Inverse of a modulo b, as the representative in 1..b-1.
 
@@ -137,12 +144,13 @@ def _power_pairs(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarr
 def _inverse_pairs(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """a^-1 mod b in 1..b-1 for int64 arrays of pairs, b >= 2, phi = phi(b).
 
-    a^(phi - 1) mod b by `_power_pairs`. Raises ValueError where
-    a a^-1 != 1 (mod b): a pair that is not coprime, or a wrong phi.
+    a^(phi - 1) mod b by `_power_pairs`. Raises ArithmeticError where
+    a a^-1 != 1 (mod b): a pair that is not coprime, a wrong phi, or a
+    product that wrapped.
     """
     out = _power_pairs(a, phi - 1, b)
     if (out * (a % b) % b != 1).any():
-        raise ValueError("the inverse kernel needs coprime pairs and their phi(b)")
+        raise ArithmeticError("the inverse kernel needs coprime pairs and their phi(b)")
     return out
 
 

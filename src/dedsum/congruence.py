@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dedsum.arith import _jacobi, _jacobi_pairs, require_coprime, sign_mod3
+from dedsum.arith import _jacobi, _jacobi_pairs, _require_pair, require_coprime, sign_mod3
 from dedsum.contfrac import _t_walk
 from dedsum.dedekind import b_times_s, dedekind_fast
 
@@ -46,9 +46,7 @@ def mu(a: int, b: int) -> int:
     For odd b this is 2 - 2(a|b) with (a|b) the Jacobi symbol. For even
     b it is 4 exactly when b == 0 (mod 4) and a == 3 (mod 4).
     """
-    if b < 1:
-        raise ValueError(f"lower argument must be positive, got {b}")
-    require_coprime(a, b)
+    _require_pair(a, b)
     return _mu(a, b)
 
 

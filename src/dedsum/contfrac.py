@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dedsum.arith import _walk_bound, require_coprime
+from dedsum.arith import _require_pair, _walk_bound
 
 
 def _raw_quotients(a: int, b: int) -> list[int]:
@@ -76,18 +76,14 @@ class CFExpansion:
 
 def cf_expand(a: int, b: int) -> CFExpansion:
     """Normalized continued fraction of a/b for b >= 1, gcd(a, b) == 1."""
-    if b < 1:
-        raise ValueError(f"denominator must be positive, got {b}")
-    require_coprime(a, b)
+    _require_pair(a, b)
     qs = _normalize_odd(_raw_quotients(a, b))
     return CFExpansion(head=qs[0], tail=tuple(qs[1:]))
 
 
 def t_value(a: int, b: int) -> int:
     """Alternating quotient sum T(a, b) = -q0 + q1 - q2 + ... + qn."""
-    if b < 1:
-        raise ValueError(f"denominator must be positive, got {b}")
-    require_coprime(a, b)
+    _require_pair(a, b)
     return _t_walk(a, b)
 
 

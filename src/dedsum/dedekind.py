@@ -6,7 +6,7 @@ The normalized sum here is S(a, b) = 12 s(a, b), where
 
 and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Three
 evaluators are provided, and they share no code: a definitional O(b)
-loop (`dedekind_naive`, and its row form `naive_bs_row`); an O(log b)
+loop (`dedekind_naive`, and its row form `_naive_row_values`); an O(log b)
 scalar, `_bs_walk` behind `dedekind_fast` and `b_times_s`, which reads
 the integer b S(a, b) from the Barkan-Hickerson-Knuth identity over the
 Euclid walk of T(a, b) in `contfrac`; and the reciprocity law solved
@@ -22,15 +22,14 @@ before, so a walk takes at most floor(log2 b) levels.
 """
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from dedsum.arith import _prime_powers, _walk_bound, require_coprime
+from dedsum.arith import _prime_powers, _require_pair, _walk_bound
 from dedsum.contfrac import _t_walk
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
-# row sums only its terms k < b/2 (see `naive_bs_row`). Each of those
+# row sums only its terms k < b/2 (see `_naive_row_values`). Each of those
 # h < b/2 terms (2k - b)(ak mod b) is below b^2 in size, so their sum is
 # below b^3 / 2, and no intermediate of the contraction that computes it
 # is larger than b^3 / 2 + b^2 (see NAIVE_SUM32_LIMIT). Twice that sum,
@@ -95,12 +94,6 @@ THEOREM1_ROW_LIMIT = 77_935
 LIFT_WALK_LIMIT = 2_147_483_646
 
 
-def _validate(a: int, b: int) -> None:
-    if b < 1:
-        raise ValueError(f"lower argument must be positive, got {b}")
-    require_coprime(a, b)
-
-
 def dedekind_naive(a: int, b: int) -> Fraction:
     """Normalized Dedekind sum S(a, b) by direct summation, O(b) time.
 
@@ -108,7 +101,7 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     sum_{k=1}^{b-1} (2k - b)(2 (ak mod b) - b), so the accumulator
     stays integral until the final division.
     """
-    _validate(a, b)
+    _require_pair(a, b)
     total = 0
     r = 0
     a %= b
@@ -132,22 +125,15 @@ def _bs_walk(a: int, b: int) -> int:
     return b * _t_walk(a, b) + a + pow(a, -1, b) - 3 * b
 
 
-def _fast_parts(a: int, b: int) -> tuple[int, int]:
-    """S(a, b) as a reduced pair (numerator, denominator), den > 0: `_bs_walk` over b."""
-    n = _bs_walk(a, b)
-    g = gcd(n, b)
-    return n // g, b // g
-
-
 def dedekind_fast(a: int, b: int) -> Fraction:
     """Normalized Dedekind sum S(a, b) from `_bs_walk`, O(log b) time."""
-    _validate(a, b)
+    _require_pair(a, b)
     return Fraction(_bs_walk(a, b), b)
 
 
 def b_times_s(a: int, b: int) -> int:
     """The integer b * S(a, b) from `_bs_walk`."""
-    _validate(a, b)
+    _require_pair(a, b)
     return _bs_walk(a, b)
 
 
@@ -265,26 +251,10 @@ NAIVE_SUM32_LIMIT = 3_723
 _NAIVE_BLOCK = 2**17
 
 
-def naive_bs_row(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """b * S(a, b) by direct summation for every a in 1..b-1 coprime to b.
-
-    Returns (residues, values) as int64 arrays: the bulk oracle, which
-    never touches the recursion. The equivalence scan runs its
-    `_naive_row_values` on the residues of its batches. Each row sums the
-    terms k < b/2 of the defining sum, which equal those of b - k, as one
-    contraction of blocks of floor(ak / b) (see NAIVE_SUM32_LIMIT). Raises
-    ValueError when b exceeds the exactness bound for int64.
-    """
-    if b < 2:
-        raise ValueError(f"lower argument must be at least 2, got {b}")
-    if b > NAIVE_ROW_LIMIT:
-        raise ValueError(f"b={b} exceeds the int64-exact limit {NAIVE_ROW_LIMIT}")
-    residues = coprime_residues(b)
-    return residues, _naive_row_values(residues, b)
-
-
 def _naive_row_values(residues: np.ndarray, b: int) -> np.ndarray:
-    """6H / b for each of the residues 0 < a < b, H the half sum above."""
+    """b S(a, b) = 6H / b, H the half sum above, for each of the residues
+    0 < a < b: the bulk oracle, which never touches the recursion. A whole
+    row is `coprime_residues(b)`. The caller keeps b <= NAIVE_ROW_LIMIT."""
     dtype = np.int32 if b <= NAIVE_INT32_LIMIT else np.int64
     h = (b - 1) // 2
     k = np.arange(1, h + 1, dtype=dtype)

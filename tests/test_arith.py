@@ -19,6 +19,9 @@ from dedsum.arith import (
     require_coprime,
     sign_mod3,
 )
+from dedsum.congruence import mu
+from dedsum.contfrac import cf_expand, t_value
+from dedsum.dedekind import b_times_s, dedekind_fast, dedekind_naive
 
 
 def prime_factors(n: int) -> list[int]:
@@ -51,6 +54,14 @@ def test_require_coprime():
     require_coprime(3, 8)
     with pytest.raises(ValueError):
         require_coprime(6, 9)
+
+
+@pytest.mark.parametrize("fn", [dedekind_naive, dedekind_fast, b_times_s, mu, t_value, cf_expand])
+def test_the_scalar_functions_share_one_pair_check(fn):
+    with pytest.raises(ValueError, match="^lower argument must be positive, got 0$"):
+        fn(1, 0)
+    with pytest.raises(ValueError, match=r"^arguments must be coprime, gcd\(6, 9\) != 1$"):
+        fn(6, 9)
 
 
 def test_exact_rational_is_exact():

@@ -51,6 +51,24 @@ def test_sum_both_fails_when_the_evaluators_disagree(monkeypatch, capsys):
     assert "evaluators disagree at a=6, b=25: -48/25 vs -23/25" in captured.err
 
 
+def test_compare_evaluators_returns_the_value_and_both_times(capsys):
+    assert main(["sum", "6", "25", "--method", "both"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("S = -48/25\n")
+    times = re.fullmatch(r"naive: (\d+\.\d{6}) s\nfast:  (\d+\.\d{6}) s\n", captured.err)
+    assert times and float(times[1]) > 0 and float(times[2]) > 0
+
+
+def test_compare_evaluators_refuses_a_disagreement(monkeypatch, capsys):
+    # The fast evaluator is off by one only at b = 25.
+    real = dedsum.cli.dedekind_fast
+    monkeypatch.setattr(dedsum.cli, "dedekind_fast", lambda a, b: real(a, b) + (b == 25))
+    assert main(["sum", "6", "19", "--method", "both"]) == 0
+    capsys.readouterr()
+    assert main(["sum", "6", "25", "--method", "both"]) == 3
+    assert "evaluators disagree at a=6, b=25: -48/25 vs -23/25" in capsys.readouterr().err
+
+
 def test_cf_output(capsys):
     assert main(["cf", "2", "5"]) == 0
     assert capsys.readouterr().out == "[0;2,1,1] T=2\n"
@@ -173,6 +191,19 @@ def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_an_inverse_that_fails_its_self_check_exits_3(monkeypatch, capsys):
+    # With phi(b) + 1 the power is a^phi(b) == 1, not a^-1: an arithmetic
+    # check inside the scan fails, which is no usage or validation error.
+    real = dedsum.scans._inverse_pairs
+    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b, phi: real(a, b, phi + 1))
+    assert main(["check", "--suite", "theorem2", "--bmax", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ArithmeticError: the inverse kernel needs coprime pairs and their phi(b)"
+    ]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -25,14 +25,12 @@ from dedsum.dedekind import (
     NAIVE_SUM32_LIMIT,
     _bs_pairs,
     _bs_walk,
-    _fast_parts,
     _naive_row_values,
     b_times_s,
     bs_values,
     coprime_residues,
     dedekind_fast,
     dedekind_naive,
-    naive_bs_row,
 )
 
 
@@ -128,14 +126,11 @@ def test_denominator_divides_b():
 
 
 def s_fast(a: int, b: int) -> Fraction:
-    """S(a, b) from the raw scalar kernel, whose pair must be reduced with
-    a positive denominator that divides b."""
-    num, den = _fast_parts(a, b)
-    assert den > 0 and gcd(num, den) == 1 and b % den == 0, (a, b, num, den)
-    return Fraction(num, den)
+    """S(a, b) from the raw scalar walk, which `dedekind_fast` reads."""
+    return Fraction(_bs_walk(a, b), b)
 
 
-def test_fast_parts_match_naive_to_300():
+def test_raw_walk_matches_naive_to_300():
     # The raw walk on the lifts a - b <= 0 and a + b >= b of each class too.
     for a, b in coprime_pairs(300):
         value = dedekind_naive(a, b)
@@ -148,7 +143,8 @@ def test_raw_walk_matches_the_naive_rows_to_500():
     # row kernel. This covers the 76,115 pairs of the oracle at b <= 500.
     pairs = 0
     for b in range(2, 501):
-        residues, values = naive_bs_row(b)
+        residues = coprime_residues(b)
+        values = _naive_row_values(residues, b)
         assert [_bs_walk(a, b) for a in residues.tolist()] == values.tolist(), b
         pairs += len(residues)
     assert pairs == 76115
@@ -163,7 +159,6 @@ def test_public_evaluators_read_the_raw_walk():
     for a, b in coprime_pairs(300):
         n = _bs_walk(a, b)
         assert b_times_s(a, b) == n and dedekind_fast(a, b) == Fraction(n, b), (a, b)
-        assert Fraction(*_fast_parts(a, b)) == Fraction(n, b), (a, b)
 
 
 # Consecutive Fibonacci numbers, the longest plain Euclid walk for their
@@ -229,7 +224,8 @@ def test_naive_bs_row_matches_scalar_naive():
     # The row sums only k < b/2: the half range is empty at b = 2, and
     # for even b the term k = b/2 drops out; the scalar sums every k.
     for b in [*range(2, 301), 360]:
-        residues, values = naive_bs_row(b)
+        residues = coprime_residues(b)
+        values = _naive_row_values(residues, b)
         expected_residues = [a for a in range(1, b) if gcd(a, b) == 1]
         assert residues.tolist() == expected_residues
         for a, value in zip(residues.tolist(), values.tolist()):
@@ -305,7 +301,8 @@ def test_a_wrapped_contraction_raises_on_every_residue(monkeypatch):
 def test_naive_row_split_over_blocks_matches_scalar_naive(b):
     # 521 is the least b whose row takes more than one block; each of
     # these rows ends on a partial block.
-    residues, values = naive_bs_row(b)
+    residues = coprime_residues(b)
+    values = _naive_row_values(residues, b)
     rows = dedsum.dedekind._NAIVE_BLOCK // ((b - 1) // 2)
     assert rows < len(residues) and len(residues) % rows
     # The first and last residue of every block, and a random sample.
@@ -316,24 +313,18 @@ def test_naive_row_split_over_blocks_matches_scalar_naive(b):
         assert Fraction(int(values[i]), b) == dedekind_naive(a, b), (a, b)
 
 
-def test_naive_bs_row_rejects_bad_input():
-    with pytest.raises(ValueError):
-        naive_bs_row(1)
-    with pytest.raises(ValueError):
-        naive_bs_row(NAIVE_ROW_LIMIT + 1)
-
-
 def full(b: int, residues: np.ndarray) -> np.ndarray:
     return np.full(len(residues), b, dtype=np.int64)
 
 
 def test_bs_values_match_naive_rows_below_400():
     # One call over all the rows, so it is solved in many slices.
-    rows = [naive_bs_row(b) for b in range(2, 400)]
-    a = np.concatenate([residues for residues, _ in rows])
-    b = np.concatenate([full(b, residues) for b, (residues, _) in enumerate(rows, 2)])
+    rows = [coprime_residues(b) for b in range(2, 400)]
+    a = np.concatenate(rows)
+    b = np.concatenate([full(b, residues) for b, residues in enumerate(rows, 2)])
+    naive = [_naive_row_values(residues, b) for b, residues in enumerate(rows, 2)]
     assert len(a) > 10 * dedsum.dedekind._ROW_BATCH
-    assert bs_values(a, b).tolist() == np.concatenate([values for _, values in rows]).tolist()
+    assert bs_values(a, b).tolist() == np.concatenate(naive).tolist()
 
 
 def test_bs_values_mirrored_term():
@@ -388,7 +379,7 @@ def test_fast_parts_on_pell_walks(pell_walks):
     # The longest walks of the row kernel; the scalar evaluator reads the
     # same values from the T walk.
     pairs, naive = pell_walks
-    assert [b * s_fast(a, b) for a, b in pairs] == naive
+    assert [b * dedekind_fast(a, b) for a, b in pairs] == naive
     assert [_bs_walk(a, b) for a, b in pairs] == naive
 
 

@@ -1,7 +1,6 @@
 """Every name a module of the package imports is used in that module,
-every private top-level name of the package is read in it, every
-package name that the README or a docstring or comment cites exists,
-and so do the private names that perfbench patches."""
+every private top-level name of the package is read in it, and every
+package name that the README or a docstring or comment cites exists."""
 
 import ast
 import importlib
@@ -13,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import dedsum
-import dedsum.dedekind
 import dedsum.scans
 
 PACKAGE = Path(__file__).parent.parent / "src" / "dedsum"
@@ -82,10 +80,8 @@ def test_the_check_sees_a_private_name_that_nothing_reads():
 
 
 def test_the_package_reads_every_private_name_it_binds():
-    # `_fast_parts` is kept for perfbench's probes, which call it by name
-    # (see test_the_scalar_kernel_perfbench_patches_exists).
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    assert unread_private_names(sources) == ["_fast_parts"]
+    assert unread_private_names(sources) == []
 
 
 def docs_and_comments(source: str) -> str:
@@ -132,7 +128,7 @@ def resolves(obj, path: list[str]) -> bool:
 def test_the_check_sees_a_name_that_is_gone():
     text = (
         "`_no_such_kernel`, `scans._Batch.flag`, `dedsum.scans._gone`, `dedekind`,"
-        " `scans._Batch.bt`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_fast_parts`,"
+        " `scans._Batch.bt`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_bs_walk`,"
         " `fractions.Fraction`, `cap`"
     )
     assert unresolved_names(text) == ["_no_such_kernel", "dedsum.scans._gone", "scans._Batch.flag"]
@@ -148,10 +144,3 @@ def test_the_readme_cites_only_names_that_exist():
 def test_docstrings_and_comments_cite_only_names_that_exist(path):
     assert unresolved_names(docs_and_comments(path.read_text(encoding="utf-8"))) == []
 
-
-def test_the_scalar_kernel_perfbench_patches_exists():
-    # perfbench's tracer, probes and tests patch or call `_fast_parts` and
-    # read its reduced pair (num, den), den > 0, which reduces the raw walk
-    # `_bs_walk`. A rename would break them, not these tests.
-    for (a, b), pair in {(5, 12): (-1, 6), (1, 1): (0, 1), (-4, 9): (16, 9)}.items():
-        assert dedsum.dedekind._fast_parts(a, b) == pair

@@ -1009,6 +1009,25 @@ def test_the_oracle_scans_a_window_across_the_int32_sum_switch(monkeypatch):
         oracle()
 
 
+def test_theorem1_scans_a_window_at_its_row_limit():
+    # The rows b = 77,920..77,935 end at THEOREM1_ROW_LIMIT, one row per
+    # piece, with the 9 | b rows kept: every pair of each row is decided.
+    # 9 divides 77,922 and 77,931, whose rows hold every mismatch (166,320
+    # and 98,800), each one mod 24 only.
+    window = range(THEOREM1_ROW_LIMIT - 15, THEOREM1_ROW_LIMIT + 1)
+    pieces = [range(b, b + 1) for b in window]
+    options = {"theorem1": {"include_9div": True}}
+    report = dedsum.scans._pass(["theorem1"], pieces, window[-1], 0, options)[0]
+    sizes = dedsum.scans._row_sizes(window[-1])[window[0] :].tolist()
+    assert report.tuples_checked == sum(p * (p - 1) // 2 for p in sizes) == 21_779_384_794
+    assert report.violations_total == 265_120
+    assert report.summary == {
+        "mod24_mismatches_9div": 265_120,
+        "mod24_mismatches_9ndiv": 0,
+        "mod8_mismatches": 0,
+    }
+
+
 def test_lift_walk_limit_is_the_largest_exact_bound():
     # The mod-8 check of theorem2 reaches 2b^2 + 5b + 2 in size.
     def largest(b):
