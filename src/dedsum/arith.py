@@ -2,9 +2,8 @@
 
 Every function here works on plain Python integers and returns exact
 results. Rational values elsewhere in the package are represented by
-``ExactRational``, an alias for :class:`fractions.Fraction`. `jacobi`
-checks its modulus and then runs `_jacobi`, the unchecked kernel that
-`congruence` builds on.
+``ExactRational``, an alias for :class:`fractions.Fraction`. `jacobi`,
+which `congruence` builds on, checks its modulus before it walks.
 
 `_inverse_pairs` and `_jacobi_pairs` are the array forms that the scans
 run on int64 arrays of pairs, and they return int64. The inverse is
@@ -59,21 +58,15 @@ def jacobi(a: int, b: int) -> int:
 
     Returns 1, -1, or 0 (the last only when gcd(a, b) > 1). Raises
     ValueError if b is even or not positive.
-    """
-    if b <= 0:
-        raise ValueError(f"Jacobi symbol needs a positive lower argument, got {b}")
-    if b % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs an odd lower argument, got {b}")
-    return _jacobi(a, b)
-
-
-def _jacobi(a: int, b: int) -> int:
-    """(a|b) without checks; b must be odd and positive.
 
     Binary form of the law of quadratic reciprocity: each run of factors
     2 is shifted out at once and flips the sign when the run is odd and
     b == 3, 5 (mod 8); the swap flips it when both are 3 (mod 4).
     """
+    if b <= 0:
+        raise ValueError(f"Jacobi symbol needs a positive lower argument, got {b}")
+    if b % 2 == 0:
+        raise ValueError(f"Jacobi symbol needs an odd lower argument, got {b}")
     a %= b
     result = 1
     while a:
@@ -183,7 +176,7 @@ def _legendre_segment(p: int, odd: int) -> np.ndarray:
 
 
 def _jacobi_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a|b) of `_jacobi` for int64 arrays of pairs; every b odd and
+    """(a|b) of `jacobi` for int64 arrays of pairs; every b odd and
     0 < b <= JACOBI_PAIRS_LIMIT, a of any sign.
 
     (a|b) is the product of the Legendre symbols (a|p)^e over the prime

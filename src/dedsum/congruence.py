@@ -14,20 +14,20 @@ difference of sums is divisible by 8 but, for suitable parameters,
 not by 24.
 
 The public predicates check their arguments (b large enough, a coprime
-to b) and then evaluate their formulas on the raw kernels `_mu`,
-`_jacobi` and `_t_walk`. Each prediction depends on a only through
-a mod b, apart from a linear -a term, so it is the same on every lift
-of a residue class. `_mu_pairs` (on top of `_jacobi_pairs`),
-`_bt_case_pairs` and `_mod8_offset_pairs` are the array forms of `_mu`
-and of the predictions of `bt_residue` and `bt_congruence_mod8`, and
-those predicates are the tests' reference for them. The lift scans
-compute them once per residue for whole batches, one mu for both.
-`_mu_swapped_pairs` is theorem1's mu(b, a), whose Jacobi modulus is the
-residue a: by quadratic reciprocity it reads (a|c) instead, c the odd
-part of b, so its moduli are a batch's few rows, not its residues; the
-tests compare it with the scalar `_mu`. `_mu_quadratic_pairs` is the
-array form of `mu_original`, for the mu-mod8 scan; it stays
-independent of `_mu_pairs`.
+to b) and then evaluate their formulas on `mu`, `arith.jacobi` and
+`contfrac.t_value`, which check theirs again. Each prediction depends
+on a only through a mod b, apart from a linear -a term, so it is the
+same on every lift of a residue class. `_mu_pairs` (on top of
+`_jacobi_pairs`), `_bt_case_pairs` and `_mod8_offset_pairs` are the
+array forms of `mu` and of the predictions of `bt_residue` and
+`bt_congruence_mod8`, and those predicates are the tests' reference for
+them. The lift scans compute them once per residue for whole batches,
+one mu for both. `_mu_swapped_pairs` is theorem1's mu(b, a), whose
+Jacobi modulus is the residue a: by quadratic reciprocity it reads (a|c)
+instead, c the odd part of b, so its moduli are a batch's few rows, not
+its residues; the tests compare it with the scalar `mu`.
+`_mu_quadratic_pairs` is the array form of `mu_original`, for the
+mu-mod8 scan; it stays independent of `_mu_pairs`.
 """
 
 from dataclasses import dataclass
@@ -35,8 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from dedsum.arith import _jacobi, _jacobi_pairs, _require_pair, require_coprime, sign_mod3
-from dedsum.contfrac import _t_walk
+from dedsum.arith import _jacobi_pairs, _require_pair, jacobi, require_coprime, sign_mod3
+from dedsum.contfrac import t_value
 from dedsum.dedekind import b_times_s, dedekind_fast
 
 
@@ -47,18 +47,13 @@ def mu(a: int, b: int) -> int:
     b it is 4 exactly when b == 0 (mod 4) and a == 3 (mod 4).
     """
     _require_pair(a, b)
-    return _mu(a, b)
-
-
-def _mu(a: int, b: int) -> int:
-    """mu(a, b) without checks; b >= 1 and gcd(a, b) = 1 are the caller's."""
     if b & 1:
-        return 2 - 2 * _jacobi(a, b)
+        return 2 - 2 * jacobi(a, b)
     return 4 if b & 3 == 0 and a & 3 == 3 else 0
 
 
 def _mu_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`_mu` elementwise over int64 arrays of coprime pairs, b >= 1."""
+    """`mu` elementwise over int64 arrays of coprime pairs, b >= 1."""
     m = np.where((b & 3 == 0) & (a & 3 == 3), 4, 0)
     odd = (b & 1) == 1
     m[odd] = 2 - 2 * _jacobi_pairs(a[odd], b[odd])
@@ -71,7 +66,7 @@ _ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA
 
 
 def _mu_swapped_pairs(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """mu(b, a) of `_mu` elementwise over int64 arrays of coprime pairs,
+    """mu(b, a) of `mu` elementwise over int64 arrays of coprime pairs,
     a >= 1 and b >= 1: the residue a is the modulus.
 
     With b = 2^v c, c odd, an odd a has (b|a) = (2|a)^v (c|a), where
@@ -179,8 +174,8 @@ def bt_congruence_mod8(a: int, b: int) -> bool:
     if b < 2:
         raise ValueError(f"lower argument must be at least 2, got {b}")
     require_coprime(a, b)
-    offset = b * b + 2 - _mu(a, b) - pow(a, -1, b)
-    return (b * _t_walk(a, b) - offset + a) % 8 == 0
+    offset = b * b + 2 - mu(a, b) - pow(a, -1, b)
+    return (b * t_value(a, b) - offset + a) % 8 == 0
 
 
 def _mod8_offset_pairs(b: np.ndarray, a_inv: np.ndarray, mus: np.ndarray) -> np.ndarray:
@@ -217,7 +212,7 @@ def bt_residue(a: int, b: int) -> BTResidue:
     require_coprime(a, b)
     div3 = b % 3 == 0
     if b & 1:
-        case, offset = 0, 9 + 18 * _jacobi(a, b)
+        case, offset = 0, 9 + 18 * jacobi(a, b)
     elif b & 3 == 2 or a & 3 == 3:
         case, offset = 1, 54 if div3 else 6
     else:
@@ -230,7 +225,7 @@ def bt_residue(a: int, b: int) -> BTResidue:
         case_tag=BT_CASES[2 * case + div3],
         modulus=modulus,
         predicted=(offset - a) % modulus,
-        actual=(b * _t_walk(a, b)) % modulus,
+        actual=(b * t_value(a, b)) % modulus,
     )
 
 

@@ -9,16 +9,14 @@ shape, which pins down the alternating sum
 
 so that the final quotient always enters with a plus sign.
 
-`_t_walk` is the raw kernel: one floor-division Euclid walk over plain
-ints that sums the quotients as it goes, builds no list and checks
-nothing. `t_value` is the public form; it checks b >= 1 and
-gcd(a, b) = 1, then runs the walk, and `dedekind._bs_walk` reads
-b S(a, b) from it. `_t_pairs` is the same walk on int64 arrays of pairs,
-which the lift scans run on whole batches of lifts: in int32 while the
-call's max |a| + max b is at most T_PAIRS_INT32_LIMIT (2^31), in int64
-above, with an int64 result either way. `cf_expand` builds
-the expansion itself by a separate path and serves as the reference for
-the walks.
+`t_value` checks b >= 1 and gcd(a, b) = 1 and then runs one
+floor-division Euclid walk over plain ints that sums the quotients as it
+goes and builds no list; `dedekind.b_times_s` reads b S(a, b) from it.
+`_t_pairs` is the same walk on int64 arrays of pairs, which the lift
+scans run on whole batches of lifts: in int32 while the call's
+max |a| + max b is at most T_PAIRS_INT32_LIMIT (2^31), in int64 above,
+with an int64 result either way. `cf_expand` builds the expansion itself
+by a separate path and serves as the reference for the walks.
 """
 
 from dataclasses import dataclass
@@ -82,19 +80,14 @@ def cf_expand(a: int, b: int) -> CFExpansion:
 
 
 def t_value(a: int, b: int) -> int:
-    """Alternating quotient sum T(a, b) = -q0 + q1 - q2 + ... + qn."""
-    _require_pair(a, b)
-    return _t_walk(a, b)
-
-
-def _t_walk(a: int, b: int) -> int:
-    """T(a, b) without checks; b >= 1 and gcd(a, b) = 1 are the caller's.
+    """Alternating quotient sum T(a, b) = -q0 + q1 - q2 + ... + qn.
 
     Quotients enter with alternating signs, -q0 first. A raw expansion
     with an odd number of quotients ends on an even index, and its last
     quotient is >= 2 (or it is [q0] alone); normalizing it to an odd last
     index, [..., qn] -> [..., qn - 1, 1], adds 2 to the sum.
     """
+    _require_pair(a, b)
     t = 0
     while True:
         t -= a // b
@@ -125,11 +118,11 @@ T_PAIRS_INT32_LIMIT = 2**31
 
 
 def _t_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """T(a, b) of `_t_walk` for int64 arrays of pairs, b >= 1, as int64.
+    """T(a, b) of `t_value` for int64 arrays of pairs, b >= 1, as int64.
 
     Every pair steps in lockstep: at step k the quotient enters with the
     sign (-1)^(k+1), the same for all pairs. a may be negative; the first
-    division floors, as in `_t_walk`. The walk runs in int32 while the
+    division floors, as in `t_value`. The walk runs in int32 while the
     call's max |a| + max b is at most T_PAIRS_INT32_LIMIT, else in int64.
     No pair leaves the arrays: a pair whose remainder has hit 0 holds
     (gcd, 0) and then (0, 0), divides by 1 in place of y = 0 and adds 0.

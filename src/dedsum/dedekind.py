@@ -7,9 +7,9 @@ The normalized sum here is S(a, b) = 12 s(a, b), where
 and ((x)) is the sawtooth x - floor(x) - 1/2, zero at integers. Three
 evaluators are provided, and they share no code: a definitional O(b)
 loop (`dedekind_naive`, and its row form `_naive_row_values`); an O(log b)
-scalar, `_bs_walk` behind `dedekind_fast` and `b_times_s`, which reads
-the integer b S(a, b) from the Barkan-Hickerson-Knuth identity over the
-Euclid walk of T(a, b) in `contfrac`; and the reciprocity law solved
+scalar, `b_times_s` behind `dedekind_fast`, which reads the integer
+b S(a, b) from the Barkan-Hickerson-Knuth identity over the Euclid walk
+of T(a, b) in `contfrac`; and the reciprocity law solved
 backward in int64 for whole arrays of pairs (`bs_values`). All return
 exact values and must agree everywhere. The oracle-equivalence scan
 checks the reciprocity kernel against the definitional rows on every
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from dedsum.arith import _prime_powers, _require_pair, _walk_bound
-from dedsum.contfrac import _t_walk
+from dedsum.contfrac import t_value
 
 # 3 * b**3 must stay below 2**63 for the vectorized row to be exact. The
 # row sums only its terms k < b/2 (see `_naive_row_values`). Each of those
@@ -113,28 +113,22 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     return Fraction(3 * total, b * b)
 
 
-def _bs_walk(a: int, b: int) -> int:
+def b_times_s(a: int, b: int) -> int:
     """The integer b S(a, b), for b >= 1 and a coprime to b, exact in Python ints.
 
     The Barkan-Hickerson-Knuth identity S(a, b) = T(a, b) + (a + a^-1)/b - 3,
     0 < a^-1 < b (Knuth, "Notes on generalized Dedekind sums", Acta Arith. 33,
-    1977), over the Euclid walk of `contfrac._t_walk`; b = 1 gives 0.
+    1977), over the Euclid walk of `contfrac.t_value`; b = 1 gives 0.
     """
+    _require_pair(a, b)
     if b == 1:
         return 0
-    return b * _t_walk(a, b) + a + pow(a, -1, b) - 3 * b
+    return b * t_value(a, b) + a + pow(a, -1, b) - 3 * b
 
 
 def dedekind_fast(a: int, b: int) -> Fraction:
-    """Normalized Dedekind sum S(a, b) from `_bs_walk`, O(log b) time."""
-    _require_pair(a, b)
-    return Fraction(_bs_walk(a, b), b)
-
-
-def b_times_s(a: int, b: int) -> int:
-    """The integer b * S(a, b) from `_bs_walk`."""
-    _require_pair(a, b)
-    return _bs_walk(a, b)
+    """Normalized Dedekind sum S(a, b) from `b_times_s`, O(log b) time."""
+    return Fraction(b_times_s(a, b), b)
 
 
 def coprime_residues(b: int) -> np.ndarray:
@@ -172,9 +166,9 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     r_{k+1} = 1 the next term r_{k+1} S(0, 1) is 0, so the step gives
     V_k = (r_k - 1)(r_k - 2) = r_k S(1, r_k) with the same formula.
     Exact for b <= NAIVE_ROW_LIMIT (see there); `bs_values` checks that
-    bound. Raises ValueError where a remainder falls below 1, which a
-    pair outside 0 < a < b or not coprime does at some level, and
-    ArithmeticError past the level bound or where a step does not divide.
+    bound. Raises ArithmeticError where a remainder falls below 1, which
+    a pair outside 0 < a < b or not coprime does at some level, past the
+    level bound, and where a step does not divide.
     """
     levels = []
     idx = np.arange(len(a))
@@ -185,7 +179,7 @@ def _bs_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         flip = d < y
         y = np.minimum(y, d)
         if y.min() < 1:
-            raise ValueError("the row kernel needs coprime pairs 0 < a < b")
+            raise ArithmeticError("the row kernel needs coprime pairs 0 < a < b")
         if len(levels) == depth:
             raise ArithmeticError(f"the row kernel walked past its bound of {depth} levels")
         levels.append((idx, x, y, flip))

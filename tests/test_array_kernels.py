@@ -24,16 +24,15 @@ from dedsum.arith import (
     JACOBI_PAIRS_LIMIT,
     POWER_INT32_LIMIT,
     _inverse_pairs,
-    _jacobi,
     _jacobi_pairs,
     _power_pairs,
+    jacobi,
 )
 from dedsum.congruence import (
     BT_CASES,
     MU_QUADRATIC_LIMIT,
     _bt_case_pairs,
     _mod8_offset_pairs,
-    _mu,
     _mu_pairs,
     _mu_quadratic_pairs,
     _mu_swapped_pairs,
@@ -41,7 +40,7 @@ from dedsum.congruence import (
     mu,
     mu_original,
 )
-from dedsum.contfrac import T_PAIRS_INT32_LIMIT, _raw_quotients, _t_pairs, _t_walk
+from dedsum.contfrac import T_PAIRS_INT32_LIMIT, _raw_quotients, _t_pairs, t_value
 from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT, bs_values, coprime_residues
 
 
@@ -65,12 +64,12 @@ def totient(n: int) -> int:
 def check_against_scalar(a: list[int], b: list[int]) -> None:
     """Every array kernel on coprime pairs with b >= 2."""
     xa, xb = as_arrays(a, b)
-    assert _t_pairs(xa, xb).tolist() == [_t_walk(x, y) for x, y in zip(a, b)]
+    assert _t_pairs(xa, xb).tolist() == [t_value(x, y) for x, y in zip(a, b)]
     inverses = [pow(x, -1, y) for x, y in zip(a, b)]
     xinv = _inverse_pairs(xa, xb, np.array([totient(y) for y in b], dtype=np.int64))
     assert xinv.tolist() == inverses
     mus = _mu_pairs(xa, xb)
-    assert mus.tolist() == [_mu(x, y) for x, y in zip(a, b)]
+    assert mus.tolist() == [mu(x, y) for x, y in zip(a, b)]
     case, modulus, offset = _bt_case_pairs(xa, xb, xinv, mus)
     tags = [BT_CASES[c] for c in case.tolist()]
     predicted = ((offset - xa) % modulus).tolist()
@@ -101,7 +100,7 @@ def test_array_kernels_equal_scalar_kernels_exhaustive():
 def test_walk_at_b_one():
     # T(a, 1) = -a + 2: one quotient, then the +2 of the normalization.
     a = list(range(-5, 6))
-    assert _t_pairs(*as_arrays(a, [1] * len(a))).tolist() == [_t_walk(x, 1) for x in a]
+    assert _t_pairs(*as_arrays(a, [1] * len(a))).tolist() == [t_value(x, 1) for x in a]
 
 
 def test_fibonacci_walks_reach_lames_bound(monkeypatch):
@@ -116,7 +115,7 @@ def test_fibonacci_walks_reach_lames_bound(monkeypatch):
         as_arrays([a + lift * b], [b]) for a, b in zip(fib, fib[1:]) for lift in (0, -1, 1)
     ]
     assert [_t_pairs(a, b).tolist() for a, b in singles] == [
-        [_t_walk(int(a[0]), int(b[0]))] for a, b in singles
+        [t_value(int(a[0]), int(b[0]))] for a, b in singles
     ]
     real = dedsum.arith._walk_bound
     monkeypatch.setattr(dedsum.contfrac, "_walk_bound", lambda b_max, c: real(b_max, c) - 1)
@@ -138,12 +137,12 @@ def test_t_pairs_at_the_int32_switch(monkeypatch):
     ]
     above = as_arrays([-limit, 5, -3], [1, 1, 1])
     for a, b in [*below, above]:
-        expected = [_t_walk(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        expected = [t_value(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert _t_pairs(a, b).tolist() == expected
     assert [int(abs(a).max() + b.max()) for a, b in [*below, above]] == [limit, limit, limit + 1]
     # One step too high, the int32 walk of -a at b = 1 wraps.
     monkeypatch.setattr(dedsum.contfrac, "T_PAIRS_INT32_LIMIT", limit + 1)
-    assert _t_pairs(*above).tolist()[0] != _t_walk(-limit, 1)
+    assert _t_pairs(*above).tolist()[0] != t_value(-limit, 1)
 
 
 @pytest.mark.parametrize("limit", [T_PAIRS_INT32_LIMIT, 0])
@@ -164,7 +163,7 @@ def test_t_pairs_finished_lanes_add_nothing(monkeypatch, limit):
     b = [1, 1, 1, 1, 1, 2, 4, 5, 7, 8, 9, g, g]
     counts = [len(_raw_quotients(x, y)) % 2 for x, y in zip(a, b) if y > 1]
     assert 0 in counts and 1 in counts
-    assert _t_pairs(*as_arrays(a, b)).tolist() == [_t_walk(x, y) for x, y in zip(a, b)]
+    assert _t_pairs(*as_arrays(a, b)).tolist() == [t_value(x, y) for x, y in zip(a, b)]
 
 
 def test_jacobi_pairs_equal_scalar_on_every_numerator():
@@ -186,7 +185,7 @@ def test_jacobi_pairs_equal_scalar_on_every_numerator():
         for x in (*range(-40, 41), p, 3 * p, p * p, q, 9 * q, 5 * 19, y - 1, y + 2, 2 * y - 1, -y - 3):
             a.append(x)
             b.append(y)
-    assert _jacobi_pairs(*as_arrays(a, b)).tolist() == [_jacobi(x, y) for x, y in zip(a, b)]
+    assert _jacobi_pairs(*as_arrays(a, b)).tolist() == [jacobi(x, y) for x, y in zip(a, b)]
 
 
 def test_jacobi_pairs_refuse_a_modulus_above_the_limit():
@@ -203,7 +202,7 @@ def test_mu_swapped_pairs_equal_scalar_mu_on_every_residue():
     residues = [coprime_residues(y) for y in rows]
     a = np.concatenate(residues)
     b = np.concatenate([np.full_like(row, y) for row, y in zip(residues, rows)])
-    expected = [_mu(y, x) for x, y in zip(a.tolist(), b.tolist())]
+    expected = [mu(y, x) for x, y in zip(a.tolist(), b.tolist())]
     assert _mu_swapped_pairs(b, a).tolist() == expected
 
 
@@ -323,7 +322,7 @@ def test_array_kernels_equal_scalar_kernels_up_to_the_limit(batch):
     # The bound behind LIFT_WALK_LIMIT: |T| <= b + 3 on these lifts, and
     # the mod-8 check of theorem2 stays within 2b^2 + 5b + 2.
     for x in a:
-        t = _t_walk(x, b)
+        t = t_value(x, b)
         assert abs(t) <= b + 3
         offset = b * b + 2 - mu(x, b) - pow(x, -1, b)
         assert abs(b * t - offset + x) <= 2 * b * b + 5 * b + 2

@@ -206,6 +206,21 @@ def test_an_inverse_that_fails_its_self_check_exits_3(monkeypatch, capsys):
     ]
 
 
+def test_a_non_unit_residue_in_the_row_kernel_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # Rows that hold every residue hand the row kernel pairs that are not
+    # coprime: an arithmetic check inside the scan fails, which is no
+    # usage or validation error, and no report is written.
+    monkeypatch.setattr(dedsum.scans, "coprime_residues", lambda b: np.arange(1, b))
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", "identities", "--bmax", "12", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ArithmeticError: the row kernel needs coprime pairs 0 < a < b"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_memory_that_runs_out_exits_3_and_writes_nothing(jobs, tmp_path, monkeypatch, capsys):
     # Every --jobs value sieves the row sizes of the whole range first,

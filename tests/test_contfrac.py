@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsum.arith import mod_inverse
-from dedsum.contfrac import _normalize_odd, _raw_quotients, _t_walk, cf_expand, t_value
+from dedsum.contfrac import _normalize_odd, _raw_quotients, cf_expand, t_value
 from dedsum.dedekind import b_times_s
 
 
@@ -101,14 +101,14 @@ def test_walk_equals_quotient_sum_exhaustive():
     for b in range(1, 200):
         for a in range(-3 * b + 1, 3 * b):
             if gcd(a, b) == 1:
-                assert _t_walk(a, b) == alternating_sum(a, b), (a, b)
+                assert t_value(a, b) == alternating_sum(a, b), (a, b)
 
 
 @settings(max_examples=300)
 @given(data=st.data(), b=st.integers(1, 10**12))
 def test_walk_equals_quotient_sum_random(data, b):
     a = data.draw(st.integers(-(10**13), 10**13).filter(lambda x: gcd(x, b) == 1))
-    assert _t_walk(a, b) == alternating_sum(a, b)
+    assert t_value(a, b) == alternating_sum(a, b)
 
 
 def test_rejects_bad_input():

@@ -24,7 +24,6 @@ from dedsum.dedekind import (
     NAIVE_ROW_LIMIT,
     NAIVE_SUM32_LIMIT,
     _bs_pairs,
-    _bs_walk,
     _naive_row_values,
     b_times_s,
     bs_values,
@@ -126,8 +125,8 @@ def test_denominator_divides_b():
 
 
 def s_fast(a: int, b: int) -> Fraction:
-    """S(a, b) from the raw scalar walk, which `dedekind_fast` reads."""
-    return Fraction(_bs_walk(a, b), b)
+    """S(a, b) from the scalar walk `b_times_s`, which `dedekind_fast` reads."""
+    return Fraction(b_times_s(a, b), b)
 
 
 def test_raw_walk_matches_naive_to_300():
@@ -135,7 +134,7 @@ def test_raw_walk_matches_naive_to_300():
     for a, b in coprime_pairs(300):
         value = dedekind_naive(a, b)
         assert s_fast(a, b) == value, (a, b)
-        assert [_bs_walk(a + j * b, b) for j in (-1, 0, 1)] == [b * value] * 3, (a, b)
+        assert [b_times_s(a + j * b, b) for j in (-1, 0, 1)] == [b * value] * 3, (a, b)
 
 
 def test_raw_walk_matches_the_naive_rows_to_500():
@@ -145,20 +144,19 @@ def test_raw_walk_matches_the_naive_rows_to_500():
     for b in range(2, 501):
         residues = coprime_residues(b)
         values = _naive_row_values(residues, b)
-        assert [_bs_walk(a, b) for a in residues.tolist()] == values.tolist(), b
+        assert [b_times_s(a, b) for a in residues.tolist()] == values.tolist(), b
         pairs += len(residues)
     assert pairs == 76115
 
 
 def test_raw_walk_is_zero_at_b_1():
     # The identity over T would give -1 at b = 1, where S(a, 1) = 0.
-    assert [_bs_walk(a, 1) for a in range(-3, 4)] == [0] * 7
+    assert [b_times_s(a, 1) for a in range(-3, 4)] == [0] * 7
 
 
 def test_public_evaluators_read_the_raw_walk():
     for a, b in coprime_pairs(300):
-        n = _bs_walk(a, b)
-        assert b_times_s(a, b) == n and dedekind_fast(a, b) == Fraction(n, b), (a, b)
+        assert dedekind_fast(a, b) == Fraction(b_times_s(a, b), b), (a, b)
 
 
 # Consecutive Fibonacci numbers, the longest plain Euclid walk for their
@@ -380,7 +378,7 @@ def test_fast_parts_on_pell_walks(pell_walks):
     # same values from the T walk.
     pairs, naive = pell_walks
     assert [b * dedekind_fast(a, b) for a, b in pairs] == naive
-    assert [_bs_walk(a, b) for a, b in pairs] == naive
+    assert [b_times_s(a, b) for a, b in pairs] == naive
 
 
 def test_pell_walks_reach_the_level_bound_of_the_row_kernel(pell_walks, monkeypatch):
@@ -411,5 +409,5 @@ def test_row_kernel_rejects_bad_input():
         bs_values(np.array([1], dtype=np.int64), np.array([NAIVE_ROW_LIMIT + 1], dtype=np.int64))
     # Outside 0 < a < b the first remainder, a or b - a, is below 1.
     for a, b in [(2, 4), (6, 6), (0, 5), (-1, 5), (7, 5)]:
-        with pytest.raises(ValueError, match="coprime"):
+        with pytest.raises(ArithmeticError, match="coprime"):
             _bs_pairs(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))

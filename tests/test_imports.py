@@ -128,7 +128,7 @@ def resolves(obj, path: list[str]) -> bool:
 def test_the_check_sees_a_name_that_is_gone():
     text = (
         "`_no_such_kernel`, `scans._Batch.flag`, `dedsum.scans._gone`, `dedekind`,"
-        " `scans._Batch.bt`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_bs_walk`,"
+        " `scans._Batch.bt`, `dedsum.report.parse_csv`, `_Batch.a_inv`, `_bs_pairs`,"
         " `fractions.Fraction`, `cap`"
     )
     assert unresolved_names(text) == ["_no_such_kernel", "dedsum.scans._gone", "scans._Batch.flag"]

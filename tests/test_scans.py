@@ -6,9 +6,11 @@ must be identical for any worker count. Planted defects in the raw
 kernels show that each scan can fail, and under which counter.
 """
 
+import pkgutil
 import time
 from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
 from pathlib import Path
 
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dedsum.arith
 import dedsum.congruence
 import dedsum.contfrac
 import dedsum.dedekind
 import dedsum.scans
-from dedsum.arith import mod_inverse
+from dedsum.arith import POWER_INT32_LIMIT, mod_inverse
 from dedsum.congruence import (
     MU_QUADRATIC_LIMIT,
     _mu_pairs,
@@ -30,7 +33,7 @@ from dedsum.congruence import (
     mu,
     mu_condition,
 )
-from dedsum.contfrac import _t_walk, t_value
+from dedsum.contfrac import t_value
 from dedsum.dedekind import (
     LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
@@ -758,23 +761,42 @@ def test_perturbed_inverse_fails_bhk(monkeypatch):
     }
 
 
+# The public scalar functions of the package, each a formula on plain ints.
+SCALAR_FUNCTIONS = (
+    "b_times_s",
+    "bt_congruence_mod8",
+    "bt_residue",
+    "cf_expand",
+    "dedekind_fast",
+    "dedekind_naive",
+    "difference_verdict",
+    "family_example",
+    "jacobi",
+    "mod_inverse",
+    "mu",
+    "mu_condition",
+    "mu_original",
+    "sign_mod3",
+    "t_value",
+)
+
+
 def test_scans_make_no_scalar_kernel_calls(monkeypatch):
-    # Clean scans build no violation row, so no scalar kernel may run, and
-    # the oracle reads the row kernel, not the scalar b S walk.
+    # Clean scans build no violation row, so no scalar function may run,
+    # and the oracle reads the row kernel, not the scalar b S walk. Each
+    # is replaced in every module that binds it, so a call through any
+    # name fails.
     def scalar(*args):
         raise AssertionError("a scalar kernel ran")
 
-    for module, name in [
-        (dedsum.congruence, "bt_residue"),
-        (dedsum.congruence, "bt_congruence_mod8"),
-        (dedsum.congruence, "_mu"),
-        (dedsum.congruence, "_jacobi"),
-        (dedsum.congruence, "_t_walk"),
-        (dedsum.contfrac, "_t_walk"),
-        (dedsum.dedekind, "_bs_walk"),
-        (dedsum.dedekind, "_t_walk"),
-    ]:
-        monkeypatch.setattr(module, name, scalar)
+    modules = [dedsum, *(import_module(f"dedsum.{m.name}") for m in pkgutil.iter_modules(dedsum.__path__))]
+    patched = set()
+    for module in modules:
+        for name in SCALAR_FUNCTIONS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scalar)
+                patched.add(name)
+    assert patched == set(SCALAR_FUNCTIONS)
     summary = lift_scans()
     assert all(not any(counts.values()) for counts in summary.values()), summary
     for report in run_suite("all", BMAX_PLANTED):
@@ -920,16 +942,14 @@ def test_theorem2_walks_the_jacobi_symbols_once_per_batch(batch, monkeypatch):
 
 
 def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
-    # The same defect in the array walk and in the scalar walk behind the
-    # public predicates: the scan must report exactly the rows of a loop
-    # over residues and lifts, residue row before mod-8 row.
+    # The same defect in the array walk and in the scalar walk that the
+    # public predicates read: the scan must report exactly the rows of a
+    # loop over residues and lifts, residue row before mod-8 row.
     def delta(a, b):
         return (a > b) + 2 * (a < 0)
 
     plant_in_lift_walk(monkeypatch, delta)
-    real = dedsum.contfrac._t_walk
-    monkeypatch.setattr(dedsum.congruence, "_t_walk", lambda a, b: real(a, b) + delta(a, b))
-    monkeypatch.setattr(dedsum.contfrac, "_t_walk", lambda a, b: real(a, b) + delta(a, b))
+    monkeypatch.setattr(dedsum.congruence, "t_value", lambda a, b: t_value(a, b) + delta(a, b))
     expected = []
     for b in range(2, 41):
         for base in range(1, b):
@@ -950,7 +970,7 @@ def test_theorem2_rows_follow_a_plain_loop_over_the_public_checks(monkeypatch):
                     )
                 if not bt_congruence_mod8(a, b):
                     predicted = (b * b + 2 - mu(a, b) - mod_inverse(a, b) - a) % 8
-                    actual = b * t_value(a, b) % 8
+                    actual = b * dedsum.congruence.t_value(a, b) % 8
                     expected.append(
                         {**row, "check": "mod8", "modulus": 8, "predicted": predicted, "actual": actual}
                     )
@@ -987,7 +1007,7 @@ def test_a_batch_walks_the_lifts_at_the_limit(monkeypatch):
     # 1 and b - 1 are units of every b; 2 is none of this even b.
     one_residue_rows(monkeypatch, 1, b - 1)
     batch = dedsum.scans._Batch([b])
-    assert batch.bt.tolist() == [[b * _t_walk(x, b) for x in (a, a - b, a + b)] for a in (1, b - 1)]
+    assert batch.bt.tolist() == [[b * t_value(x, b) for x in (a, a - b, a + b)] for a in (1, b - 1)]
 
 
 def test_the_oracle_scans_a_window_across_the_int32_sum_switch(monkeypatch):
@@ -1007,6 +1027,26 @@ def test_the_oracle_scans_a_window_across_the_int32_sum_switch(monkeypatch):
     monkeypatch.setattr(dedsum.dedekind, "NAIVE_SUM32_LIMIT", NAIVE_SUM32_LIMIT + 1)
     with pytest.raises(ArithmeticError):
         oracle()
+
+
+def test_the_lift_scans_scan_a_window_across_the_int32_power_switch(monkeypatch):
+    # The rows b = 46,338..46,341 end at POWER_INT32_LIMIT, where the
+    # inverses still multiply in int32; the row b = 46,342, a piece of its
+    # own, multiplies in int64. With the limit one too high, that row
+    # multiplies in int32 too, wraps, and the inverse's self-check raises.
+    b_max = POWER_INT32_LIMIT + 1
+    pieces = [range(b_max - 4, b_max), range(b_max, b_max + 1)]
+
+    def lifts():
+        return dedsum.scans._pass(["theorem2", "bhk", "bt-mod8"], pieces, b_max, 0, {})
+
+    phi = totients(b_max)
+    for report in lifts():
+        assert report.tuples_checked == 3 * sum(phi[b_max - 4 :]) == 380_796, report.kind
+        assert report.violations_total == 0, report.kind
+    monkeypatch.setattr(dedsum.arith, "POWER_INT32_LIMIT", b_max)
+    with pytest.raises(ArithmeticError, match="inverse"):
+        lifts()
 
 
 def test_theorem1_scans_a_window_at_its_row_limit():
