@@ -9,7 +9,7 @@ which `congruence` builds on, checks its modulus before it walks.
 run on int64 arrays of pairs, and they return int64. The inverse is
 a^(phi(b) - 1) mod b by Euler's theorem, through the square and
 multiply of `_power_pairs`, with every product below b^2 < 2^62 up to
-`dedekind.LIFT_WALK_LIMIT`. The power multiplies in int32 while every
+`scans.LIFT_WALK_LIMIT`. The power multiplies in int32 while every
 modulus of the call is at most POWER_INT32_LIMIT (46,341), where each
 product of two residues stays below 2^31, and in int64 above; the
 inverse checks a a^-1 == 1 (mod b) in int64 on every pair. The Jacobi

@@ -9,9 +9,9 @@ Subcommands:
   examples  generate the two-parameter family of sum differences
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
-2 usage or validation error, 3 runtime failure (an I/O error, an
-arithmetic check that failed, a broken worker pool, or memory that ran
-out), 130 interrupted.
+2 usage or validation error, 3 any other failure (an I/O error, an
+arithmetic check that failed, a broken worker pool, memory that ran
+out, or a fault of the program itself), 130 interrupted.
 Validation covers the --out directory and the scan bounds, and is done
 before any scan starts.
 """
@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 
 from dedsum.arith import jacobi
 from dedsum.congruence import family_example, mu
@@ -241,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ArithmeticError, BrokenExecutor, MemoryError) as exc:
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

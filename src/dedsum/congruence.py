@@ -99,16 +99,9 @@ def mu_original(a: int, b: int) -> int:
     return (a - 1) * (a + b - 1)
 
 
-# The mu-mod8 scan evaluates the quadratic form (a - 1)(a + b - 1) in
-# int64 for the a in 1..4b coprime to an even b. Then 0 <= a - 1 < 4b and
-# 0 < a + b - 1 < 5b, so the product stays below 20b^2, which is below
-# 2^63 up to b = 679,093,956.
-MU_QUADRATIC_LIMIT = 679_093_956
-
-
 def _mu_quadratic_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`mu_original`'s (a - 1)(a + b - 1) elementwise over int64 arrays,
-    unchecked; exact for 0 < a < 4b and b <= MU_QUADRATIC_LIMIT."""
+    unchecked; exact for 0 < a < 4b and b <= scans.MU_QUADRATIC_LIMIT."""
     return (a - 1) * (a + b - 1)
 
 

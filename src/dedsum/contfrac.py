@@ -129,7 +129,7 @@ def _t_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each step flips the parity of the quotient count of the pairs still
     walking, and an odd count gets its +2 once, at the end. The loop ends
     when every remainder is 0. The callers keep |T| inside int64 (see
-    dedekind.LIFT_WALK_LIMIT).
+    scans.LIFT_WALK_LIMIT).
     """
     # Lamé (Knuth, TAOCP vol. 2, 4.5.3): Euclid's walk on u > v > 0 in n steps
     # has u >= F_{n+2}, F = 1, 1, 2, 3, .... The first step floors a over b, a

@@ -59,40 +59,6 @@ NAIVE_ROW_LIMIT = 1_400_000
 # pairs are no faster and double that memory.
 _ROW_BATCH = 4096
 
-# The theorem1 scan evaluates the pairing condition
-#     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
-# in int64 on its candidate pairs of residues 0 < a1, a2 < b, with m1, m2
-# in {0, 4}. The first term is below 4b^2 in absolute value. In the
-# second, with d = |a1 - a2|, a1 a2 <= (b - 1)(b - 1 - d) gives
-# a1 a2 + b - 1 <= (b - 1)(b - d), so |second| <= d(b - d)(b - 1)^2
-# <= b^2 (b - 1)^2 / 4, and its partial product d(b - 1) is below b^2.
-# The whole is exact while b^4 / 4 + 4b^2 < 2^63, that is up to
-# b = 77,935. Reducing the factors mod 8b first would raise the bound;
-# the scan does not, so it refuses larger b. The differences
-# of b S(a, b) of the same pairs stay below 2b^2, and so do the keys
-# b^2 + (a + a^-1) mod b and b^2 + b S mod b that select the candidates.
-THEOREM1_ROW_LIMIT = 77_935
-
-# The lift scans theorem2 and bt-mod8 walk T(a, b) for the lifts a, a - b,
-# a + b of each residue 0 < a < b, so -b < a < 2b. The first quotient
-# floor(a/b) is -1, 0 or 1 and the rest are those of a mod b over b, whose
-# sum is at most b; with the +2 of an odd quotient count, every partial sum
-# of the walk and T itself stay within b + 3 in size. The walk runs in
-# int32 while max |a| + max b = 3b - 1 is at most
-# contfrac.T_PAIRS_INT32_LIMIT (2^31), that is up to b = 715,827,883, and
-# in int64 above; T comes back as int64 either way. So |b T| <= b^2 + 3b,
-# the mod-8 offset b^2 + 2 - mu - a_inv lies in [b^2 - b - 3, b^2 + 2],
-# and the mod-8 check b T - offset + a stays within 2b^2 + 5b + 2. That is
-# below 2^63 up to b = 2^31 - 2. The power a^(phi(b) - 1) mod b that gives
-# a^-1 multiplies factors reduced mod b: each product is below
-# b^2 <= (2^31 - 2)^2 < 2^62, and below 2^31 in its int32 rounds, up to
-# b = arith.POWER_INT32_LIMIT (46,341); the inverse is int64 either way.
-# The Jacobi symbol in mu reads, for each prime p | b up to 4096, a table
-# of p entries, each 0 or +-1, at a mod p; for a larger p, the Euler power
-# a^((p - 1)/2) mod p, each product below p^2 <= b^2 < 2^62
-# (arith.JACOBI_PAIRS_LIMIT, 2^31 - 1, is above this limit).
-LIFT_WALK_LIMIT = 2_147_483_646
-
 
 def dedekind_naive(a: int, b: int) -> Fraction:
     """Normalized Dedekind sum S(a, b) by direct summation, O(b) time.

@@ -250,9 +250,9 @@ def render_json(reports: list[Report]) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    """A row value as CSV writes it: a string as it is, an int or a bool
+    as JSON writes it, and TypeError for any other value, as in JSON."""
+    return value if type(value) is str else _cell_json(value)
 
 
 # How CSV writes the fields that it does not write as JSON.

@@ -39,7 +39,6 @@ import numpy as np
 from dedsum.arith import _inverse_pairs
 from dedsum.congruence import (
     BT_CASES,
-    MU_QUADRATIC_LIMIT,
     _bt_case_pairs,
     _mod8_offset_pairs,
     _mu_pairs,
@@ -47,14 +46,7 @@ from dedsum.congruence import (
     _mu_swapped_pairs,
 )
 from dedsum.contfrac import _t_pairs
-from dedsum.dedekind import (
-    LIFT_WALK_LIMIT,
-    NAIVE_ROW_LIMIT,
-    THEOREM1_ROW_LIMIT,
-    _naive_row_values,
-    bs_values,
-    coprime_residues,
-)
+from dedsum.dedekind import NAIVE_ROW_LIMIT, _naive_row_values, bs_values, coprime_residues
 from dedsum.report import COLUMNS, ScanReport
 
 SUITES = ("theorem1", "theorem2", "identities", "all")
@@ -63,6 +55,27 @@ SUITES = ("theorem1", "theorem2", "identities", "all")
 # many. One numpy call per short row costs more in call overhead than in
 # arithmetic; larger batches raise the peak memory.
 _BATCH = 2048
+
+
+# The lift scans theorem2 and bt-mod8 walk T(a, b) for the lifts a, a - b,
+# a + b of each residue 0 < a < b, so -b < a < 2b. The first quotient
+# floor(a/b) is -1, 0 or 1 and the rest are those of a mod b over b, whose
+# sum is at most b; with the +2 of an odd quotient count, every partial sum
+# of the walk and T itself stay within b + 3 in size. The walk runs in
+# int32 while max |a| + max b = 3b - 1 is at most
+# contfrac.T_PAIRS_INT32_LIMIT (2^31), that is up to b = 715,827,883, and
+# in int64 above; T comes back as int64 either way. So |b T| <= b^2 + 3b,
+# the mod-8 offset b^2 + 2 - mu - a_inv lies in [b^2 - b - 3, b^2 + 2],
+# and the mod-8 check b T - offset + a stays within 2b^2 + 5b + 2. That is
+# below 2^63 up to b = 2^31 - 2. The power a^(phi(b) - 1) mod b that gives
+# a^-1 multiplies factors reduced mod b: each product is below
+# b^2 <= (2^31 - 2)^2 < 2^62, and below 2^31 in its int32 rounds, up to
+# b = arith.POWER_INT32_LIMIT (46,341); the inverse is int64 either way.
+# The Jacobi symbol in mu reads, for each prime p | b up to 4096, a table
+# of p entries, each 0 or +-1, at a mod p; for a larger p, the Euler power
+# a^((p - 1)/2) mod p, each product below p^2 <= b^2 < 2^62
+# (arith.JACOBI_PAIRS_LIMIT, 2^31 - 1, is above this limit).
+LIFT_WALK_LIMIT = 2_147_483_646
 
 
 class _Batch:
@@ -133,6 +146,21 @@ def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num // g, den // g
 
 
+# The theorem1 scan evaluates the pairing condition
+#     b (a2 m1 - a1 m2) - (a1 - a2)(b - 1)(a1 a2 + b - 1)
+# in int64 on its candidate pairs of residues 0 < a1, a2 < b, with m1, m2
+# in {0, 4}. The first term is below 4b^2 in absolute value. In the
+# second, with d = |a1 - a2|, a1 a2 <= (b - 1)(b - 1 - d) gives
+# a1 a2 + b - 1 <= (b - 1)(b - d), so |second| <= d(b - d)(b - 1)^2
+# <= b^2 (b - 1)^2 / 4, and its partial product d(b - 1) is below b^2.
+# The whole is exact while b^4 / 4 + 4b^2 < 2^63, that is up to
+# b = 77,935. Reducing the factors mod 8b first would raise the bound;
+# the scan does not, so it refuses larger b. The differences
+# of b S(a, b) of the same pairs stay below 2b^2, and so do the keys
+# b^2 + (a + a^-1) mod b and b^2 + b S mod b that select the candidates.
+THEOREM1_ROW_LIMIT = 77_935
+
+
 def _pair_condition(b, a1, m1, a2, m2):
     """The mod-8b pairing condition of `mu_condition`, elementwise.
 
@@ -186,7 +214,7 @@ def _theorem1_rows(batch: _Batch, include_9div: bool = False):
         keys = keys[:1]
     codes = np.sort(np.concatenate([_same_key_pairs(key) for key in keys]))
     i, j = np.divmod(codes[np.diff(codes, prepend=-1) != 0], len(a))
-    kept = (b[i] >= 3) & (include_9div | (b[i] % 9 != 0))
+    kept = include_9div | (b[i] % 9 != 0)
     i, j, pb = i[kept], j[kept], b[i[kept]]
     mus = _mu_swapped_pairs(b, a)
     cond = _pair_condition(pb, a[i], mus[i], a[j], mus[j])
@@ -307,6 +335,13 @@ def _bs_congruence_rows(batch: _Batch):
     return len(a), tuple(column[bad] for column in columns), None
 
 
+# The mu-mod8 scan evaluates the quadratic form (a - 1)(a + b - 1) in
+# int64 for the a in 1..4b coprime to an even b. Then 0 <= a - 1 < 4b and
+# 0 < a + b - 1 < 5b, so the product stays below 20b^2, which is below
+# 2^63 up to b = 679,093,956.
+MU_QUADRATIC_LIMIT = 679_093_956
+
+
 def _mu_mod8_rows(batch: _Batch):
     """mu(a,b) == (a-1)(a+b-1) (mod 8) for even b, a over a full period.
 
@@ -328,7 +363,7 @@ _ROW_KERNEL = (NAIVE_ROW_LIMIT, "the row kernel that {kind} reads")
 _LIFT_WALKS = (LIFT_WALK_LIMIT, "the lift walks of {kind}")
 
 # kind -> (check(batch, ...), summary counters, (largest b_max of
-# its int64 fast path, what that limit bounds) or None).
+# its int64 fast path, what that limit bounds)).
 _CHECKS = {
     "theorem1": (
         _theorem1_rows,
@@ -358,13 +393,14 @@ def _add(report: ScanReport, tuples_checked: int, columns: tuple, masks: dict | 
     values.
 
     The violations come as equal-length columns, arrays or lists, one per
-    name of COLUMNS[kind], in row order. With masks None every violation
+    name of COLUMNS[kind], in row order, else RuntimeError: the check is
+    at fault, not the caller's input. With masks None every violation
     moves every counter of the kind; else masks maps each counter to a
     mask of the violations that it counts.
     """
     names = [name for name, _ in COLUMNS[report.kind]]
     if len(columns) != len(names) or len({len(c) for c in columns}) != 1:
-        raise ValueError(f"columns of lengths {[len(c) for c in columns]} for {names}")
+        raise RuntimeError(f"columns of lengths {[len(c) for c in columns]} for {names}")
     report.tuples_checked += tuples_checked
     count = len(columns[0])
     if not count:
@@ -523,9 +559,9 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     for kind in kinds:
-        limit = _CHECKS[kind][2]
-        if limit and b_max > limit[0]:
-            bound, what = limit[0], limit[1].format(kind=kind)
+        bound, what = _CHECKS[kind][2]
+        if b_max > bound:
+            what = what.format(kind=kind)
             raise ValueError(f"b_max={b_max} exceeds {bound}, the int64-exact limit of {what}")
     # The keyword arguments of each kind's check, also in its parameters.
     options = {"theorem1": {"include_9div": include_9div}}

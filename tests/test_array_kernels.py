@@ -3,7 +3,7 @@ scalar kernels and the public predicates.
 
 Each array form must equal its scalar counterpart pair by pair:
 exhaustively for every b < 200 and every lift a in (-3b, 3b), and by
-Hypothesis for lifts in (-b, 2b) up to dedekind.LIFT_WALK_LIMIT, the
+Hypothesis for lifts in (-b, 2b) up to scans.LIFT_WALK_LIMIT, the
 bound that the lift scans refuse to pass. The inverse kernel takes
 phi(b) from `totient` here, a trial division of its own, and is also
 compared with pow(a, -1, b) on every residue of every b <= 2000.
@@ -30,7 +30,6 @@ from dedsum.arith import (
 )
 from dedsum.congruence import (
     BT_CASES,
-    MU_QUADRATIC_LIMIT,
     _bt_case_pairs,
     _mod8_offset_pairs,
     _mu_pairs,
@@ -41,7 +40,8 @@ from dedsum.congruence import (
     mu_original,
 )
 from dedsum.contfrac import T_PAIRS_INT32_LIMIT, _raw_quotients, _t_pairs, t_value
-from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT, bs_values, coprime_residues
+from dedsum.dedekind import bs_values, coprime_residues
+from dedsum.scans import LIFT_WALK_LIMIT, MU_QUADRATIC_LIMIT, THEOREM1_ROW_LIMIT
 
 
 def as_arrays(a: list[int], b: list[int]):

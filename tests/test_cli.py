@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import dedsum.cli
+import dedsum.congruence
 import dedsum.scans
 from dedsum.cli import main
-from dedsum.dedekind import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT
 from dedsum.report import parse_csv, parse_json
+from dedsum.scans import LIFT_WALK_LIMIT, THEOREM1_ROW_LIMIT
 
 
 def test_sum_output(capsys):
@@ -84,11 +85,25 @@ def test_jacobi_output(capsys):
     assert capsys.readouterr().out == "-1\n"
 
 
+def test_a_family_identity_that_fails_exits_3(monkeypatch, capsys):
+    # b S(1, 9) off by one: the closed form of the family no longer holds.
+    real = dedsum.congruence.b_times_s
+    monkeypatch.setattr(dedsum.congruence, "b_times_s", lambda a, b: real(a, b) + (a == 1))
+    assert main(["examples", "--cmax", "1", "--dmax", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ArithmeticError: family identity failed for c=1, d=3: b(S(1,b)-S(a,b))=73, expected 72"
+    ]
+
+
 def test_validation_errors_exit_2(capsys):
     assert main(["sum", "2", "4"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["jacobi", "1", "6"]) == 2
     assert main(["examples", "--cmax", "2"]) == 2
+    assert main(["examples", "--dmax", "4"]) == 2
+    assert main(["examples", "--dmax", "1"]) == 2
     assert main(["check", "--bmax", "0"]) == 2
 
 
@@ -140,6 +155,7 @@ def test_check_writes_report_file(tmp_path, capsys):
         ["--suite", "theorem1", "--bmax", str(THEOREM1_ROW_LIMIT + 1), "--out", "{tmp}/r.json"],
         ["--suite", "all", "--bmax", str(THEOREM1_ROW_LIMIT + 1)],
         ["--suite", "theorem2", "--bmax", str(LIFT_WALK_LIMIT + 1), "--out", "{tmp}/r.json"],
+        ["--out", "{tmp}"],
     ],
 )
 def test_check_refuses_bad_input_before_scanning(argv, tmp_path, capsys, no_scan_may_start):
@@ -167,10 +183,10 @@ def test_failed_report_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, 
     assert os.listdir(tmp_path) == ["report.json"]
 
 
-def test_theorem2_is_not_held_to_the_theorem1_bound(no_scan_may_start):
+def test_theorem2_is_not_held_to_the_theorem1_bound(no_scan_may_start, capsys):
     # Validation passes, so the scan starts and the fixture stops it.
-    with pytest.raises(AssertionError, match="a scan started"):
-        main(["check", "--suite", "theorem2", "--bmax", str(THEOREM1_ROW_LIMIT + 1)])
+    assert main(["check", "--suite", "theorem2", "--bmax", str(THEOREM1_ROW_LIMIT + 1)]) == 3
+    assert capsys.readouterr().err == "error: AssertionError: a scan started\n"
 
 
 @pytest.mark.parametrize(
@@ -180,6 +196,7 @@ def test_theorem2_is_not_held_to_the_theorem1_bound(no_scan_may_start):
         (ArithmeticError("non-integral"), 3),
         (BrokenProcessPool("a worker died"), 3),
         (KeyboardInterrupt(), 130),
+        (TypeError("not a row value"), 3),
     ],
 )
 def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, capsys):
@@ -191,6 +208,32 @@ def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "fmt, columns, error",
+    [
+        ("json", [[5], [1], [0.5], [3], [2], [0]], "TypeError: Object of type float is not JSON serializable"),
+        ("csv", [[5], [1], [0.5], [3], [2], [0]], "TypeError: Object of type float is not JSON serializable"),
+        ("json", [[5], [1], [2], [3], [2]], "RuntimeError: columns of lengths [1, 1, 1, 1, 1] for "),
+    ],
+    ids=["float-json", "float-csv", "five-columns"],
+)
+def test_a_check_at_fault_exits_3_and_writes_nothing(fmt, columns, error, tmp_path, monkeypatch, capsys):
+    # A bs-mod3-9 check that hands _add a row value that no writer takes,
+    # or one column too few: a fault of the program, neither a violation
+    # (exit 1) nor a usage error (exit 2).
+    _, counters, limit = dedsum.scans._CHECKS["bs-mod3-9"]
+    check = (lambda batch: (1, columns, None), counters, limit)
+    monkeypatch.setitem(dedsum.scans._CHECKS, "bs-mod3-9", check)
+    out = tmp_path / f"report.{fmt}"
+    argv = ["check", "--suite", "identities", "--bmax", "5", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {error}")
+    assert os.listdir(tmp_path) == []
 
 
 def test_an_inverse_that_fails_its_self_check_exits_3(monkeypatch, capsys):

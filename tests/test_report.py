@@ -474,6 +474,10 @@ def test_json_refuses_to_write_a_row_value_of_another_type(value, others):
     rows = [theorem2_row()] * others + [theorem2_row(actual=value)]
     with pytest.raises(TypeError, match="is not JSON serializable"):
         render_json([theorem2_scan(rows)])
+    # CSV refuses the same values, so no file is written that parse_csv
+    # would refuse.
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        render_csv([theorem2_scan(rows)])
 
 
 @given(REPORTS)

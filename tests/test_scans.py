@@ -26,7 +26,6 @@ import dedsum.dedekind
 import dedsum.scans
 from dedsum.arith import POWER_INT32_LIMIT, mod_inverse
 from dedsum.congruence import (
-    MU_QUADRATIC_LIMIT,
     _mu_pairs,
     bt_congruence_mod8,
     bt_residue,
@@ -35,10 +34,8 @@ from dedsum.congruence import (
 )
 from dedsum.contfrac import t_value
 from dedsum.dedekind import (
-    LIFT_WALK_LIMIT,
     NAIVE_ROW_LIMIT,
     NAIVE_SUM32_LIMIT,
-    THEOREM1_ROW_LIMIT,
     b_times_s,
     coprime_residues,
     dedekind_naive,
@@ -46,6 +43,9 @@ from dedsum.dedekind import (
 from dedsum.report import COLUMNS
 from dedsum.scans import (
     IDENTITY_KINDS,
+    LIFT_WALK_LIMIT,
+    MU_QUADRATIC_LIMIT,
+    THEOREM1_ROW_LIMIT,
     _pair_condition,
     run_suite,
     scan_bhk,
@@ -331,7 +331,7 @@ def test_a_row_of_the_wrong_length_is_refused():
     for cap in (0, 1):
         (report,) = dedsum.scans._pass(["mu-mod8"], [], 4, cap, {})
         for columns in (([2], [1], [0]), ([], [], []), ([2], [1], [0], [4, 0])):
-            with pytest.raises(ValueError):
+            with pytest.raises(RuntimeError):
                 dedsum.scans._add(report, 1, columns)
         dedsum.scans._add(report, 8, (np.array([2, 4]), [1, 3], [0, 4], [4, 0]))
         dedsum.scans._add(report, 4, ([], [], [], []))
@@ -1045,6 +1045,26 @@ def test_the_lift_scans_scan_a_window_across_the_int32_power_switch(monkeypatch)
         assert report.tuples_checked == 3 * sum(phi[b_max - 4 :]) == 380_796, report.kind
         assert report.violations_total == 0, report.kind
     monkeypatch.setattr(dedsum.arith, "POWER_INT32_LIMIT", b_max)
+    with pytest.raises(ArithmeticError, match="inverse"):
+        lifts()
+
+
+def test_the_lift_scans_scan_a_window_at_the_theorem1_row_limit(monkeypatch):
+    # The rows b = 77,920..77,935, one row per piece, end where theorem1
+    # stops; the lift scans go on far past them, with their inverses in
+    # int64. With POWER_INT32_LIMIT raised to 77,935 those inverses
+    # multiply in int32, wrap, and the inverse's self-check raises.
+    window = range(THEOREM1_ROW_LIMIT - 15, THEOREM1_ROW_LIMIT + 1)
+    pieces = [range(b, b + 1) for b in window]
+
+    def lifts():
+        return dedsum.scans._pass(["theorem2", "bt-mod8"], pieces, window[-1], 0, {})
+
+    phi = totients(window[-1])
+    for report in lifts():
+        assert report.tuples_checked == 3 * sum(phi[window[0] :]) == 2_291_892, report.kind
+        assert report.violations_total == 0, report.kind
+    monkeypatch.setattr(dedsum.arith, "POWER_INT32_LIMIT", window[-1])
     with pytest.raises(ArithmeticError, match="inverse"):
         lifts()
 
