@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success (and all checks clean), 1 check violations found,
 2 usage or validation error, 3 any other failure (an I/O error, an
-arithmetic check that failed, a broken worker pool, memory that ran
-out, or a fault of the program itself), 130 interrupted.
+arithmetic check that failed, a worker process that died, memory that
+ran out, a report whose tuple count does not cover its range, or a
+fault of the program itself), 130 interrupted.
 Validation covers the --out directory and the scan bounds, and is done
 before any scan starts.
 """

@@ -201,15 +201,20 @@ def _rows_json(kind: str, rows: list[dict], depth: int) -> list[str]:
     if kind not in COLUMNS:
         raise ValueError(f"unknown report kind {kind!r}, expected one of {sorted(COLUMNS)}")
     names = sorted(name for name, _ in COLUMNS[kind])
-    expected, values = set(names), itemgetter(*names)
+    values = itemgetter(*names)
     pad = "\n" + "  " * (depth + 1)
     template = "{" + ",".join(f'{pad}"{name}": %s' for name in names) + pad[:-2] + "}"
-    texts = []
+    _check_rows(kind, rows, names)
+    return [template % tuple(map(_cell_json, values(row))) for row in rows]
+
+
+def _check_rows(kind: str, rows: list[dict], names: list[str]) -> None:
+    """The row check of both writers: ValueError, as _typed_row raises
+    it, unless each row is an object of exactly the column names."""
+    expected = set(names)
     for row in rows:
         if type(row) is not dict or row.keys() != expected:
             _typed_row(kind, row)  # raises the parser's error
-        texts.append(template % tuple(map(_cell_json, values(row))))
-    return texts
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -249,10 +254,19 @@ def render_json(reports: list[Report]) -> str:
     return _json_list([_document_json(r, 1) for r in reports], 0) + "\n"
 
 
-def _csv_cell(value) -> str:
-    """A row value as CSV writes it: a string as it is, an int or a bool
-    as JSON writes it, and TypeError for any other value, as in JSON."""
-    return value if type(value) is str else _cell_json(value)
+# What a str cell may not hold in CSV: each would split its line.
+_CSV_BREAKS = re.compile(r"[,\n\r]")
+
+
+def _csv_cell(kind: str, name: str, value) -> str:
+    """A row value as CSV writes it: a string as it is, unless it holds a
+    comma or a line break (ValueError), an int or a bool as JSON writes
+    it, and TypeError for any other value, as in JSON."""
+    if type(value) is not str:
+        return _cell_json(value)
+    if _CSV_BREAKS.search(value):
+        raise ValueError(f"{kind} column {name!r} needs CSV text, got {value!r}")
+    return value
 
 
 # How CSV writes the fields that it does not write as JSON.
@@ -269,8 +283,10 @@ def _csv_section(report: Report) -> str:
     lines = []
     for name, typ in _FIELDS[type(report)]:
         if typ == "a list of rows":
+            rows = doc[name]
+            _check_rows(report.kind, rows, names)
             lines.append(",".join(names))
-            lines += (",".join(_csv_cell(row[n]) for n in names) for row in doc[name])
+            lines += (",".join(_csv_cell(report.kind, n, row[n]) for n in names) for row in rows)
         else:
             text = _CSV_TEXT.get(name, lambda v: json.dumps(v, sort_keys=True))(doc[name])
             lines.append(f"# {name}={text}")

@@ -10,8 +10,8 @@ and its violations as index-selected columns; _pass hands them to _add
 in one call per batch, and only _add counts, caps and builds rows.
 
 _pieces cuts the b range into pieces of consecutive b, about one batch
-of residues each, in ascending b. The calling process and a pool of up
-to jobs - 1 workers (none at jobs 1) share them: each process starts on
+of residues each, in ascending b. The calling process and up to jobs - 1
+worker processes (none at jobs 1) share them: each process starts on
 a piece of its own, then claims the next unclaimed piece from a shared
 counter until none is left, so a process that runs slower on a busy
 host does less of the work. A process makes one pass (_pass): it builds
@@ -24,14 +24,15 @@ _merge turns the processes' reports of one kind into the final report,
 rows in ascending b order, so the report content is identical for any
 job count. A report's elapsed time is its kind's longest time in one
 process, including the shared arrays that kind was the first to read.
-Building the rows and starting the pool count in no kind.
+Building the rows and starting the workers count in no kind. Each
+merged report's tuple count must equal its kind's count from the row
+sizes (_TUPLES), so a report shows that it covered its range.
 """
 
 import dataclasses
 import functools
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 import numpy as np
@@ -474,9 +475,10 @@ def _row_sizes(b_max: int) -> np.ndarray:
     return sizes
 
 
-def _pieces(b_max: int, jobs: int):
+def _pieces(sizes: np.ndarray, jobs: int):
     """1..b_max cut into ranges of consecutive b for jobs processes to
-    share, yielded in ascending b.
+    share, yielded in ascending b; sizes[b] is the row size of b for b in
+    0..b_max, as _row_sizes(b_max) gives it.
 
     A piece gathers rows in ascending b until it holds at least `size`
     residues, so a piece is one batch. size is _BATCH, or a jobs-th of
@@ -484,7 +486,8 @@ def _pieces(b_max: int, jobs: int):
     gives every process a piece. Every piece but the last holds at least
     size residues, and every piece fewer than size plus its largest row.
     """
-    sizes = _row_sizes(b_max).tolist()
+    sizes = sizes.tolist()
+    b_max = len(sizes) - 1
     size = max(1, min(_BATCH, -(-sum(sizes) // jobs)))
     start, load = 1, 0
     for b in range(1, b_max + 1):
@@ -496,24 +499,35 @@ def _pieces(b_max: int, jobs: int):
         yield range(start, b_max + 1)
 
 
-# The claim counter of the pieces in a pool worker; _join sets it when
-# the worker starts.
-_pool_claims = None
+def _pair_count(phi: np.ndarray, include_9div: bool) -> int:
+    """theorem1's tuples: the pairs of each row that it scans."""
+    scanned = phi if include_9div else phi[np.arange(len(phi)) % 9 != 0]
+    return int(np.sum(scanned * (scanned - 1) // 2))
 
 
-def _join(claims) -> None:
-    global _pool_claims
-    _pool_claims = claims
+# kind -> its count of tuples over 1..b_max from phi = _row_sizes(b_max):
+# phi(b) residues per b, three lifts each, a = b = 1 for reciprocity, and
+# a in 1..4b for even b. The sieve shares nothing with the rows that the
+# checks read, so a piece that no process ran shows as a wrong count.
+_TUPLES = {
+    "theorem1": _pair_count,
+    "theorem2": lambda phi: 3 * int(phi.sum()),
+    "oracle-equivalence": lambda phi: int(phi.sum()),
+    "reciprocity": lambda phi: int(phi.sum()) + 1,
+    "bhk": lambda phi: 3 * int(phi.sum()),
+    "bt-mod8": lambda phi: 3 * int(phi.sum()),
+    "bs-mod3-9": lambda phi: int(phi.sum()),
+    "mu-mod8": lambda phi: 4 * int(phi[::2].sum()),
+}
 
 
-def _claimed(pieces: list[range], first: int, claims=None):
+def _claimed(pieces: list[range], first: int, claims):
     """One process's share of pieces: piece `first`, then, until none is
     left, the next piece that no process has claimed yet from the shared
-    counter `claims` (a pool worker's own when None). A process that runs
-    slower than the others thus claims fewer pieces, each in turn as it
-    finishes the last, and claims them in ascending order.
+    counter `claims`. A process that runs slower than the others thus
+    claims fewer pieces, each in turn as it finishes the last, and claims
+    them in ascending order.
     """
-    claims = _pool_claims if claims is None else claims
     index = first
     while index < len(pieces):
         yield pieces[index]
@@ -522,35 +536,71 @@ def _claimed(pieces: list[range], first: int, claims=None):
             claims.value += 1
 
 
-def _work_claimed(work, pieces: list[range], first: int):
-    return work(_claimed(pieces, first))
+def _worker(send, work, pieces: list[range], first: int, claims) -> None:
+    try:
+        outcome = True, work(_claimed(pieces, first, claims))
+    except BaseException as exc:  # the caller re-raises it
+        outcome = False, exc
+    send.send(outcome)
 
 
 def _shared(work, pieces, jobs: int) -> list:
     """work(share) for each process's share of pieces, on the calling
-    process and a pool of at most jobs - 1 workers: one result per
+    process and at most jobs - 1 worker processes: one result per
     process, the caller's first. With one job or one piece the caller
-    works them all, and no pool starts. Else process i starts on piece
-    i, so every process runs at least one."""
+    works them all, and no process starts. Else process i starts on
+    piece i, so every process runs at least one.
+
+    Each worker sends its result or its exception through a pipe of its
+    own, and one that exits without sending raises RuntimeError. Whatever
+    raises, every worker still alive is killed, so none outlives the call
+    or waits on a full pipe.
+    """
     if jobs > 1:
         pieces = list(pieces)
         jobs = min(jobs, len(pieces))
     if jobs == 1:
         return [work(pieces)]
     claims = multiprocessing.Value("q", jobs)
-    with ProcessPoolExecutor(max_workers=jobs - 1, initializer=_join, initargs=(claims,)) as pool:
-        pending = [pool.submit(_work_claimed, work, pieces, i) for i in range(1, jobs)]
-        return [work(_claimed(pieces, 0, claims)), *(f.result() for f in pending)]
+    workers = []
+    try:
+        for i in range(1, jobs):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(target=_worker, args=(send, work, pieces, i, claims))
+            process.start()
+            workers.append((process, receive))
+            send.close()  # the worker's end is then the last, so its exit ends the pipe
+        results = [work(_claimed(pieces, 0, claims))]
+        for process, receive in workers:
+            try:
+                sent, result = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a worker process exited with code {process.exitcode} and sent no result"
+                ) from None
+            if not sent:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for process, receive in workers:
+            if process.is_alive():
+                process.kill()
+            process.join()
+            receive.close()
 
 
 def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
-    """Run several kinds over b = 1..b_max on at most one process pool.
+    """Run several kinds over b = 1..b_max on one set of processes.
 
     Every kind's arguments are checked before any work, so a bound one
     kind cannot take fails at once, not after the others ran. The pieces
     of _pieces are shared by the caller and up to jobs - 1 workers
     (_shared), and each process returns one report per kind (_pass).
-    _merge makes each kind's reports one, at every job count.
+    _merge makes each kind's reports one, at every job count, and a
+    report whose tuple count is not its kind's _TUPLES raises
+    RuntimeError.
     """
     if b_max < 1:
         raise ValueError(f"b_max must be at least 1, got {b_max}")
@@ -565,8 +615,17 @@ def _run(kinds, b_max, cap, jobs, include_9div=False) -> list[ScanReport]:
             raise ValueError(f"b_max={b_max} exceeds {bound}, the int64-exact limit of {what}")
     # The keyword arguments of each kind's check, also in its parameters.
     options = {"theorem1": {"include_9div": include_9div}}
+    sizes = _row_sizes(b_max)
     work = functools.partial(_pass, kinds, b_max=b_max, cap=cap, options=options)
-    return [_merge(parts) for parts in zip(*_shared(work, _pieces(b_max, jobs), jobs))]
+    reports = [_merge(parts) for parts in zip(*_shared(work, _pieces(sizes, jobs), jobs))]
+    for report in reports:
+        expected = _TUPLES[report.kind](sizes, **options.get(report.kind, {}))
+        if report.tuples_checked != expected:
+            raise RuntimeError(
+                f"{report.kind} checked {report.tuples_checked} tuples, "
+                f"but b <= {b_max} holds {expected}"
+            )
+    return reports
 
 
 def scan_theorem1(
@@ -633,7 +692,7 @@ def run_suite(
 ) -> list[ScanReport]:
     """Reports for one named suite: theorem1, theorem2, identities, or all.
 
-    All of a suite's scans run on one process pool when jobs > 1.
+    All of a suite's scans share one set of worker processes when jobs > 1.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")

@@ -1,8 +1,23 @@
 """Shared fixtures."""
 
+import multiprocessing
+
 import pytest
 
 import dedsum.scans
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_test():
+    """Fail a test after which a child process is still running, and end
+    that process, so that neither a later test nor the end of the session
+    waits on it."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.kill()
+        child.join()
+    assert children == [], f"processes left running: {children}"
 
 
 @pytest.fixture

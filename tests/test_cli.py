@@ -6,10 +6,10 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -194,7 +194,7 @@ def test_theorem2_is_not_held_to_the_theorem1_bound(no_scan_may_start, capsys):
     [
         (OSError("disk full"), 3),
         (ArithmeticError("non-integral"), 3),
-        (BrokenProcessPool("a worker died"), 3),
+        (RuntimeError("a worker process exited with code -9 and sent no result"), 3),
         (KeyboardInterrupt(), 130),
         (TypeError("not a row value"), 3),
     ],
@@ -222,9 +222,10 @@ def test_runtime_failures_have_their_own_exit_codes(exc, code, monkeypatch, caps
 def test_a_check_at_fault_exits_3_and_writes_nothing(fmt, columns, error, tmp_path, monkeypatch, capsys):
     # A bs-mod3-9 check that hands _add a row value that no writer takes,
     # or one column too few: a fault of the program, neither a violation
-    # (exit 1) nor a usage error (exit 2).
+    # (exit 1) nor a usage error (exit 2). It counts every residue of the
+    # batch, so its report covers its range.
     _, counters, limit = dedsum.scans._CHECKS["bs-mod3-9"]
-    check = (lambda batch: (1, columns, None), counters, limit)
+    check = (lambda batch: (len(batch.a), columns, None), counters, limit)
     monkeypatch.setitem(dedsum.scans._CHECKS, "bs-mod3-9", check)
     out = tmp_path / f"report.{fmt}"
     argv = ["check", "--suite", "identities", "--bmax", "5", "--format", fmt, "--out", str(out)]
@@ -308,6 +309,105 @@ def test_a_row_that_fails_in_a_parallel_suite_exits_3_and_writes_nothing(
     assert (int(captured.err[len(prefix):]) == caller) == (holder == "caller")
     assert os.listdir(tmp_path) == []
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The worker exits at its first batch and sends no result: the caller
+    # names its exit code, not the end of the pipe.
+    caller = os.getpid()
+    real = dedsum.scans.bs_values
+
+    def planted(a, b):
+        if os.getpid() != caller:
+            os._exit(7)
+        return real(a, b)
+
+    monkeypatch.setattr(dedsum.scans, "bs_values", planted)
+    out = tmp_path / "report.json"
+    argv = ["check", "--suite", "all", "--bmax", "60", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: RuntimeError: a worker process exited with code 7 and sent no result"
+    ]
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+class _Hung(BaseException):
+    """Raised by the test's alarm; no handler of main catches it."""
+
+
+def test_a_caller_that_fails_leaves_no_worker_on_a_full_pipe(tmp_path, monkeypatch, capsys):
+    # At bmax 400 the worker's share keeps 6,124 theorem1 rows, about
+    # 210 KB pickled: more than a pipe buffer holds, so the worker waits
+    # on its pipe once its share is done. The caller fails at its first
+    # batch, after a pause that lets the worker get there; unless the
+    # worker is killed, the call never returns, and the alarm fails the
+    # test.
+    caller = os.getpid()
+    real = dedsum.scans.bs_values
+
+    def planted(a, b):
+        if os.getpid() == caller:
+            time.sleep(0.5)
+            raise ArithmeticError("planted in the caller")
+        return real(a, b)
+
+    def hung(signum, frame):
+        raise _Hung("check did not return within 30 s")
+
+    monkeypatch.setattr(dedsum.scans, "bs_values", planted)
+    out = tmp_path / "report.json"
+    argv = [
+        "check", "--suite", "theorem1", "--include-9div", "--cap", "1000000",
+        "--bmax", "400", "--jobs", "2", "--out", str(out),
+    ]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == ["error: ArithmeticError: planted in the caller"]
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def _skipping_claims(pieces, first, claims):
+    # scans._claimed with claims that step by 2: pieces 3, 5, 7, ... are
+    # never claimed, so no process runs them.
+    index = first
+    while index < len(pieces):
+        yield pieces[index]
+        with claims.get_lock():
+            index = claims.value
+            claims.value += 2
+
+
+@pytest.mark.parametrize("fault", ["skipped-claims", "dropped-part"])
+def test_a_report_that_misses_part_of_its_range_exits_3(fault, tmp_path, monkeypatch, capsys):
+    # Every row that is checked passes, so only the tuple count shows the
+    # pieces that were never run, or the worker's part that _merge lost.
+    if fault == "skipped-claims":
+        monkeypatch.setattr(dedsum.scans, "_claimed", _skipping_claims)
+    else:
+        real = dedsum.scans._merge
+        monkeypatch.setattr(dedsum.scans, "_merge", lambda parts: real(parts[:-1]))
+    out = tmp_path / "report.json"
+    argv = ["check", "--suite", "theorem2", "--bmax", "300", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    match = re.fullmatch(r"error: RuntimeError: theorem2 checked (\d+) tuples, but b <= 300 holds 82191", line)
+    assert match and int(match[1]) < 82_191
+    if fault == "skipped-claims":
+        assert int(match[1]) == 50_013
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_parallel_suite_matches_the_golden_report(capsys):

@@ -480,6 +480,32 @@ def test_json_refuses_to_write_a_row_value_of_another_type(value, others):
         render_csv([theorem2_scan(rows)])
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(theorem2_row(extra=1), id="extra-key"),
+        pytest.param({k: v for k, v in theorem2_row().items() if k != "case"}, id="missing-key"),
+    ],
+)
+def test_csv_refuses_to_write_a_row_that_is_not_its_kinds_columns(row):
+    with pytest.raises(ValueError, match="theorem2 row needs one value for each of"):
+        render_csv([theorem2_scan([theorem2_row(), row])])
+
+
+def test_csv_refuses_to_write_a_row_that_is_not_an_object():
+    with pytest.raises(ValueError, match="theorem2 row needs an object"):
+        render_csv([theorem2_scan([list(theorem2_row().values())])])
+
+
+@pytest.mark.parametrize("text", ["odd,ndiv3", "odd\nndiv3", "odd\rndiv3"])
+def test_csv_refuses_to_write_a_str_cell_that_would_split_its_line(text):
+    # JSON writes such a cell, escaped where it must be.
+    report = theorem2_scan([theorem2_row(case=text)])
+    assert parse_json(render_json([report])) == [report]
+    with pytest.raises(ValueError, match="theorem2 column 'case' needs CSV text"):
+        render_csv([report])
+
+
 @given(REPORTS)
 def test_csv_roundtrip_any_rows(reports):
     assert deterministic(parse_csv(render(reports, "csv"))) == deterministic(reports)

@@ -6,6 +6,7 @@ must be identical for any worker count. Planted defects in the raw
 kernels show that each scan can fail, and under which counter.
 """
 
+import multiprocessing
 import pkgutil
 import time
 from dataclasses import replace
@@ -476,8 +477,9 @@ def test_a_worker_tally_keeps_no_more_rows_than_the_cap(monkeypatch):
     # reached.
     plant_wrong_inverse(monkeypatch)
     monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
-    (report,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 30, 3, {})
-    (full,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(30, 1), 30, 10**6, {})
+    sizes = dedsum.scans._row_sizes(30)
+    (report,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(sizes, 1), 30, 3, {})
+    (full,) = dedsum.scans._pass(["bhk"], dedsum.scans._pieces(sizes, 1), 30, 10**6, {})
     assert report.violations == full.violations[:3]
     assert report.violations_total == full.violations_total == 831
 
@@ -523,7 +525,7 @@ def test_merged_shares_equal_one_pass(fault, data, n, cap):
         monkeypatch.setattr(dedsum.scans, "_BATCH", 16)
         if fault:
             plant_wrong_inverse(monkeypatch)
-        pieces = list(dedsum.scans._pieces(n, 1))
+        pieces = list(dedsum.scans._pieces(dedsum.scans._row_sizes(n), 1))
         count = data.draw(st.integers(1, 4), label="shares")
         owner = st.integers(0, count - 1)
         owners = data.draw(st.lists(owner, min_size=len(pieces), max_size=len(pieces)))
@@ -591,23 +593,23 @@ def test_more_jobs_do_not_change_suite_content(b_max, jobs, cap):
 @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
 def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
     started = []
+    real = multiprocessing.Process.start
 
-    class CountingPool(dedsum.scans.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def counting(process):
+        started.append(process)
+        real(process)
 
-    monkeypatch.setattr(dedsum.scans, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", counting)
     reports = run_suite("all", 30, include_9div=True, jobs=jobs)
     assert len(reports) == 8
-    # The calling process works pieces too, so the pool has jobs - 1 workers.
-    assert [kwargs["max_workers"] for kwargs in started] == [jobs - 1] * pools
+    # The calling process works pieces too, so one set of jobs - 1 workers starts.
+    assert len(started) == (jobs - 1) * pools
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 4, 7])
 @pytest.mark.parametrize("b_max", [1, 2, 3, 9, 60, 251, 1000])
 def test_pieces_cut_the_range_into_runs_of_about_one_batch(b_max, jobs):
-    pieces = [list(piece) for piece in dedsum.scans._pieces(b_max, jobs)]
+    pieces = [list(piece) for piece in dedsum.scans._pieces(dedsum.scans._row_sizes(b_max), jobs)]
     assert all(pieces)
     assert [b for piece in pieces for b in piece] == list(range(1, b_max + 1))
     sizes = [0] + [len(coprime_residues(b)) for b in range(1, b_max + 1)]
@@ -638,6 +640,33 @@ def test_shared_pieces_run_once_each(jobs):
     assert sorted(i for share in shares for [i] in share) == list(range(12))
     assert dedsum.scans._shared(list, iter([[0], [1]]), 5) == [[[0]], [[1]]]
     assert dedsum.scans._shared(list, iter(pieces), 1) == [pieces]
+
+
+@pytest.mark.parametrize("include_9div", [False, True])
+@pytest.mark.parametrize("b_max", [1, 2, 3, 8, 9, 10, 61, 200])
+def test_each_kind_counts_the_tuples_of_its_range(b_max, include_9div):
+    # Each kind's tuples counted from their definition by gcd: the closed
+    # form of _TUPLES, and the count that each report must reach.
+    units = {b: [a for a in range(1, b) if gcd(a, b) == 1] for b in range(1, b_max + 1)}
+    residues = sum(len(row) for row in units.values())
+    expected = {
+        "theorem1": sum(
+            len(row) * (len(row) - 1) // 2 for b, row in units.items() if include_9div or b % 9
+        ),
+        "theorem2": 3 * residues,
+        "oracle-equivalence": residues,
+        "reciprocity": sum(gcd(a, b) == 1 for b in range(1, b_max + 1) for a in range(1, b + 1)),
+        "bhk": 3 * residues,
+        "bt-mod8": 3 * residues,
+        "bs-mod3-9": residues,
+        "mu-mod8": sum(gcd(a, b) == 1 for b in range(2, b_max + 1, 2) for a in range(1, 4 * b + 1)),
+    }
+    sizes = dedsum.scans._row_sizes(b_max)
+    options = {"theorem1": {"include_9div": include_9div}}
+    counts = {kind: count(sizes, **options.get(kind, {})) for kind, count in dedsum.scans._TUPLES.items()}
+    assert counts == expected
+    reports = run_suite("all", b_max, include_9div=include_9div)
+    assert {report.kind: report.tuples_checked for report in reports} == expected
 
 
 def test_row_sizes_are_the_coprime_residue_counts():
