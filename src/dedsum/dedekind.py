@@ -54,9 +54,12 @@ NAIVE_ROW_LIMIT = 1_400_000
 
 # Pairs per call of the row kernel; `bs_values` solves longer arrays in
 # slices of this size. The remainder levels of one call keep 25 bytes per
-# pair and level: about 0.4 MB for b <= 500 (3.7 levels on average), at most
-# 1.6 MB below NAIVE_ROW_LIMIT (16 levels, see `_bs_pairs`). Calls of 8192
-# pairs are no faster and double that memory.
+# pair and level: about 0.4 MB for 4096 pairs with b <= 500 (3.7 levels on
+# average; tracemalloc reads a 0.54 MB peak), at most 1.6 MB below
+# NAIVE_ROW_LIMIT (16 levels, see `_bs_pairs`). A scan batch of about 4096
+# residues (`scans._BATCH`) has its b S solved in one call of about half of
+# them and its mirrored term in a call of 4096 and one of the rest. Calls of
+# 8192 pairs are no faster and double that memory.
 _ROW_BATCH = 4096
 
 

@@ -10,15 +10,21 @@ and its violations as index-selected columns; _pass hands them to _add
 in one call per batch, and only _add counts, caps and builds rows.
 
 _pieces cuts the b range into pieces of consecutive b, about one batch
-of residues each, in ascending b. The calling process and up to jobs - 1
-worker processes (none at jobs 1) share them: each process starts on
-a piece of its own, then claims the next unclaimed piece from a shared
-counter until none is left, so a process that runs slower on a busy
-host does less of the work. A process makes one pass (_pass): it builds
-each piece as one _Batch, runs every kind on it before the next, and
-fills one ScanReport per kind. The arrays that several kinds read are
+of residues each (at jobs > 1 a short range still gives every process
+two), in ascending b. The calling process and up to jobs - 1 worker
+processes (none at jobs 1) share them: each process starts on a piece
+of its own, then claims the next unclaimed piece from a shared counter
+until none is left, so a process that runs slower on a busy host does
+less of the work. A process makes one pass (_pass): it builds each
+piece as one _Batch, runs every kind on it before the next, and fills
+one ScanReport per kind. The arrays that several kinds read are
 computed at most once per batch, by the first kind that reads them, and
 every check reads the batch's residues: none builds a row of them again.
+b S(a, b) and a^-1 are solved once per pair {a, b - a} of a row and
+reflected onto its other half; the naive rows, the mirrored term and
+the T walks are computed on every residue, so the oracle, reciprocity
+and bhk scans still compare each reflected value with a computation of
+its own.
 
 _merge turns the processes' reports of one kind into the final report,
 rows in ascending b order, so the report content is identical for any
@@ -54,8 +60,13 @@ SUITES = ("theorem1", "theorem2", "identities", "all")
 
 # Residues per batch: rows are gathered until a batch holds at least this
 # many. One numpy call per short row costs more in call overhead than in
-# arithmetic; larger batches raise the peak memory.
-_BATCH = 2048
+# arithmetic, and so does each kernel call's fixed loop over its levels
+# or bits; larger batches raise the peak memory. The row kernel and the
+# inverse power solve about half of each batch (see _Batch). A pass of
+# all eight kinds over one batch of 4096 residues peaks at 1.1 to 1.5 MB
+# of arrays (tracemalloc, one batch at bmax 200, 500 and 3000), against
+# 0.6 to 1.0 MB at 2048.
+_BATCH = 4096
 
 
 # The lift scans theorem2 and bt-mod8 walk T(a, b) for the lifts a, a - b,
@@ -79,6 +90,17 @@ _BATCH = 2048
 LIFT_WALK_LIMIT = 2_147_483_646
 
 
+# b S and a^-1 are solved once per pair {a, b - a} of a row. The sawtooth
+# is odd and periodic, ((k (b - a) / b)) = ((-ka / b)) = -((ka / b)), so
+# S(b - a, b) = -S(a, b) (Rademacher & Grosswald 1972), and
+# (b - a)(b - a^-1) == a a^-1 == 1 (mod b), with b - a^-1 in 1..b-1 when
+# a^-1 is. The residues with 2a <= b are solved (a = b/2 only at b = 2,
+# which is its own partner), and each a > b/2 takes the negated b S of its
+# partner b - a, or b less the partner's inverse. Both are one int64
+# operation on values below b^2, so exact wherever the solved values are,
+# and the inverse's self-check on a pair holds on its partner too, as the
+# two products are equal mod b. Rows are complete and ascending, so the
+# partner of index i in a span [s, e) is s + e - 1 - i.
 class _Batch:
     """The rows (b, coprime residues of b) of one piece, ascending b.
 
@@ -97,9 +119,24 @@ class _Batch:
         self.b = np.repeat(np.array(piece, dtype=np.int64), sizes)
 
     @functools.cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, upper, partner): the indices of the residues with
+        2a <= b and of those with 2a > b, and for each upper one the
+        index of its partner b - a."""
+        starts, ends = np.array([(start, end) for _, start, end in self.spans]).T
+        partners = np.repeat(starts + ends - 1, ends - starts) - np.arange(len(self.a))
+        upper = 2 * self.a > self.b
+        lower, upper = np.flatnonzero(~upper), np.flatnonzero(upper)
+        return lower, upper, partners[upper]
+
+    @functools.cached_property
     def bs(self) -> np.ndarray:
-        """b S(a, b), from the row kernel."""
-        return bs_values(self.a, self.b)
+        """b S(a, b), from the row kernel on the lower halves."""
+        lower, upper, partner = self.halves
+        bs = np.zeros_like(self.a)
+        bs[lower] = bs_values(self.a[lower], self.b[lower])
+        bs[upper] = -bs[partner]
+        return bs
 
     @functools.cached_property
     def mirror(self) -> np.ndarray:
@@ -111,9 +148,14 @@ class _Batch:
 
     @functools.cached_property
     def a_inv(self) -> np.ndarray:
-        """a^-1 mod b by Euler's theorem: each row is the phi(b) units mod b."""
+        """a^-1 mod b by Euler's theorem on the lower halves: each row is
+        the phi(b) units mod b."""
+        lower, upper, partner = self.halves
         sizes = np.array([end - start for _, start, end in self.spans], dtype=np.int64)
-        return _inverse_pairs(self.a, self.b, np.repeat(sizes, sizes))
+        a_inv = np.zeros_like(self.a)
+        a_inv[lower] = _inverse_pairs(self.a[lower], self.b[lower], np.repeat(sizes, sizes)[lower])
+        a_inv[upper] = self.b[upper] - a_inv[partner]
+        return a_inv
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
@@ -481,14 +523,17 @@ def _pieces(sizes: np.ndarray, jobs: int):
     0..b_max, as _row_sizes(b_max) gives it.
 
     A piece gathers rows in ascending b until it holds at least `size`
-    residues, so a piece is one batch. size is _BATCH, or a jobs-th of
-    the range's residues when that is less, so that a short range still
-    gives every process a piece. Every piece but the last holds at least
-    size residues, and every piece fewer than size plus its largest row.
+    residues, so a piece is one batch. size is _BATCH, or at jobs > 1 a
+    (2 jobs)-th of the range's residues when that is less, so that a
+    short range still gives every process two pieces, and one that runs
+    faster claims a piece of a slower one. Every piece but the last holds
+    at least size residues, and every piece fewer than size plus its
+    largest row.
     """
     sizes = sizes.tolist()
     b_max = len(sizes) - 1
-    size = max(1, min(_BATCH, -(-sum(sizes) // jobs)))
+    shares = 1 if jobs == 1 else 2 * jobs
+    size = max(1, min(_BATCH, -(-sum(sizes) // shares)))
     start, load = 1, 0
     for b in range(1, b_max + 1):
         load += sizes[b]

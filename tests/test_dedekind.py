@@ -187,7 +187,7 @@ PELL_A, PELL_B = pell_pairs(10**60)[-1]
 @example(b=FIB_B, a=FIB_A, k=-1)
 @example(b=PELL_B, a=PELL_A, k=1)
 @example(b=10**60 - 1, a=2 * 10**60 + 1, k=1)
-def test_fast_parts_identities_at_large_b(b, a, k):
+def test_scalar_identities_at_large_b(b, a, k):
     # Identities that hold for every coprime pair and need no second
     # evaluator: periodicity, oddness, inversion and reciprocity.
     assume(gcd(a, b) == 1)
@@ -218,7 +218,7 @@ def test_coprime_residues_match_gcd():
         assert residues.tolist() == [a for a in range(1, b) if gcd(a, b) == 1], b
 
 
-def test_naive_bs_row_matches_scalar_naive():
+def test_naive_row_values_match_scalar_naive():
     # The row sums only k < b/2: the half range is empty at b = 2, and
     # for even b the term k = b/2 drops out; the scalar sums every k.
     for b in [*range(2, 301), 360]:
@@ -373,7 +373,7 @@ def test_row_kernel_on_pell_walks(pell_walks):
     assert _bs_pairs(a, b).tolist() == naive
 
 
-def test_fast_parts_on_pell_walks(pell_walks):
+def test_scalar_evaluators_on_pell_walks(pell_walks):
     # The longest walks of the row kernel; the scalar evaluator reads the
     # same values from the T walk.
     pairs, naive = pell_walks

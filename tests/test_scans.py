@@ -60,6 +60,31 @@ from dedsum.scans import (
 )
 
 
+def solved(a, b):
+    """(p, sign): the residue p that a batch solves b S and the inverse
+    on for the residue a of b, and the sign that reflects them back. p is
+    a itself when 2a <= b, and sign 1; else p = b - a and sign -1, and
+    then b S(a, b) = -b S(p, b) and a^-1 = b - p^-1. For ints and int64
+    arrays alike."""
+    upper = 2 * a > b
+    return a + upper * (b - 2 * a), 1 - 2 * upper
+
+
+def planted_bs(a: int, b: int, delta) -> int:
+    """b S(a, b) as a batch reads it when the row kernel is off by
+    delta(a, b) on every pair that it solves."""
+    p, sign = solved(a, b)
+    return b_times_s(a, b) + sign * delta(p, b)
+
+
+def planted_inverse(a: int, b: int, plant) -> int:
+    """a^-1 mod b as a batch reads it when the inverse kernel returns
+    plant(p^-1, b) for every p that it solves."""
+    p, sign = solved(a, b)
+    inverse = plant(pow(p, -1, b), b)
+    return inverse if sign == 1 else b - inverse
+
+
 def totients(n: int) -> list[int]:
     phi = list(range(n + 1))
     for p in range(2, n + 1):
@@ -171,15 +196,17 @@ def full_triangle(b_max: int, include_9div: bool):
     """theorem1's (tuples_checked, rows, summary) from the whole pair
     triangle of every b: the pairing condition and both memberships on
     every pair i < j, in (a1, a2) order. It reads b S from the same
-    kernel as the scan, so a defect planted there reaches both, and
-    mu(b, a) from `_mu_pairs`, apart from the scan's own mu kernel."""
+    kernel as the scan, on the residues that `solved` names, so a defect
+    planted there reaches both alike, and mu(b, a) from `_mu_pairs`,
+    apart from the scan's own mu kernel."""
     tuples, rows, summary = 0, [], dict.fromkeys(THEOREM1_COUNTERS, 0)
     for b in range(3, b_max + 1):
         if not (include_9div or b % 9):
             continue
         a = coprime_residues(b)
         column = np.full_like(a, b)
-        bs = dedsum.dedekind.bs_values(a, column)
+        p, sign = solved(a, column)
+        bs = sign * dedsum.dedekind.bs_values(p, column)
         mus = dedsum.scans._mu_pairs(column, a)
         i, j = np.triu_indices(len(a), 1)
         cond = _pair_condition(b, a[i], mus[i], a[j], mus[j])
@@ -254,9 +281,11 @@ def inverse_key(a: int, b: int) -> int:
 
 
 def test_b_s_defect_off_the_inverse_key_equals_the_full_triangle(monkeypatch):
-    # b S(1, b) + 8 breaks b S == a + a^-1 (mod b) once per row, so some
-    # pairs whose difference of b S is in 8bZ share b S mod b but no
-    # a + a^-1. Their rows must be found all the same.
+    # b S(1, b) + 8, and so b S(b - 1, b) - 8, break b S == a + a^-1
+    # (mod b) twice per row, so some pairs whose difference of b S is in
+    # 8bZ share b S mod b but no a + a^-1. Their rows must be found all the
+    # same. The pair (a1, a2) is such a row exactly when (b - a2, b - a1)
+    # is, so there are twice the 45 rows of a defect at b S(1, b) alone.
     plant_in_row_kernel(monkeypatch, lambda a, b: np.where(a == 1, 8, 0))
     for include_9div in (False, True):
         rows = assert_theorem1_equals_full_triangle(150, include_9div)
@@ -265,22 +294,32 @@ def test_b_s_defect_off_the_inverse_key_equals_the_full_triangle(monkeypatch):
             for row in rows
             if inverse_key(row["a1"], row["b"]) != inverse_key(row["a2"], row["b"])
         ]
-        assert len(off_key) == 45, include_9div
+        assert len(off_key) == 2 * 45, include_9div
 
 
 def test_a_wrong_inverse_hides_theorem1_rows_that_only_its_key_finds(monkeypatch):
-    # b S + a moves the b S key off a + a^-1, so the pairs that meet the
-    # condition are found through the inverse key alone. The planted +1
-    # shifts every inverse key alike and selects the same pairs; a doubled
-    # inverse does not, and theorem1 misses rows of the full triangle.
+    # b S + a (b S - b + a on the reflected halves) moves the b S key off
+    # a + a^-1, so the pairs that meet the condition are found through the
+    # inverse key alone. A +1 on every inverse that the batch reads shifts
+    # every inverse key alike and selects the same pairs. The +1 of the
+    # inverse kernel is a -1 on the reflected halves, and a doubled inverse
+    # does not shift the keys alike either: theorem1 misses rows of the
+    # full triangle under both.
     plant_in_row_kernel(monkeypatch, lambda a, b: a)
     rows = assert_theorem1_equals_full_triangle(60, False)
-    real = dedsum.scans._inverse_pairs
+    real = dedsum.scans._Batch.a_inv.func
+    with monkeypatch.context() as patch:
+        patch.setattr(dedsum.scans._Batch, "a_inv", property(lambda batch: real(batch) + 1))
+        assert scan_theorem1(60, cap=10**6).violations == rows
+    real_kernel = dedsum.scans._inverse_pairs
     plant_wrong_inverse(monkeypatch)
-    assert scan_theorem1(60, cap=10**6).violations == rows
-    monkeypatch.setattr(dedsum.scans, "_inverse_pairs", lambda a, b, phi: real(a, b, phi) * 2 % b)
     report = scan_theorem1(60, cap=10**6)
-    assert len(rows) == 580 and 0 < report.violations_total < len(rows)
+    assert len(rows) == 589 and 0 < report.violations_total < len(rows)
+    monkeypatch.setattr(
+        dedsum.scans, "_inverse_pairs", lambda a, b, phi: real_kernel(a, b, phi) * 2 % b
+    )
+    report = scan_theorem1(60, cap=10**6)
+    assert 0 < report.violations_total < len(rows)
 
 
 def test_theorem1_evaluates_at_most_two_pairs_per_residue(monkeypatch):
@@ -344,10 +383,11 @@ def test_a_row_of_the_wrong_length_is_refused():
 
 
 def test_theorem1_decides_the_pair_at_b_three(monkeypatch):
-    # b S(1, 3) = 2 becomes 22, the only change up to bmax 12: then
-    # S(1, 3) - S(2, 3) = 8 is in 8Z but not in 24Z, and the pairing
-    # condition stays False.
-    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b == 3), 20, 0))
+    # b S(1, 3) = 2 becomes 12, and its reflection b S(2, 3) = -2 becomes
+    # -12, the only changes up to bmax 12: then S(1, 3) - S(2, 3) = 8 is
+    # in 8Z but not in 24Z, and the pairing condition stays False.
+    assert [planted_bs(a, 3, lambda a, b: 10 * (a == 1)) for a in (1, 2)] == [12, -12]
+    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b == 3), 10, 0))
     report = scan_theorem1(12)
     assert report.violations == [
         {
@@ -414,7 +454,9 @@ def plant_shifted_mu_original(monkeypatch):
 def test_violation_rows_match_column_schema(monkeypatch):
     # One planted defect per kind (theorem1 has its 9 | b rows), so that
     # every kind has rows: their keys are the kind's columns, in order,
-    # and the first row is pinned value by value.
+    # and the first row is pinned value by value. The row kernel solves
+    # a = 2 first at b = 5 (at b = 3, 2 is the reflected partner of 1),
+    # where b S(2, 5) = 0 comes back as 5.
     cases = [
         (
             lambda: scan_theorem1(9, include_9div=True),
@@ -429,12 +471,12 @@ def test_violation_rows_match_column_schema(monkeypatch):
         (
             lambda: scan_oracle_equivalence(12),
             lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
-            (3, 2, 1, 3, -2, 3),
+            (5, 2, 1, 1, 0, 1),
         ),
         (
             lambda: scan_reciprocity(12),
             lambda patch: plant_in_row_kernel(patch, lambda a, b: np.where(a == 2, b, 0)),
-            (2, 3, 1, 1),
+            (2, 5, 1, 1),
         ),
         (lambda: scan_bhk(12), plant_wrong_inverse, (2, 1, 1, 0)),
         (
@@ -606,14 +648,16 @@ def test_a_suite_runs_on_at_most_one_pool(jobs, pools, monkeypatch):
     assert len(started) == (jobs - 1) * pools
 
 
-@pytest.mark.parametrize("jobs", [2, 3, 4, 7])
-@pytest.mark.parametrize("b_max", [1, 2, 3, 9, 60, 251, 1000])
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("b_max", [1, 2, 3, 9, 60, 251, 1000, 3000])
 def test_pieces_cut_the_range_into_runs_of_about_one_batch(b_max, jobs):
     pieces = [list(piece) for piece in dedsum.scans._pieces(dedsum.scans._row_sizes(b_max), jobs)]
     assert all(pieces)
     assert [b for piece in pieces for b in piece] == list(range(1, b_max + 1))
     sizes = [0] + [len(coprime_residues(b)) for b in range(1, b_max + 1)]
-    size = max(1, min(dedsum.scans._BATCH, -(-sum(sizes) // jobs)))
+    # One batch, or at jobs > 1 less, so that every process gets two pieces.
+    shares = 1 if jobs == 1 else 2 * jobs
+    size = max(1, min(dedsum.scans._BATCH, -(-sum(sizes) // shares)))
     loads = [sum(sizes[b] for b in piece) for piece in pieces]
     assert all(size <= load < size + max(sizes) for load in loads[:-1])
     assert loads[-1] < size + max(sizes)
@@ -945,6 +989,84 @@ def test_a_suite_builds_each_row_once_and_walks_each_lift_once(batch, monkeypatc
     }
 
 
+@pytest.mark.parametrize("batch", [16, 64, None])
+def test_a_batch_reflects_b_s_and_the_inverse_onto_every_residue(batch, monkeypatch):
+    # On every piece to b <= 600, and on one-row pieces (b = 1 is empty,
+    # b = 2 holds a = b/2, its own partner), the row kernel and the power
+    # solve the residues a <= b/2 alone, once each, and the batch's b S and
+    # inverse are the row kernel's and pow's on every residue.
+    solved_pairs = []
+
+    def counted(name):
+        real = getattr(dedsum.scans, name)
+
+        def wrapper(a, b, *rest):
+            solved_pairs.extend(zip([name] * len(a), a.tolist(), b.tolist()))
+            return real(a, b, *rest)
+
+        return wrapper
+
+    for name in ("bs_values", "_inverse_pairs"):
+        monkeypatch.setattr(dedsum.scans, name, counted(name))
+    if batch:
+        monkeypatch.setattr(dedsum.scans, "_BATCH", batch)
+    pieces = list(dedsum.scans._pieces(dedsum.scans._row_sizes(600), 1))
+    if batch == 16:
+        assert sum(len(piece) == 1 for piece in pieces) > 400
+    pieces += [range(b, b + 1) for b in (1, 2, 3, 4, 600)]
+    for piece in pieces:
+        solved_pairs.clear()
+        rows = dedsum.scans._Batch(piece)
+        a, b = rows.a.tolist(), rows.b.tolist()
+        assert rows.bs.tolist() == dedsum.dedekind.bs_values(rows.a, rows.b).tolist()
+        assert rows.a_inv.tolist() == [pow(x, -1, y) for x, y in zip(a, b)]
+        lower = [(x, y) for x, y in zip(a, b) if 2 * x <= y]
+        assert solved_pairs == [("bs_values", *pair) for pair in lower] + [
+            ("_inverse_pairs", *pair) for pair in lower
+        ]
+
+
+def plant_partner_off_by_one(monkeypatch):
+    """A batch that reflects each a > b/2 from the index one past its
+    partner b - a."""
+    real = dedsum.scans._Batch.halves.func
+
+    def shifted(batch):
+        lower, upper, partner = real(batch)
+        return lower, upper, partner + 1
+
+    monkeypatch.setattr(dedsum.scans._Batch, "halves", property(shifted))
+
+
+def off_by_one_partner(a: int, b: int):
+    """The residue that such a batch reflects a > b/2 from: the unit of b
+    after b - a, or None where that is a > b/2 itself, which is solved
+    for no residue and reads the 0 that the arrays start with."""
+    row = residues_of(b)
+    partner = row[len(row) - row.index(a)]
+    return partner if 2 * partner <= b else None
+
+
+def test_a_partner_off_by_one_fails_the_oracle_and_bhk(monkeypatch):
+    # The oracle compares the reflected b S with the naive rows, and bhk
+    # ties b S and the inverse to the lift walks, which are not reflected.
+    plant_partner_off_by_one(monkeypatch)
+    values, identities = 0, 0
+    for b in range(2, BMAX_PLANTED + 1):
+        for base in residues_of(b):
+            bs, a_inv = b_times_s(base, b), pow(base, -1, b)
+            if 2 * base > b:
+                partner = off_by_one_partner(base, b)
+                bs = -b_times_s(partner, b) if partner else 0
+                a_inv = b - (pow(partner, -1, b) if partner else 0)
+            values += bs != b_times_s(base, b)
+            for a in (base, base - b, base + b):
+                identities += b * t_value(a, b) + a + a_inv - 3 * b != bs
+    assert 0 < values < identities
+    assert scan_oracle_equivalence(BMAX_PLANTED).summary["value_mismatches"] == values
+    assert scan_bhk(BMAX_PLANTED).summary["identity_failures"] == identities
+
+
 @pytest.mark.parametrize("batch", [None, 64])
 def test_theorem2_walks_the_jacobi_symbols_once_per_batch(batch, monkeypatch):
     # mu, and through it the Jacobi symbols, serve both predictions.
@@ -1058,24 +1180,21 @@ def test_the_oracle_scans_a_window_across_the_int32_sum_switch(monkeypatch):
         oracle()
 
 
-def test_the_lift_scans_scan_a_window_across_the_int32_power_switch(monkeypatch):
+def test_the_lift_scans_scan_a_window_across_the_int32_power_switch():
     # The rows b = 46,338..46,341 end at POWER_INT32_LIMIT, where the
     # inverses still multiply in int32; the row b = 46,342, a piece of its
-    # own, multiplies in int64. With the limit one too high, that row
-    # multiplies in int32 too, wraps, and the inverse's self-check raises.
+    # own, multiplies in int64. Only (b - 1)^2 = 46,341^2 passes 2^31 at
+    # that row, and the power solves the residues a <= b/2 alone, none of
+    # whose products reaches 2^31, so the limit set one too high wraps
+    # nothing here; test_inverse_pairs_at_the_int32_switch sees the wrap
+    # of a = b - 1 raise.
     b_max = POWER_INT32_LIMIT + 1
     pieces = [range(b_max - 4, b_max), range(b_max, b_max + 1)]
-
-    def lifts():
-        return dedsum.scans._pass(["theorem2", "bhk", "bt-mod8"], pieces, b_max, 0, {})
-
+    reports = dedsum.scans._pass(["theorem2", "bhk", "bt-mod8"], pieces, b_max, 0, {})
     phi = totients(b_max)
-    for report in lifts():
+    for report in reports:
         assert report.tuples_checked == 3 * sum(phi[b_max - 4 :]) == 380_796, report.kind
         assert report.violations_total == 0, report.kind
-    monkeypatch.setattr(dedsum.arith, "POWER_INT32_LIMIT", b_max)
-    with pytest.raises(ArithmeticError, match="inverse"):
-        lifts()
 
 
 def test_the_lift_scans_scan_a_window_at_the_theorem1_row_limit(monkeypatch):
@@ -1185,17 +1304,28 @@ def test_perturbed_bs_fails_bs_congruences(monkeypatch):
 
 
 def test_wrong_kernel_entry_fails_every_scan_that_reads_it(monkeypatch):
-    plant_in_row_kernel(monkeypatch, lambda a, b: np.where((a == 1) & (b % 3 != 0), b, 0))
+    def delta(a, b):
+        return (a == 1) * (b % 3 != 0) * b
+
+    plant_in_row_kernel(monkeypatch, delta)
+    wrong = [
+        (b, a)
+        for b in range(2, BMAX_PLANTED + 1)
+        for a in residues_of(b)
+        if planted_bs(a, b, delta) != b_times_s(a, b)
+    ]
+    # b S(1, b) and its reflection b S(b - 1, b) for each of the 19 b in
+    # 2..30 that 3 does not divide, one entry at b = 2.
+    assert len(wrong) == 2 * 19 - 1
     oracle = scan_oracle_equivalence(BMAX_PLANTED, cap=10**6)
-    # One bad entry for each of the 19 b in 2..30 that 3 does not divide.
-    assert oracle.summary["value_mismatches"] == 19
+    assert oracle.summary["value_mismatches"] == len(wrong)
+    assert [(row["b"], row["a"]) for row in oracle.violations] == wrong
     row = oracle.violations[0]
-    assert (row["b"], row["a"]) == (2, 1)
     # The row shows the kernel's value, S(1, 2) + 1 = 1, not the naive 0.
     assert (row["fast_num"], row["fast_den"], row["naive_num"]) == (1, 1, 0)
-    assert scan_bs_congruences(BMAX_PLANTED).summary["congruence_failures"] == 19
+    assert scan_bs_congruences(BMAX_PLANTED).summary["congruence_failures"] == len(wrong)
     assert scan_theorem1(BMAX_PLANTED).summary["mod8_mismatches"] > 0
-    assert scan_bhk(BMAX_PLANTED).summary["identity_failures"] == 3 * 19
+    assert scan_bhk(BMAX_PLANTED).summary["identity_failures"] == 3 * len(wrong)
 
 
 def test_asymmetric_kernel_defect_fails_reciprocity(monkeypatch):
@@ -1222,21 +1352,35 @@ def nonzero_flipped_pairs() -> int:
     )
 
 
+def plant_unsigned_reflection(monkeypatch):
+    """A batch that forgot to negate b S where it reflects a > b/2 from
+    b - a, and so reads b S(b - a, b) = -b S(a, b) there."""
+    real = dedsum.scans._Batch.bs.func
+
+    def unsigned(batch):
+        bs = real(batch)
+        return np.where(2 * batch.a > batch.b, -bs, bs)
+
+    monkeypatch.setattr(dedsum.scans._Batch, "bs", property(unsigned))
+
+
 def test_wrong_flip_sign_in_row_kernel_fails_oracle_and_reciprocity(monkeypatch):
-    # A kernel that forgot to negate its first level where it replaced a
-    # by b - a would return b S(b - a, b) = -b S(a, b) there.
-    real = dedsum.dedekind._bs_pairs
-    monkeypatch.setattr(
-        dedsum.dedekind, "_bs_pairs", lambda a, b: np.where(2 * a > b, -real(a, b), real(a, b))
-    )
+    # The flip that the row kernel's first level took for a > b/2 is now
+    # the batch's reflection, and the kernel solves a <= b/2 alone there.
+    # A reflection that forgot to negate returns b S(b - a, b) = -b S(a, b).
+    plant_unsigned_reflection(monkeypatch)
     oracle = scan_oracle_equivalence(BMAX_PLANTED)
     assert oracle.summary["value_mismatches"] == nonzero_flipped_pairs() > 0
-    # Both terms of the reciprocity check read the wrong kernel.
+    # bhk reads the wrong b S on all three lifts of each of those residues.
+    bhk = scan_bhk(BMAX_PLANTED)
+    assert bhk.summary["identity_failures"] == 3 * nonzero_flipped_pairs()
+    # The reciprocity check reads the wrong b S, and the mirrored term
+    # a S(b mod a, a) from the row kernel unreflected.
     expected = 0
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
             bs = flip_sign(a, b) * b * dedekind_naive(a, b)
-            mirror = flip_sign(b % a, a) * a * dedekind_naive(b % a, a) if a > 1 else 0
+            mirror = a * dedekind_naive(b % a, a) if a > 1 else 0
             expected += a * bs + b * mirror != a * a + b * b + 1 - 3 * a * b
     assert scan_reciprocity(BMAX_PLANTED).summary["residual_nonzero"] == expected > 0
 
@@ -1278,13 +1422,14 @@ def kernel_delta(a, b):
 
 
 def test_oracle_rows_follow_a_plain_loop(monkeypatch):
-    # The row kernel is wrong at a == 2 (mod 3), and each row shows its value.
+    # The row kernel is wrong at a == 2 (mod 3), on the residues that it
+    # solves and on their reflections, and each row shows its value.
     plant_in_row_kernel(monkeypatch, kernel_delta)
     expected = []
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
             naive = dedekind_naive(a, b)
-            fast = Fraction(b_times_s(a, b) + kernel_delta(a, b), b)
+            fast = Fraction(planted_bs(a, b, kernel_delta), b)
             if fast != naive:
                 expected.append((b, a, fast.numerator, fast.denominator, naive.numerator, naive.denominator))
     assert min(row[2] for row in expected) < 0 and any(row[2] == 0 for row in expected)
@@ -1312,7 +1457,8 @@ def test_a_wrong_naive_row_fails_the_oracle_alone(monkeypatch):
 def test_a_huge_scalar_value_is_a_mismatch_and_never_wraps(monkeypatch):
     # 8 S(1, 8) = 42. The scan compares b S as int64 and multiplies no
     # value, so values at the top of the int64 range are mismatches like
-    # any other. Each row shows the value that came back, over b.
+    # any other; their reflections, at the bottom, too. Each row shows the
+    # value that came back, over b.
     planted = {(1, 8): 42 + 2**62, (2, 7): 2**63 - 1}
     real = dedsum.scans.bs_values
 
@@ -1323,18 +1469,28 @@ def test_a_huge_scalar_value_is_a_mismatch_and_never_wraps(monkeypatch):
         return values
 
     monkeypatch.setattr(dedsum.scans, "bs_values", huge)
+    expected = []
+    for b in range(2, BMAX_PLANTED + 1):
+        for a in residues_of(b):
+            p, sign = solved(a, b)
+            if (p, b) in planted:
+                value = Fraction(sign * planted[p, b], b)
+                expected.append((a, b, value.numerator, value.denominator))
+    assert [row[:2] for row in expected] == [(2, 7), (5, 7), (1, 8), (7, 8)]
+    assert expected[0][2:] == ((2**63 - 1) // 7, 1)
     report = scan_oracle_equivalence(BMAX_PLANTED)
-    assert report.summary == {"value_mismatches": 2}
+    assert report.summary == {"value_mismatches": len(expected)}
     rows = [(row["a"], row["b"], row["fast_num"], row["fast_den"]) for row in report.violations]
-    assert rows == [(2, 7, (2**63 - 1) // 7, 1), (1, 8, 21 + 2**61, 4)]
+    assert rows == expected
 
 
 def test_reciprocity_rows_follow_a_plain_loop(monkeypatch):
+    # b S is reflected, and the mirrored term is solved as it stands.
     plant_in_row_kernel(monkeypatch, kernel_delta)
     expected = []
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
-            bs = b_times_s(a, b) + kernel_delta(a, b)
+            bs = planted_bs(a, b, kernel_delta)
             mirror = b_times_s(b % a, a) + kernel_delta(b % a, a) if a > 1 else 0
             residual = Fraction(a * bs + b * mirror - (a * a + b * b + 1 - 3 * a * b), a * b)
             if residual:
@@ -1349,7 +1505,7 @@ def test_bs_congruence_rows_follow_a_plain_loop(monkeypatch):
     expected = []
     for b in range(2, BMAX_PLANTED + 1):
         for a in residues_of(b):
-            value = b_times_s(a, b) + kernel_delta(a, b)
+            value = planted_bs(a, b, kernel_delta)
             modulus = 9 if b % 3 == 0 else 3
             residue = (2 if a % 3 == 1 else 7) if b % 3 == 0 else 0
             if value % modulus != residue:
@@ -1375,7 +1531,8 @@ def test_bhk_rows_follow_a_plain_loop(monkeypatch):
     plant_wrong_inverse(monkeypatch)
 
     def check(b, base, a):
-        lhs = b * t_value(a, b) + a + mod_inverse(base, b) + 1 - 3 * b
+        a_inv = planted_inverse(base, b, lambda inverse, b: inverse + 1)
+        lhs = b * t_value(a, b) + a + a_inv - 3 * b
         rhs = b_times_s(base, b)
         return (b, a, lhs, rhs) if lhs != rhs else None
 
